@@ -261,11 +261,11 @@ def _cmd_cohort(args: argparse.Namespace) -> int:
         answer_sets = [a for a in answer_sets if a.category == category]
         if not answer_sets:
             raise InputError(f"no answer sets in category {category.value!r}")
-    stats = maturity.cohort_stats(schema, answer_sets, strict=args.strict)
     reports = [
         maturity.build_report(schema, answers, strict=args.strict)
         for answers in answer_sets
     ]
+    stats = maturity.cohort_stats(reports)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -11,49 +11,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .model import (
-    Assignment,
     CallResolution,
-    CallStatement,
+    CaseBranch,
     CaseStatement,
-    ForStatement,
     IfStatement,
     Pou,
     PouKind,
     Project,
-    Statement,
-    WhileStatement,
+    walk,
 )
 
 
 def complexity(pou: Pou) -> int:
     """Statements + decision points over the body and all action bodies."""
-
-    def count(stmts: tuple[Statement, ...]) -> int:
-        total = 0
-        for stmt in stmts:
-            if isinstance(stmt, (Assignment, CallStatement)):
-                total += 1
-            elif isinstance(stmt, IfStatement):
-                total += len(stmt.branches)
-                for branch in stmt.branches:
-                    total += count(branch.body)
-                total += count(stmt.else_body)
-            elif isinstance(stmt, CaseStatement):
-                for branch in stmt.branches:
-                    total += len(branch.labels)
-                    total += count(branch.body)
-                total += count(stmt.else_body)
-            elif isinstance(stmt, ForStatement):
-                total += 1 + count(stmt.body)
-            elif isinstance(stmt, WhileStatement):
-                total += 1 + count(stmt.body)
-        return total
-
-    total = count(pou.statements)
-    for action in pou.actions:
-        total += count(action.body)
+    total = 0
+    for node in walk(pou.all_statements()):
+        if isinstance(node, CaseBranch):
+            total += len(node.labels)
+        elif not isinstance(node, (IfStatement, CaseStatement)):
+            total += 1  # a simple statement, an IF/ELSIF branch or a loop header
     return total
 
 
@@ -83,11 +62,22 @@ class CallGraph:
     def node_map(self) -> dict[str, CallGraphNode]:
         return {n.name: n for n in self.nodes}
 
-    def out_edges(self, name: str) -> list[CallEdge]:
-        return [e for e in self.edges if e.caller == name]
+    def callers(self, name: str) -> list[str]:
+        """Callers of a node, one per edge, in edge order."""
+        return self._index[0].get(name, [])
 
-    def in_edges(self, name: str) -> list[CallEdge]:
-        return [e for e in self.edges if e.callee == name]
+    def callees(self, name: str) -> list[str]:
+        """Callees of a node, one per edge, in edge order."""
+        return self._index[1].get(name, [])
+
+    @cached_property
+    def _index(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+        callers: dict[str, list[str]] = {}
+        callees: dict[str, list[str]] = {}
+        for edge in self.edges:
+            callers.setdefault(edge.callee, []).append(edge.caller)
+            callees.setdefault(edge.caller, []).append(edge.callee)
+        return callers, callees
 
 
 @dataclass(frozen=True)
@@ -166,9 +156,12 @@ def build_call_graph(project: Project, per_instance: bool = False) -> CallGraph:
 
     if per_instance:
         # instance nodes continue into the type-level subgraph
+        pous_by_name: dict[str, Pou] = {}
+        for pou in project.pous:
+            pous_by_name.setdefault(pou.name.lower(), pou)
         for inst_node, targets in type_targets.items():
             for target in targets:
-                target_pou = project.pou(target)
+                target_pou = pous_by_name.get(target.lower())
                 if target_pou is None:
                     continue
                 for site in target_pou.call_sites:

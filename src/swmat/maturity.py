@@ -375,21 +375,20 @@ class CohortStats:
 
 
 def cohort_stats(
-    schema: QuestionnaireSchema,
-    answer_sets: Sequence[AnswerSet],
+    reports: Sequence[MaturityReport],
     category: CompanyCategory | None = None,
-    strict: bool = False,
 ) -> CohortStats:
     """Per-question and per-category means over a (filtered) company cohort."""
-    cohort = [a for a in answer_sets if category is None or a.category == category]
+    cohort = [r for r in reports if category is None or r.company_category == category]
     if not cohort:
         raise ValueError("empty cohort")
 
-    question_values: dict[int, list[Fraction]] = {qid: [] for qid in schema.scored_ids()}
-    for answers in cohort:
-        for qid, value in normalized_answers(schema, answers).items():
+    question_values: dict[int, list[Fraction]] = {}
+    for report in cohort:
+        for qid, value in report.per_question_normalized.items():
+            values = question_values.setdefault(qid, [])
             if value is not None:
-                question_values[qid].append(value)
+                values.append(value)
 
     question_means = {
         qid: (sum(values, Fraction(0)) / len(values) if values else None)
@@ -397,14 +396,14 @@ def cohort_stats(
     }
     question_counts = {qid: len(values) for qid, values in question_values.items()}
 
+    category_values = {
+        Category.MOD: [r.m_mod for r in cohort],
+        Category.TEST: [r.m_test for r in cohort],
+        Category.OP: [r.m_op for r in cohort],
+    }
     category_means: dict[Category, Fraction | None] = {}
-    for cat in SCORED_CATEGORIES:
-        maturities = [
-            score.maturity
-            for answers in cohort
-            if (score := category_maturity(schema, answers, cat, strict=strict)).maturity
-            is not None
-        ]
+    for cat, values in category_values.items():
+        maturities = [m for m in values if m is not None]
         category_means[cat] = (
             sum(maturities, Fraction(0)) / len(maturities) if maturities else None
         )

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Iterable, Mapping, Union
+from typing import Any, Iterator, Mapping, Sequence, Union
 
 
 class PouKind(Enum):
@@ -189,6 +189,10 @@ class Pou:
             for decl in section.decls:
                 out[decl.name.lower()] = decl
         return out
+
+    def all_statements(self) -> tuple[Statement, ...]:
+        """Top-level statements of the body, then of each action in order."""
+        return self.statements + tuple(s for a in self.actions for s in a.body)
 
 
 @dataclass(frozen=True)
@@ -448,61 +452,82 @@ class Diagnostic:
         return f"{loc}{self.severity}{subject}: {self.message}"
 
 
-def _call_texts(statements: Iterable[Statement]) -> set[str]:
-    found: set[str] = set()
-    stack = list(statements)
+Node = Union[Statement, IfBranch, CaseBranch]
+
+
+def walk(statements: Sequence[Statement]) -> Iterator[Node]:
+    """Every node of the statement trees, pre-order, in source order.
+
+    Besides statements this yields each IF/ELSIF branch and each CASE branch
+    ahead of its body, so a condition comes before the statements it guards.
+    An explicit stack keeps nesting depth away from Python's recursion limit.
+    """
+    stack = list(reversed(statements))
     while stack:
-        stmt = stack.pop()
-        if isinstance(stmt, CallStatement):
-            found.add(stmt.callee.lower())
-            stack.extend(_token_call_texts(stmt.args))
-        elif isinstance(stmt, Assignment):
-            stack.extend(_token_call_texts(stmt.target))
-            stack.extend(_token_call_texts(stmt.value))
-        elif isinstance(stmt, IfStatement):
-            for br in stmt.branches:
-                stack.extend(_token_call_texts(br.condition))
-                stack.extend(br.body)
-            stack.extend(stmt.else_body)
-        elif isinstance(stmt, CaseStatement):
-            stack.extend(_token_call_texts(stmt.selector))
-            for br in stmt.branches:
-                stack.extend(br.body)
-            stack.extend(stmt.else_body)
-        elif isinstance(stmt, ForStatement):
-            for seq in (stmt.start, stmt.stop, stmt.step):
-                stack.extend(_token_call_texts(seq))
-            stack.extend(stmt.body)
-        elif isinstance(stmt, WhileStatement):
-            stack.extend(_token_call_texts(stmt.condition))
-            stack.extend(stmt.body)
-    return found
-
-
-def _token_call_texts(tokens: TokenSeq) -> list[CallStatement]:
-    """Call occurrences inside an expression token stream, as pseudo statements."""
-    out: list[CallStatement] = []
-    i = 0
-    n = len(tokens)
-    while i < n:
-        tok = tokens[i]
-        if tok.kind is TokenKind.IDENT:
-            path = [tok.text]
-            j = i + 1
-            while (
-                j + 1 < n
-                and tokens[j].kind is TokenKind.OP
-                and tokens[j].text == "."
-                and tokens[j + 1].kind is TokenKind.IDENT
-            ):
-                path.append(tokens[j + 1].text)
-                j += 2
-            if j < n and tokens[j].kind is TokenKind.OP and tokens[j].text == "(":
-                out.append(CallStatement(".".join(path), (), tok.line, tok.col))
-            i = j
+        node = stack.pop()
+        yield node
+        if isinstance(node, (Assignment, CallStatement)):
+            continue
+        if isinstance(node, (IfStatement, CaseStatement)):
+            stack.extend(reversed(node.else_body))
+            stack.extend(reversed(node.branches))
         else:
+            stack.extend(reversed(node.body))
+
+
+def expressions(node: Node) -> tuple[TokenSeq, ...]:
+    """The expression token sequences a node holds directly, in source order."""
+    if isinstance(node, Assignment):
+        return (node.target, node.value)
+    if isinstance(node, CallStatement):
+        return (node.args,)
+    if isinstance(node, (IfBranch, WhileStatement)):
+        return (node.condition,)
+    if isinstance(node, CaseStatement):
+        return (node.selector,)
+    if isinstance(node, ForStatement):
+        return (node.start, node.stop, node.step)
+    return ()
+
+
+def dotted_paths(tokens: TokenSeq) -> Iterator[tuple[int, int, bool]]:
+    """Each dotted identifier path ``a.b.c`` as (start, end, is_call).
+
+    ``tokens[start:end:2]`` are the path's identifiers; is_call tells whether
+    '(' follows the path.
+    """
+    ident, op = TokenKind.IDENT, TokenKind.OP  # locals: enum lookups cost per token
+    n = len(tokens)
+    i = 0
+    while i < n:
+        if tokens[i].kind is not ident:
             i += 1
-    return out
+            continue
+        j = i + 1
+        while (
+            j + 1 < n
+            and tokens[j].kind is op
+            and tokens[j].text == "."
+            and tokens[j + 1].kind is ident
+        ):
+            j += 2
+        yield i, j, j < n and tokens[j].kind is op and tokens[j].text == "("
+        i = j
+
+
+def find_call_occurrences(statements: Sequence[Statement]) -> list[tuple[str, int, int]]:
+    """All syntactic call occurrences as (callee text, line, col), in source order."""
+    found: list[tuple[str, int, int]] = []
+    for node in walk(statements):
+        if isinstance(node, CallStatement):
+            found.append((node.callee, node.line, node.col))
+        for tokens in expressions(node):
+            for start, end, is_call in dotted_paths(tokens):
+                if is_call:
+                    head = tokens[start]
+                    path = ".".join(t.text for t in tokens[start:end:2])
+                    found.append((path, head.line, head.col))
+    return found
 
 
 def validate_project(project: Project) -> list[Diagnostic]:
@@ -544,6 +569,7 @@ def validate_project(project: Project) -> list[Diagnostic]:
             )
 
     fb_names = {p.name.lower() for p in project.pous if p.kind is PouKind.FUNCTION_BLOCK}
+    global_names = project.global_names()
 
     for pou in project.pous:
         if (pou.kind is PouKind.FUNCTION) != (pou.return_type is not None):
@@ -568,9 +594,9 @@ def validate_project(project: Project) -> list[Diagnostic]:
                     )
                 seen_decls.add(key)
 
-        body_calls = _call_texts(pou.statements)
-        for action in pou.actions:
-            body_calls |= _call_texts(action.body)
+        body_calls = {
+            text.lower() for text, _, _ in find_call_occurrences(pou.all_statements())
+        }
         decls = pou.declared_names()
         for site in pou.call_sites:
             if site.callee_text.lower() not in body_calls:
@@ -586,7 +612,7 @@ def validate_project(project: Project) -> list[Diagnostic]:
                 decl = decls.get(base)
                 declared_type = decl.type_name.lower() if decl else None
                 if declared_type is None:
-                    g = project.global_names().get(base)
+                    g = global_names.get(base)
                     declared_type = g.type_name.lower() if g else None
                 if declared_type is None or declared_type not in fb_names:
                     diags.append(

@@ -91,10 +91,6 @@ def assign_levels(graph: CallGraph, plant: bool = False) -> LevelAssignment:
     Entries start at facility level (plant level for plant projects); strata
     past the named ladder collapse into basic; every leaf is atomic basic.
     """
-    adjacency: dict[str, list[str]] = {n.name: [] for n in graph.nodes}
-    for edge in graph.edges:
-        adjacency.setdefault(edge.caller, []).append(edge.callee)
-
     strata: dict[str, int | None] = {n.name: None for n in graph.nodes}
     queue: deque[str] = deque()
     for entry in graph.entries:
@@ -105,7 +101,7 @@ def assign_levels(graph: CallGraph, plant: bool = False) -> LevelAssignment:
         current = queue.popleft()
         depth = strata[current]
         assert depth is not None
-        for nxt in adjacency.get(current, []):
+        for nxt in graph.callees(current):
             if strata.get(nxt) is None:
                 strata[nxt] = depth + 1
                 queue.append(nxt)
@@ -117,10 +113,7 @@ def assign_levels(graph: CallGraph, plant: bool = False) -> LevelAssignment:
     base = 0 if plant else 1
     named: dict[str, ArchLevel] = {}
     for name, stratum in strata.items():
-        node = node_map[name]
-        is_leaf = not any(
-            not node_map[e.callee].external for e in graph.edges if e.caller == name
-        )
+        is_leaf = all(node_map[c].external for c in graph.callees(name))
         if is_leaf:
             named[name] = ArchLevel.ATOMIC_BASIC
         elif stratum is None:
@@ -194,10 +187,7 @@ def normalize_tokens(stream: list[NormToken] | tuple[NormToken, ...]) -> tuple[N
 
 
 def normalized_body(pou: Pou) -> tuple[NormToken, ...]:
-    stream = statement_stream(pou.statements)
-    for action in pou.actions:
-        stream.extend(statement_stream(action.body))
-    return normalize_tokens(stream)
+    return normalize_tokens(statement_stream(pou.all_statements()))
 
 
 @dataclass(frozen=True)
@@ -243,12 +233,11 @@ def detect_cross_cutting(
     one module: everyone on every level calls it.
     """
     levels = levels or assign_levels(graph)
-    node_map = graph.node_map()
     flagged: list[str] = []
     for node in graph.nodes:
         if node.external:
             continue
-        callers = [e.caller for e in graph.edges if e.callee == node.name]
+        callers = graph.callers(node.name)
         if len(callers) < k:
             continue
         strata = {
@@ -266,12 +255,10 @@ def detect_cross_cutting(
 
 def _is_call_tree(graph: CallGraph) -> bool:
     """True when no project POU (outside the entries) has two distinct callers."""
-    node_map = graph.node_map()
     for node in graph.nodes:
         if node.external or node.name in graph.entries:
             continue
-        callers = {e.caller for e in graph.edges if e.callee == node.name}
-        if len(callers) > 1:
+        if len(set(graph.callers(node.name))) > 1:
             return False
     return True
 

@@ -20,24 +20,21 @@ from .model import (
     Assignment,
     CallResolution,
     CallSite,
-    CallStatement,
-    CaseStatement,
     Diagnostic,
     ForStatement,
     GlobalVar,
-    IfStatement,
     LineSpan,
     Pou,
     PouKind,
     Project,
     SourceRef,
-    Statement,
     TaskDef,
-    Token,
     TokenKind,
-    TokenSeq,
-    WhileStatement,
+    dotted_paths,
+    expressions,
+    find_call_occurrences,
     validate_project,
+    walk,
 )
 from .stparse import SourceFile, parse_file
 
@@ -74,95 +71,7 @@ def build_symbol_table(pous: list[Pou], globals_: list[GlobalVar]) -> SymbolTabl
     return table
 
 
-# --- call occurrences ---------------------------------------------------------
-
-
-def _scan_token_calls(tokens: TokenSeq) -> list[tuple[str, int, int]]:
-    """Dotted identifier paths immediately followed by '(' in a token stream."""
-    out: list[tuple[str, int, int]] = []
-    i = 0
-    n = len(tokens)
-    while i < n:
-        tok = tokens[i]
-        if tok.kind is not TokenKind.IDENT:
-            i += 1
-            continue
-        path = [tok.text]
-        j = i + 1
-        while (
-            j + 1 < n
-            and tokens[j].kind is TokenKind.OP
-            and tokens[j].text == "."
-            and tokens[j + 1].kind is TokenKind.IDENT
-        ):
-            path.append(tokens[j + 1].text)
-            j += 2
-        if j < n and tokens[j].kind is TokenKind.OP and tokens[j].text == "(":
-            out.append((".".join(path), tok.line, tok.col))
-        i = j if j > i else i + 1
-    return out
-
-
-def _expression_streams(statements: tuple[Statement, ...]):
-    """Yield every expression token sequence in a statement tree."""
-    for stmt in statements:
-        if isinstance(stmt, Assignment):
-            yield stmt.target
-            yield stmt.value
-        elif isinstance(stmt, CallStatement):
-            yield stmt.args
-        elif isinstance(stmt, IfStatement):
-            for branch in stmt.branches:
-                yield branch.condition
-                yield from _expression_streams(branch.body)
-            yield from _expression_streams(stmt.else_body)
-        elif isinstance(stmt, CaseStatement):
-            yield stmt.selector
-            for branch in stmt.branches:
-                yield from _expression_streams(branch.body)
-            yield from _expression_streams(stmt.else_body)
-        elif isinstance(stmt, ForStatement):
-            yield stmt.start
-            yield stmt.stop
-            yield stmt.step
-            yield from _expression_streams(stmt.body)
-        elif isinstance(stmt, WhileStatement):
-            yield stmt.condition
-            yield from _expression_streams(stmt.body)
-
-
-def find_call_occurrences(statements: tuple[Statement, ...]) -> list[tuple[str, int, int]]:
-    """All syntactic call occurrences, in source order."""
-    found: list[tuple[str, int, int]] = []
-
-    def walk(stmts: tuple[Statement, ...]) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, CallStatement):
-                found.append((stmt.callee, stmt.line, stmt.col))
-                found.extend(_scan_token_calls(stmt.args))
-            elif isinstance(stmt, Assignment):
-                found.extend(_scan_token_calls(stmt.target))
-                found.extend(_scan_token_calls(stmt.value))
-            elif isinstance(stmt, IfStatement):
-                for branch in stmt.branches:
-                    found.extend(_scan_token_calls(branch.condition))
-                    walk(branch.body)
-                walk(stmt.else_body)
-            elif isinstance(stmt, CaseStatement):
-                found.extend(_scan_token_calls(stmt.selector))
-                for branch in stmt.branches:
-                    walk(branch.body)
-                walk(stmt.else_body)
-            elif isinstance(stmt, ForStatement):
-                for seq in (stmt.start, stmt.stop, stmt.step):
-                    found.extend(_scan_token_calls(seq))
-                walk(stmt.body)
-            elif isinstance(stmt, WhileStatement):
-                found.extend(_scan_token_calls(stmt.condition))
-                walk(stmt.body)
-
-    walk(statements)
-    return found
+# --- call sites ---------------------------------------------------------------
 
 
 def extract_call_sites(pou: Pou, table: SymbolTable) -> list[CallSite]:
@@ -172,12 +81,8 @@ def extract_call_sites(pou: Pou, table: SymbolTable) -> list[CallSite]:
     """
     decls = pou.declared_names()
     action_names = {a.name.lower() for a in pou.actions}
-    occurrences = find_call_occurrences(pou.statements)
-    for action in pou.actions:
-        occurrences.extend(find_call_occurrences(action.body))
-
     sites: list[CallSite] = []
-    for callee_text, line, col in occurrences:
+    for callee_text, line, col in find_call_occurrences(pou.all_statements()):
         base = callee_text.split(".")[0].lower()
         resolution = CallResolution.EXTERNAL
         target: str | None = None
@@ -203,31 +108,6 @@ def extract_call_sites(pou: Pou, table: SymbolTable) -> list[CallSite]:
 # --- global accesses ----------------------------------------------------------
 
 
-def _read_idents(tokens: TokenSeq, skip_first: bool = False) -> list[Token]:
-    """Identifier tokens used as values: path bases not followed by '('."""
-    out: list[Token] = []
-    i = 0
-    n = len(tokens)
-    while i < n:
-        tok = tokens[i]
-        if tok.kind is not TokenKind.IDENT:
-            i += 1
-            continue
-        j = i + 1
-        while (
-            j + 1 < n
-            and tokens[j].kind is TokenKind.OP
-            and tokens[j].text == "."
-            and tokens[j + 1].kind is TokenKind.IDENT
-        ):
-            j += 2
-        is_call = j < n and tokens[j].kind is TokenKind.OP and tokens[j].text == "("
-        if not is_call and not (skip_first and i == 0):
-            out.append(tok)
-        i = j if j > i else i + 1
-    return out
-
-
 def extract_global_accesses(
     pou: Pou, globals_: dict[str, str]
 ) -> tuple[set[str], set[str]]:
@@ -237,57 +117,27 @@ def extract_global_accesses(
     loop counter); every other value use is a read.  Locally declared names
     shadow globals of the same name.
     """
-    shadowed = set(pou.declared_names())
-    visible = {k: v for k, v in globals_.items() if k not in shadowed}
+    read_names: list[str] = []
+    written_names: list[str] = []
+    for node in walk(pou.all_statements()):
+        is_assignment = isinstance(node, Assignment)
+        if is_assignment and node.target and node.target[0].kind is TokenKind.IDENT:
+            written_names.append(node.target[0].text)
+        elif isinstance(node, ForStatement):
+            written_names.append(node.var)
+        for k, tokens in enumerate(expressions(node)):
+            for start, _, is_call in dotted_paths(tokens):
+                # the target's base is the write; its index expressions are reads
+                if not is_call and not (is_assignment and k == 0 and start == 0):
+                    read_names.append(tokens[start].text)
 
-    reads: set[str] = set()
-    writes: set[str] = set()
+    shadowed = pou.declared_names()
 
-    def note_read(tokens: TokenSeq, skip_first: bool = False) -> None:
-        for tok in _read_idents(tokens, skip_first=skip_first):
-            name = visible.get(tok.text.lower())
-            if name is not None:
-                reads.add(name)
+    def visible_globals(names: list[str]) -> set[str]:
+        keys = {name.lower() for name in names}
+        return {globals_[key] for key in keys if key in globals_ and key not in shadowed}
 
-    def note_write(name_text: str) -> None:
-        name = visible.get(name_text.lower())
-        if name is not None:
-            writes.add(name)
-
-    def walk(stmts: tuple[Statement, ...]) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, Assignment):
-                if stmt.target and stmt.target[0].kind is TokenKind.IDENT:
-                    note_write(stmt.target[0].text)
-                # index expressions on the target are value uses
-                note_read(stmt.target, skip_first=True)
-                note_read(stmt.value)
-            elif isinstance(stmt, CallStatement):
-                note_read(stmt.args)
-            elif isinstance(stmt, IfStatement):
-                for branch in stmt.branches:
-                    note_read(branch.condition)
-                    walk(branch.body)
-                walk(stmt.else_body)
-            elif isinstance(stmt, CaseStatement):
-                note_read(stmt.selector)
-                for branch in stmt.branches:
-                    walk(branch.body)
-                walk(stmt.else_body)
-            elif isinstance(stmt, ForStatement):
-                note_write(stmt.var)
-                note_read(stmt.start)
-                note_read(stmt.stop)
-                note_read(stmt.step)
-                walk(stmt.body)
-            elif isinstance(stmt, WhileStatement):
-                note_read(stmt.condition)
-                walk(stmt.body)
-
-    walk(pou.statements)
-    for action in pou.actions:
-        walk(action.body)
-    return reads, writes
+    return visible_globals(read_names), visible_globals(written_names)
 
 
 # --- manifest files -----------------------------------------------------------
@@ -355,6 +205,7 @@ def parse_project(directory: str | Path, name: str | None = None) -> tuple[Proje
     diagnostics: list[Diagnostic] = []
     pous: list[Pou] = []
     globals_: list[GlobalVar] = []
+    global_keys: set[str] = set()
     origin: dict[str, str] = {}
     source_index: dict[str, SourceRef] = {}
 
@@ -372,7 +223,7 @@ def parse_project(directory: str | Path, name: str | None = None) -> tuple[Proje
             source_index[pou.name] = SourceRef(str(path), pou.span)
             pous.append(pou)
         for g in result.globals:
-            if g.name.lower() in {x.name.lower() for x in globals_}:
+            if g.name.lower() in global_keys:
                 diagnostics.append(
                     Diagnostic(
                         "warning",
@@ -381,6 +232,7 @@ def parse_project(directory: str | Path, name: str | None = None) -> tuple[Proje
                     )
                 )
                 continue
+            global_keys.add(g.name.lower())
             globals_.append(g)
 
     externals_path = root / EXTERNALS_FILE

@@ -298,7 +298,7 @@ def test_pearson_affine_invariance():
 
 def test_cohort_single_company_identity(schema):
     answers = _answers(OP_BEST)
-    stats = cohort_stats(schema, [answers])
+    stats = cohort_stats([build_report(schema, answers)])
     assert stats.company_count == 1
     assert stats.question_means[36] == 5
     assert stats.category_means[Category.OP] == 1
@@ -307,7 +307,7 @@ def test_cohort_single_company_identity(schema):
 def test_cohort_mean_of_two(schema):
     a = _answers({36: "never"}, company="a")
     b = _answers({36: "very-often"}, company="b")
-    stats = cohort_stats(schema, [a, b])
+    stats = cohort_stats([build_report(schema, a), build_report(schema, b)])
     assert stats.question_means[36] == F(5, 2)
     assert stats.question_counts[36] == 2
 
@@ -318,7 +318,7 @@ def test_cohort_contributor_counts(schema):
         _answers({36: "never"}, company="b"),
         _answers({36: "never"}, company="c"),
     ]
-    stats = cohort_stats(schema, sets)
+    stats = cohort_stats([build_report(schema, s) for s in sets])
     assert stats.question_counts[39] == 1
     assert stats.question_means[39] == 5
 
@@ -328,14 +328,15 @@ def test_cohort_category_filter(schema):
         _answers(OP_BEST, company="m", category=CompanyCategory.MACHINE),
         _answers({36: "very-often"}, company="p", category=CompanyCategory.PLANT),
     ]
-    stats = cohort_stats(schema, sets, category=CompanyCategory.MACHINE)
+    reports = [build_report(schema, s) for s in sets]
+    stats = cohort_stats(reports, category=CompanyCategory.MACHINE)
     assert stats.company_count == 1
     assert stats.category_means[Category.OP] == 1
 
 
 def test_cohort_empty_errors(schema):
     with pytest.raises(ValueError, match="empty cohort"):
-        cohort_stats(schema, [], category=None)
+        cohort_stats([], category=None)
 
 
 # --- monotonicity property ----------------------------------------------------------

@@ -2,8 +2,26 @@ from __future__ import annotations
 
 import pytest
 
-from swmat.model import PouKind
-from swmat.project import ProjectError, parse_project
+from swmat.graphs import complexity
+from swmat.model import (
+    Assignment,
+    CallResolution,
+    CallSite,
+    IfBranch,
+    IfStatement,
+    Pou,
+    PouKind,
+    Project,
+    Token,
+    TokenKind,
+    validate_project,
+)
+from swmat.project import (
+    ProjectError,
+    extract_global_accesses,
+    find_call_occurrences,
+    parse_project,
+)
 from synth import write_project
 
 
@@ -95,3 +113,53 @@ def test_concurrent_file_parsing_matches_sequential(plant_dir):
     for a, b in zip(serial, threaded):
         assert a.pous == b.pous
         assert a.globals == b.globals
+
+
+def _tok(kind, text):
+    return Token(kind, text, 1, 1)
+
+
+def test_walkers_handle_deep_nesting():
+    """5000 nested IFs: the analyses walk iteratively, not by recursion."""
+    ident, op = TokenKind.IDENT, TokenKind.OP
+    depth = 5000
+    stmt = Assignment(
+        (_tok(ident, "gOut"),),
+        (_tok(ident, "Check"), _tok(op, "("), _tok(ident, "gIn"), _tok(op, ")")),
+        1, 1,
+    )
+    for _ in range(depth):
+        condition = (_tok(ident, "Ready"), _tok(op, "("), _tok(op, ")"))
+        stmt = IfStatement((IfBranch(condition, (stmt,)),), (), 1, 1)
+    sites = tuple(
+        CallSite("p", name, CallResolution.EXTERNAL, None) for name in ("Ready", "Check")
+    )
+    pou = Pou("p", PouKind.PROGRAM, statements=(stmt,), call_sites=sites)
+
+    assert complexity(pou) == depth + 1
+    calls = find_call_occurrences(pou.statements)
+    assert [c[0] for c in calls] == ["Ready"] * depth + ["Check"]
+    globals_ = {"gin": "gIn", "gout": "gOut"}
+    assert extract_global_accesses(pou, globals_) == ({"gIn"}, {"gOut"})
+    assert validate_project(Project("deep", (pou,))) == []
+
+
+def test_call_sites_keep_source_order_through_elsif_and_case(tmp_path):
+    write_project(
+        tmp_path,
+        {
+            "p.st": (
+                "PROGRAM p\n"
+                "IF a() THEN\n  b();\n"
+                "ELSIF c() THEN\n  d(e());\n"
+                "ELSE\n  f();\nEND_IF;\n"
+                "CASE g() OF\n  1: h();\nELSE\n  i();\nEND_CASE;\n"
+                "WHILE j() DO\n  k();\nEND_WHILE;\n"
+                "END_PROGRAM\n"
+            )
+        },
+        "task t cycle 10 entry p\n",
+    )
+    project, _ = parse_project(tmp_path)
+    order = [site.callee_text for site in project.pou("p").call_sites]
+    assert order == ["a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k"]
