@@ -204,7 +204,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
     print(f"project {project.name}: {len(project.pous)} POUs, "
-          f"{len(call_graph.edges)} call edges, {len(global_graph.edges)} global edges")
+          f"{len(call_graph.edges)} call edges, {global_graph.edge_count} global edges")
     print(f"style {assessment.structure_style.value}, "
           f"f = {assessment.coupling_fraction}, "
           f"depth {assessment.levels_below_entry}")

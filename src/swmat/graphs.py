@@ -10,6 +10,8 @@ for your codebase.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -88,9 +90,62 @@ class GlobalEdge:
 
 
 @dataclass(frozen=True)
+class GlobalUsers:
+    """The POUs that write and read one global, each in ``str.lower`` order."""
+
+    name: str
+    writers: tuple[str, ...]
+    readers: tuple[str, ...]
+
+    @property
+    def edge_count(self) -> int:
+        """|W|·|R| minus the writer/reader pairs that are one POU (no self edges)."""
+        readers = Counter(r.lower() for r in self.readers)
+        self_pairs = sum(readers[w.lower()] for w in self.writers)
+        return len(self.writers) * len(self.readers) - self_pairs
+
+
+@dataclass(frozen=True)
 class GlobalCommGraph:
+    """Writer-to-reader edges through globals, kept as a POU–global incidence.
+
+    Every writer of a global has an edge to every other reader of it, so the
+    graph stores only who writes and reads each global (``globals``, in
+    ``str.lower`` order) and counts its edges from that.
+    """
+
     nodes: tuple[str, ...]
-    edges: tuple[GlobalEdge, ...]
+    globals: tuple[GlobalUsers, ...]
+
+    @cached_property
+    def edge_count(self) -> int:
+        return sum(users.edge_count for users in self.globals)
+
+    @property
+    def edges(self) -> GlobalEdges:
+        return GlobalEdges(self)
+
+
+class GlobalEdges:
+    """The edges of a GlobalCommGraph as a sized, iterable view.
+
+    ``len`` reads the counted total; iteration builds each GlobalEdge on
+    demand, per global, then writer, then reader.
+    """
+
+    def __init__(self, graph: GlobalCommGraph):
+        self._graph = graph
+
+    def __len__(self) -> int:
+        return self._graph.edge_count
+
+    def __iter__(self) -> Iterator[GlobalEdge]:
+        for users in self._graph.globals:
+            for writer in users.writers:
+                own = writer.lower()
+                for reader in users.readers:
+                    if reader.lower() != own:
+                        yield GlobalEdge(writer, reader, users.name)
 
 
 def build_call_graph(project: Project, per_instance: bool = False) -> CallGraph:
@@ -99,13 +154,14 @@ def build_call_graph(project: Project, per_instance: bool = False) -> CallGraph:
     By default instance calls collapse onto the FB type, so two instances of
     one block yield a single edge with multiplicity two.  With
     ``per_instance`` every declared instance becomes its own node that
-    inherits the type's complexity and outgoing calls.
+    inherits the type's complexity and outgoing calls.  Node complexity is
+    the ``Pou.complexity`` that ``parse_project`` stored.
     """
     nodes: dict[str, CallGraphNode] = {}
     order: list[str] = []
     for pou in project.pous:
         nodes[pou.name] = CallGraphNode(
-            pou.name, pou.kind, complexity(pou), stub=pou.stub, group=pou.group
+            pou.name, pou.kind, pou.complexity, stub=pou.stub, group=pou.group
         )
         order.append(pou.name)
     canonical = {name.lower(): name for name in nodes}
@@ -195,22 +251,23 @@ def build_call_graph(project: Project, per_instance: bool = False) -> CallGraph:
 
 
 def build_global_comm_graph(project: Project) -> GlobalCommGraph:
-    """Writer-to-reader edges through each global variable; no self edges."""
+    """Who writes and who reads each global; edges are implied, not built."""
     writers: dict[str, list[str]] = {}
     readers: dict[str, list[str]] = {}
     for pou in project.pous:
-        for g in sorted(pou.global_writes):
+        for g in pou.global_writes:
             writers.setdefault(g, []).append(pou.name)
-        for g in sorted(pou.global_reads):
+        for g in pou.global_reads:
             readers.setdefault(g, []).append(pou.name)
-
-    edges: list[GlobalEdge] = []
-    for g in sorted(set(writers) | set(readers), key=str.lower):
-        for writer in sorted(writers.get(g, []), key=str.lower):
-            for reader in sorted(readers.get(g, []), key=str.lower):
-                if reader.lower() != writer.lower():
-                    edges.append(GlobalEdge(writer, reader, g))
-    return GlobalCommGraph(tuple(p.name for p in project.pous), tuple(edges))
+    users = tuple(
+        GlobalUsers(
+            g,
+            tuple(sorted(writers.get(g, ()), key=str.lower)),
+            tuple(sorted(readers.get(g, ()), key=str.lower)),
+        )
+        for g in sorted(set(writers) | set(readers), key=str.lower)
+    )
+    return GlobalCommGraph(tuple(p.name for p in project.pous), users)
 
 
 # --- DOT export ----------------------------------------------------------------
@@ -286,12 +343,28 @@ def emit_dot(graph: CallGraph | GlobalCommGraph, options: DotOptions | None = No
     else:
         for name in sorted(graph.nodes, key=str.lower):
             lines.append(f"  {_quote(name)};")
-        for edge in sorted(
-            graph.edges, key=lambda e: (e.writer.lower(), e.reader.lower(), e.via.lower())
-        ):
-            lines.append(
-                f"  {_quote(edge.writer)} -> {_quote(edge.reader)} "
-                f"[label={_quote(edge.via)}];"
-            )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        lines.extend(_global_edge_blocks(graph))
+    lines.append("}\n")
+    return "\n".join(lines)
+
+
+def _global_edge_blocks(graph: GlobalCommGraph) -> Iterator[str]:
+    """Edge lines in (writer, reader, global) ``str.lower`` order, one block
+    of lines per writer.
+
+    Each global's reader ends (`` -> "R" [label="g"];``) are rendered once
+    and shared by its writers; each writer then sorts only its own ends.
+    """
+    ends: dict[str, list[tuple[str, str, str]]] = {}
+    for users in graph.globals:
+        key = users.name.lower()
+        label = f" [label={_quote(users.name)}];"
+        shared = [(r.lower(), key, f" -> {_quote(r)}{label}") for r in users.readers]
+        for writer in users.writers:
+            ends.setdefault(writer, []).extend(shared)
+    for writer in sorted(ends, key=str.lower):
+        own = writer.lower()
+        mine = [end for reader, _, end in sorted(ends[writer]) if reader != own]
+        if mine:
+            head = "  " + _quote(writer)
+            yield head + ("\n" + head).join(mine)

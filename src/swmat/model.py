@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Iterator, Mapping, Sequence, Union
 
 
@@ -295,10 +296,17 @@ class QuestionnaireSchema:
     questions: tuple[Question, ...]
 
     def question(self, qid: int) -> Question:
+        try:
+            return self._by_id[qid]
+        except KeyError:
+            raise KeyError(f"no question with id {qid}") from None
+
+    @cached_property
+    def _by_id(self) -> dict[int, Question]:
+        by_id: dict[int, Question] = {}
         for q in self.questions:
-            if q.id == qid:
-                return q
-        raise KeyError(f"no question with id {qid}")
+            by_id.setdefault(q.id, q)  # a duplicate id resolves to its first question
+        return by_id
 
     def ids(self, category: Category | None = None) -> tuple[int, ...]:
         return tuple(

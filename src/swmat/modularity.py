@@ -147,7 +147,7 @@ def classify_structure_style(
     The coupling fraction f is the share of global-communication edges among
     all edges; the call-depth below the entry separates flat from deep shapes.
     """
-    g = len(global_graph.edges)
+    g = global_graph.edge_count
     c = len(call_graph.edges)
     if g + c == 0:
         return StyleResult(

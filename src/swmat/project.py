@@ -189,6 +189,21 @@ def parse_externals_file(text: str) -> list[tuple[str, str | None]]:
     return stubs
 
 
+def _read_text(path: Path, diagnostics: list[Diagnostic]) -> str | None:
+    """The file's UTF-8 text with universal newlines, as text mode reads it;
+    None after an error naming the line of the first byte that does not decode."""
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = raw[: exc.start]
+        line = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+        message = f"not UTF-8: byte 0x{raw[exc.start]:02x} ({exc.reason})"
+        diagnostics.append(Diagnostic("error", message, path=str(path), line=line))
+        return None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def parse_project(directory: str | Path, name: str | None = None) -> tuple[Project, list[Diagnostic]]:
     """Parse a project directory into a resolved, validated Project.
 
@@ -210,7 +225,9 @@ def parse_project(directory: str | Path, name: str | None = None) -> tuple[Proje
     source_index: dict[str, SourceRef] = {}
 
     for path in st_files:
-        text = path.read_text(encoding="utf-8")
+        text = _read_text(path, diagnostics)
+        if text is None:
+            continue
         result = parse_file(SourceFile(str(path), text))
         diagnostics.extend(result.diagnostics)
         for pou in result.pous:
@@ -236,10 +253,9 @@ def parse_project(directory: str | Path, name: str | None = None) -> tuple[Proje
             globals_.append(g)
 
     externals_path = root / EXTERNALS_FILE
-    if externals_path.exists():
-        for stub_name, group in parse_externals_file(
-            externals_path.read_text(encoding="utf-8")
-        ):
+    externals_text = _read_text(externals_path, diagnostics) if externals_path.exists() else None
+    if externals_text is not None:
+        for stub_name, group in parse_externals_file(externals_text):
             key = stub_name.lower()
             if key in origin:
                 diagnostics.append(
@@ -263,10 +279,10 @@ def parse_project(directory: str | Path, name: str | None = None) -> tuple[Proje
     tasks: list[TaskDef] = []
     task_path = root / TASK_FILE
     if task_path.exists():
-        tasks, task_diags = parse_task_file(
-            task_path.read_text(encoding="utf-8"), str(task_path)
-        )
-        diagnostics.extend(task_diags)
+        task_text = _read_text(task_path, diagnostics)
+        if task_text is not None:
+            tasks, task_diags = parse_task_file(task_text, str(task_path))
+            diagnostics.extend(task_diags)
     else:
         diagnostics.append(
             Diagnostic("warning", f"no {TASK_FILE}; project has zero tasks", path=str(root))

@@ -14,6 +14,7 @@ hide the rest of a file.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .model import (
@@ -59,9 +60,6 @@ KEYWORDS = {
 POU_START = {"FUNCTION_BLOCK", "PROGRAM", "FUNCTION", "VAR_GLOBAL"}
 POU_END = {"END_FUNCTION_BLOCK", "END_PROGRAM", "END_FUNCTION"}
 
-_TWO_CHAR_OPS = (":=", "<=", ">=", "<>", "..", "=>", "**")
-_ONE_CHAR_OPS = "+-*/()[]<>=.,;:&#%"
-
 
 @dataclass(frozen=True)
 class SourceFile:
@@ -82,131 +80,145 @@ class ParseResult:
         return not any(d.severity == "error" for d in self.diagnostics)
 
 
+# One match per token, after the blanks, ``//`` comments and one-line
+# unnested ``(* *)`` comments and pragmas ahead of it; a newline is a match of
+# its own, so lines are counted exactly.  ``\w`` is exactly ``str.isalnum() or
+# "_"``.  What the pattern leaves at a token start goes to ``_scan_special``:
+# multi-line or nested comments and pragmas, unterminated strings and strings
+# with a ``$``-newline, a first character that is not ASCII, an unexpected
+# character, and a number followed by ``.`` and a non-ASCII character
+# (``odd``), where only ``str.isdigit`` can decide.
+_TOKEN_RE = re.compile(
+    r"""
+    (?:[ \t\r]+ | //[^\n]* | \(\*(?:[^(*\n]|\((?!\*)|\*(?!\)))*\*\) | \{[^}\n]*\})*
+    (?:
+        (?P<word>[A-Za-z_]\w*)(?P<typed>\#[\w.:+\-]*)?
+      | (?P<op>:=|<=|>=|<>|\.\.|=>|\*\*|\((?!\*)|[-+*/)\[\]<>=.,;:&\#%])
+      | (?P<nl>\n)
+      | (?P<number>[0-9][\w\#]*(?:\.[0-9]\w*)?)(?P<odd>\.[^\x00-\x7f])?
+      | (?P<string>'(?:[^'$\n]|\$[^\n])*'|"(?:[^"$\n]|\$[^\n])*")
+    )?
+    """,
+    re.VERBOSE,
+)
+_COMMENT_DELIMITER = re.compile(r"\(\*|\*\)")
+
+
 def tokenize(text: str, path: str = "<string>") -> tuple[list[Token], list[Diagnostic]]:
     """Split source text into tokens; comments are skipped, positions 1-based."""
     tokens: list[Token] = []
     diags: list[Diagnostic] = []
-    i = 0
-    line = 1
-    col = 1
+    append = tokens.append
     n = len(text)
-
-    def advance(count: int) -> None:
-        nonlocal i, line, col
-        for _ in range(count):
-            if i < n and text[i] == "\n":
+    line = 1
+    line_start = 0  # index of the first character of the current line
+    pos = 0
+    while pos < n:
+        for m in _TOKEN_RE.finditer(text, pos):
+            kind = m.lastgroup
+            if kind == "word":
+                word = m.group(kind)
+                word_kind = TokenKind.KEYWORD if word.upper() in KEYWORDS else TokenKind.IDENT
+                append(Token(word_kind, word, line, m.start(kind) - line_start + 1))
+            elif kind == "op":
+                append(Token(TokenKind.OP, m.group(kind), line,
+                             m.start(kind) - line_start + 1))
+            elif kind == "nl":
                 line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
+                line_start = m.end()
+            elif kind == "number" or kind == "typed":
+                start = m.start("word" if kind == "typed" else kind)
+                append(Token(TokenKind.NUMBER, text[start : m.end()], line,
+                             start - line_start + 1))
+            elif kind == "string":
+                append(Token(TokenKind.STRING, m.group(kind), line,
+                             m.start(kind) - line_start + 1))
+            else:  # end of text, or a token for _scan_special
+                pos = m.start("number") if kind == "odd" else m.end()
+                break
+        if pos >= n:
+            break
+        end = _scan_special(text, pos, line, pos - line_start + 1, path, tokens, diags)
+        newlines = text.count("\n", pos, end)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", pos, end) + 1
+        pos = end
+    return tokens, diags
 
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        if ch == "/" and text[i : i + 2] == "//":
-            while i < n and text[i] != "\n":
-                advance(1)
-            continue
-        if ch == "(" and text[i : i + 2] == "(*":
-            start_line, start_col = line, col
-            depth = 0
-            while i < n:
-                if text[i : i + 2] == "(*":
-                    depth += 1
-                    advance(2)
-                elif text[i : i + 2] == "*)":
-                    depth -= 1
-                    advance(2)
-                    if depth == 0:
-                        break
-                else:
-                    advance(1)
-            else:
-                diags.append(
-                    Diagnostic("warning", "unterminated comment", path=path,
-                               line=start_line, col=start_col)
-                )
-            continue
-        if ch == "{":
-            # vendor pragma; skip to closing brace
-            start_line, start_col = line, col
-            while i < n and text[i] != "}":
-                advance(1)
-            if i < n:
-                advance(1)
-            else:
-                diags.append(
-                    Diagnostic("warning", "unterminated pragma", path=path,
-                               line=start_line, col=start_col)
-                )
-            continue
-        if ch in "'\"":
-            quote = ch
-            start_line, start_col = line, col
-            j = i + 1
-            while j < n and text[j] != quote:
-                if text[j] == "\n":
-                    break
-                j += 2 if text[j] == "$" else 1
-            if j >= n or text[j] != quote:
-                diags.append(
-                    Diagnostic("error", "unterminated string literal", path=path,
-                               line=start_line, col=start_col)
-                )
-                tokens.append(Token(TokenKind.STRING, text[i:j], start_line, start_col))
-                advance(j - i)
-                continue
-            tokens.append(Token(TokenKind.STRING, text[i : j + 1], start_line, start_col))
-            advance(j + 1 - i)
-            continue
-        if ch.isdigit():
-            start_line, start_col = line, col
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_#"):
-                j += 1
-            # keep a decimal part, but leave ".." (subrange) alone
-            if j < n and text[j] == "." and text[j : j + 2] != ".." and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-            tokens.append(Token(TokenKind.NUMBER, text[i:j], start_line, start_col))
-            advance(j - i)
-            continue
-        if ch.isalpha() or ch == "_":
-            start_line, start_col = line, col
-            j = i
+
+def _scan_special(
+    text: str, i: int, line: int, col: int, path: str,
+    tokens: list[Token], diags: list[Diagnostic],
+) -> int:
+    """Scan the one comment, pragma or token at ``text[i]`` that ``_TOKEN_RE``
+    leaves alone, character by character; return the index after it."""
+    n = len(text)
+    ch = text[i]
+    if text.startswith("(*", i):
+        depth = 0
+        for m in _COMMENT_DELIMITER.finditer(text, i):
+            depth += 1 if m.group() == "(*" else -1
+            if depth == 0:
+                return m.end()
+        diags.append(
+            Diagnostic("warning", "unterminated comment", path=path, line=line, col=col)
+        )
+        return n
+    if ch == "{":
+        # vendor pragma; skip to closing brace
+        j = text.find("}", i)
+        if j >= 0:
+            return j + 1
+        diags.append(
+            Diagnostic("warning", "unterminated pragma", path=path, line=line, col=col)
+        )
+        return n
+    if ch in "'\"":
+        j = i + 1
+        while j < n and text[j] != ch:
+            if text[j] == "\n":
+                break
+            j += 2 if text[j] == "$" else 1
+        if j >= n or text[j] != ch:
+            diags.append(
+                Diagnostic("error", "unterminated string literal", path=path,
+                           line=line, col=col)
+            )
+            tokens.append(Token(TokenKind.STRING, text[i:j], line, col))
+            return j
+        tokens.append(Token(TokenKind.STRING, text[i : j + 1], line, col))
+        return j + 1
+    if ch.isdigit():
+        j = i
+        while j < n and (text[j].isalnum() or text[j] in "_#"):
+            j += 1
+        # keep a decimal part, but leave ".." (subrange) alone
+        if j + 1 < n and text[j] == "." and text[j + 1].isdigit():
+            j += 1
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            word = text[i:j]
-            # typed literals such as T#5s, 16#FF written with a type prefix
-            if j < n and text[j] == "#":
+        tokens.append(Token(TokenKind.NUMBER, text[i:j], line, col))
+        return j
+    if ch.isalpha() or ch == "_":
+        j = i
+        while j < n and (text[j].isalnum() or text[j] == "_"):
+            j += 1
+        word = text[i:j]
+        # typed literals such as T#5s, 16#FF written with a type prefix
+        if j < n and text[j] == "#":
+            j += 1
+            while j < n and (text[j].isalnum() or text[j] in "_.:+-"):
                 j += 1
-                while j < n and (text[j].isalnum() or text[j] in "_.:+-"):
-                    j += 1
-                tokens.append(Token(TokenKind.NUMBER, text[i:j], start_line, start_col))
-                advance(j - i)
-                continue
-            kind = TokenKind.KEYWORD if word.upper() in KEYWORDS else TokenKind.IDENT
-            tokens.append(Token(kind, word, start_line, start_col))
-            advance(j - i)
-            continue
-        two = text[i : i + 2]
-        if two in _TWO_CHAR_OPS:
-            tokens.append(Token(TokenKind.OP, two, line, col))
-            advance(2)
-            continue
-        if ch in _ONE_CHAR_OPS:
-            tokens.append(Token(TokenKind.OP, ch, line, col))
-            advance(1)
-            continue
-        diags.append(
-            Diagnostic("error", f"unexpected character {ch!r}", path=path, line=line, col=col)
-        )
-        advance(1)
-    return tokens, diags
+            tokens.append(Token(TokenKind.NUMBER, text[i:j], line, col))
+            return j
+        kind = TokenKind.KEYWORD if word.upper() in KEYWORDS else TokenKind.IDENT
+        tokens.append(Token(kind, word, line, col))
+        return j
+    diags.append(
+        Diagnostic("error", f"unexpected character {ch!r}", path=path, line=line, col=col)
+    )
+    return i + 1
 
 
 class _ParseFailure(Exception):

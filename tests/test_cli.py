@@ -295,6 +295,13 @@ def test_analyze_syntax_error_exit_2(tmp_path, capsys):
     assert "a.st" in capsys.readouterr().err
 
 
+def test_analyze_undecodable_file_exit_2(tmp_path, capsys):
+    (tmp_path / "a.st").write_text("PROGRAM a\nx := 1;\nEND_PROGRAM\n", encoding="utf-8")
+    (tmp_path / "b.st").write_bytes(b"PROGRAM b\n(* \xff *)\nEND_PROGRAM\n")
+    assert run(["analyze", str(tmp_path)]) == 2
+    assert f"{tmp_path / 'b.st'}:2: error: not UTF-8: byte 0xff" in capsys.readouterr().err
+
+
 def test_analyze_invariant_violation_exit_3(tmp_path, capsys):
     bad = tmp_path / "proj"
     bad.mkdir()

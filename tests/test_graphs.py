@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
 from oracles import brute_force_call_edges, brute_force_global_edges
+from swmat import graphs
+from swmat.cli import run
 from swmat.graphs import (
     DotOptions,
     build_call_graph,
@@ -116,7 +119,7 @@ def test_external_calls_become_stub_nodes(tmp_path):
 
 def test_global_graph_no_globals(plant_project):
     graph = build_global_comm_graph(plant_project)
-    assert graph.edges == ()
+    assert list(graph.edges) == []
 
 
 def test_global_graph_writer_to_readers(tmp_path):
@@ -147,7 +150,8 @@ def test_global_graph_excludes_self_edges(tmp_path):
     )
     project, _ = parse_project(tmp_path)
     graph = build_global_comm_graph(project)
-    assert graph.edges == ()
+    assert list(graph.edges) == []
+    assert len(graph.edges) == graph.edge_count == 0
 
 
 def test_multiplicity_sum_matches_resolved_sites(plant_project):
@@ -186,6 +190,92 @@ def test_graphs_agree_with_brute_force_oracle(tmp_path, seed):
     assert {(e.writer, e.reader, e.via) for e in global_graph.edges} == (
         brute_force_global_edges(project)
     )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_global_edge_view_counts_and_lists_the_oracle_triples(tmp_path, seed):
+    project, _ = parse_project(random_project(tmp_path / str(seed), seed, max_pous=10))
+    graph = build_global_comm_graph(project)
+    edges = list(graph.edges)
+    assert graph.edge_count == len(graph.edges) == len(edges)
+    assert {(e.writer, e.reader, e.via) for e in edges} == brute_force_global_edges(project)
+
+
+def _wide_project(directory, seed=3, pous=40, globals_=12):
+    """FBs that each write 4 and read 5 random globals, names in mixed case;
+    returns the project and the planted (writes, reads) sets per POU."""
+    rng = random.Random(seed)
+    names = [f"{'fB' if i % 3 else 'Fb'}{i:02d}" for i in range(pous)]
+    global_names = [f"{'G' if k % 2 else 'g'}{k}" for k in range(globals_)]
+    writes = {n: set(rng.sample(global_names, 4)) for n in names}
+    reads = {n: set(rng.sample(global_names, 5)) for n in names}
+    files = {
+        "globals.st": "VAR_GLOBAL\n"
+        + "".join(f"  {g} : INT;\n" for g in global_names)
+        + "END_VAR\n"
+    }
+    for name in names:
+        body = [f"{g} := 1;" for g in sorted(writes[name])]
+        body += [f"x := {g};" for g in sorted(reads[name])]
+        files[f"{name.lower()}.st"] = (
+            f"FUNCTION_BLOCK {name}\nVAR\n  x : INT;\nEND_VAR\n"
+            + "\n".join(body)
+            + "\nEND_FUNCTION_BLOCK\n"
+        )
+    project, _ = parse_project(write_project(directory, files))
+    return project, global_names, writes, reads
+
+
+def test_global_edge_count_is_the_incidence_sum_on_a_wide_project(tmp_path):
+    project, global_names, writes, reads = _wide_project(tmp_path)
+    expected = 0
+    for g in global_names:
+        writers = {n for n, gs in writes.items() if g in gs}
+        readers = {n for n, gs in reads.items() if g in gs}
+        expected += len(writers) * len(readers) - len(writers & readers)
+    graph = build_global_comm_graph(project)
+    assert graph.edge_count == len(graph.edges) == expected
+    assert len(brute_force_global_edges(project)) == expected
+
+
+def test_global_dot_edges_in_writer_reader_global_order(tmp_path):
+    project, *_ = _wide_project(tmp_path)
+    graph = build_global_comm_graph(project)
+    dot_edges = [l for l in emit_dot(graph).splitlines() if " -> " in l]
+    assert dot_edges == [
+        f'  "{e.writer}" -> "{e.reader}" [label="{e.via}"];'
+        for e in sorted(
+            graph.edges, key=lambda e: (e.writer.lower(), e.reader.lower(), e.via.lower())
+        )
+    ]
+
+
+def test_analyze_builds_no_global_edge(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a GlobalEdge was built")
+
+    monkeypatch.setattr(graphs, "GlobalEdge", refuse)
+    project = star_project(tmp_path / "star")
+    out = tmp_path / "out"
+    out.mkdir()
+    code = run(["analyze", str(project), "--globals-dot", str(out / "g.dot"),
+                "--assessment", str(out / "a.json")])
+    assert code == 0
+    assert (out / "g.dot").read_text(encoding="utf-8").count(" -> ") == 12
+
+
+def test_call_graph_reads_stored_complexity(tmp_path):
+    write_project(
+        tmp_path,
+        {"a.st": "PROGRAM a\nIF x THEN\n  Drive_lib();\nEND_IF\nEND_PROGRAM\n"},
+        tasks="task t cycle 10 entry a\n",
+    )
+    (tmp_path / "externals.txt").write_text("Drive_lib vendor\n", encoding="utf-8")
+    project, _ = parse_project(tmp_path)
+    nodes = build_call_graph(project).node_map()
+    assert {p.name: nodes[p.name].complexity for p in project.pous} == {
+        p.name: complexity(p) for p in project.pous
+    } == {"a": 2, "Drive_lib": 0}
 
 
 # --- DOT emission ---------------------------------------------------------------

@@ -10,7 +10,7 @@ from swmat.graphs import (
     CallGraph,
     CallGraphNode,
     GlobalCommGraph,
-    GlobalEdge,
+    GlobalUsers,
     build_call_graph,
     build_global_comm_graph,
 )
@@ -46,7 +46,11 @@ def _graph(edge_pairs, entries, extra_nodes=()):
 
 
 def _globals_graph(triples, nodes=()):
-    return GlobalCommGraph(tuple(nodes), tuple(GlobalEdge(*t) for t in triples))
+    """One global per (writer, reader, global) triple, so each is one edge."""
+    return GlobalCommGraph(
+        tuple(nodes),
+        tuple(GlobalUsers(via, (writer,), (reader,)) for writer, reader, via in triples),
+    )
 
 
 # --- levels ---------------------------------------------------------------------

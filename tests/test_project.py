@@ -72,6 +72,20 @@ def test_externals_become_stub_pous(tmp_path):
     assert main.call_sites[0].resolution.value == "direct_pou"
 
 
+@pytest.mark.parametrize("bad", ["b.st", "tasks.txt", "externals.txt"])
+def test_undecodable_file_becomes_a_diagnostic(tmp_path, bad):
+    write_project(tmp_path, {"a.st": "PROGRAM a\nx := 1;\nEND_PROGRAM\n"})
+    # lines end in \r\n and in a lone \r, as text mode reads them
+    (tmp_path / bad).write_bytes(b"(* first *)\r\n(*\r caf\xff *)\r\n")
+    project, diagnostics = parse_project(tmp_path)
+    assert [p.name for p in project.pous] == ["a"]
+    errors = [d for d in diagnostics if d.severity == "error"]
+    assert len(errors) == 1
+    assert errors[0].path == str(tmp_path / bad)
+    assert errors[0].line == 3
+    assert "0xff" in errors[0].message
+
+
 def test_complexity_filled_during_assembly(plant_project):
     main = plant_project.pou("main")
     # five case labels + five mode calls + three instance calls
