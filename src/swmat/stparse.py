@@ -80,23 +80,21 @@ class ParseResult:
         return not any(d.severity == "error" for d in self.diagnostics)
 
 
-# One match per token, after the blanks, ``//`` comments and one-line
-# unnested ``(* *)`` comments and pragmas ahead of it; a newline is a match of
-# its own, so lines are counted exactly.  ``\w`` is exactly ``str.isalnum() or
-# "_"``.  What the pattern leaves at a token start goes to ``_scan_special``:
-# multi-line or nested comments and pragmas, unterminated strings and strings
-# with a ``$``-newline, a first character that is not ASCII, an unexpected
-# character, and a number followed by ``.`` and a non-ASCII character
-# (``odd``), where only ``str.isdigit`` can decide.
+# One match per token, after the blanks and ``//`` comments ahead of it; a
+# newline is a match of its own, so lines are counted exactly.  ``\w`` is
+# exactly ``str.isalnum() or "_"``.  What the pattern leaves at a token start
+# goes to ``_scan_special``: ``(* *)`` comments, ``{}`` pragmas, strings, a
+# first character that is not ASCII, an unexpected character, and a number
+# followed by ``.`` and a non-ASCII character (``odd``), where only
+# ``str.isdigit`` can decide.
 _TOKEN_RE = re.compile(
     r"""
-    (?:[ \t\r]+ | //[^\n]* | \(\*(?:[^(*\n]|\((?!\*)|\*(?!\)))*\*\) | \{[^}\n]*\})*
+    (?:[ \t\r]+ | //[^\n]*)*
     (?:
         (?P<word>[A-Za-z_]\w*)(?P<typed>\#[\w.:+\-]*)?
       | (?P<op>:=|<=|>=|<>|\.\.|=>|\*\*|\((?!\*)|[-+*/)\[\]<>=.,;:&\#%])
       | (?P<nl>\n)
       | (?P<number>[0-9][\w\#]*(?:\.[0-9]\w*)?)(?P<odd>\.[^\x00-\x7f])?
-      | (?P<string>'(?:[^'$\n]|\$[^\n])*'|"(?:[^"$\n]|\$[^\n])*")
     )?
     """,
     re.VERBOSE,
@@ -130,9 +128,6 @@ def tokenize(text: str, path: str = "<string>") -> tuple[list[Token], list[Diagn
                 start = m.start("word" if kind == "typed" else kind)
                 append(Token(TokenKind.NUMBER, text[start : m.end()], line,
                              start - line_start + 1))
-            elif kind == "string":
-                append(Token(TokenKind.STRING, m.group(kind), line,
-                             m.start(kind) - line_start + 1))
             else:  # end of text, or a token for _scan_special
                 pos = m.start("number") if kind == "odd" else m.end()
                 break
@@ -152,7 +147,7 @@ def _scan_special(
     tokens: list[Token], diags: list[Diagnostic],
 ) -> int:
     """Scan the one comment, pragma or token at ``text[i]`` that ``_TOKEN_RE``
-    leaves alone, character by character; return the index after it."""
+    leaves alone; return the index after it."""
     n = len(text)
     ch = text[i]
     if text.startswith("(*", i):

@@ -158,6 +158,7 @@ _PIECES = (
     list("abcxyzABCXYZ0123456789")
     + ["_", "#", "$", ".", "..", ":", ":=", "(", ")", "(*", "*)", "{", "}",
        "'", '"', "//", "\n", "\t", "\r", " ", "²", "é", "Ⅻ"]
+    + list("*<>=+-/,;&%[]") + ["<=", ">=", "<>", "=>", "**"]
 )
 
 
@@ -201,6 +202,9 @@ def test_tokenize_matches_reference(text):
         "@ ! ? ~ ` \\",
         "// comment only",
         "x // trailing comment\ny",
+        "a<=b>=c<>d=>e**f*)g",
+        "(a)(*c*)( *)(b*)*(*",
+        "x:=-1+2/3,y;z&w%v[1]<>=>=<=**",
         "",
     ],
 )
