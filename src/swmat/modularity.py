@@ -26,8 +26,9 @@ from .model import (
     Project,
     StructureStyle,
     TokenKind,
+    TokenSeq,
 )
-from .stparse import statement_stream
+from .stparse import flatten_statements
 
 
 @dataclass(frozen=True)
@@ -167,27 +168,37 @@ def classify_structure_style(
 # --- clone detection ------------------------------------------------------------
 
 
-NormToken = tuple[TokenKind, str]
+# Clone fingerprints: identifiers, numbers and strings each collapse to one
+# code, so renamed copies compare equal; keywords and operators keep their
+# upper-cased text, which never equals a code.  Plain strings hash in C,
+# where (TokenKind, str) pairs would call Enum.__hash__ once per token.
 
 
-def normalize_tokens(stream: list[NormToken] | tuple[NormToken, ...]) -> tuple[NormToken, ...]:
-    """Canonicalize identifiers and literals so renamed copies compare equal.
-
-    Idempotent: normalizing a normalized stream changes nothing.
-    """
-    out: list[NormToken] = []
-    for kind, text in stream:
-        if kind is TokenKind.IDENT:
-            out.append((kind, "id"))
-        elif kind in (TokenKind.NUMBER, TokenKind.STRING):
-            out.append((kind, "lit"))
-        else:
-            out.append((kind, text.upper()))
-    return tuple(out)
+def _fingerprint_atom(kind: TokenKind, text: str) -> str:
+    if kind is TokenKind.IDENT:
+        return "i"
+    if kind is TokenKind.NUMBER:
+        return "n"
+    if kind is TokenKind.STRING:
+        return "s"
+    return text.upper()
 
 
-def normalized_body(pou: Pou) -> tuple[NormToken, ...]:
-    return normalize_tokens(statement_stream(pou.all_statements()))
+def _fingerprint_seq(tokens: TokenSeq) -> list[str]:
+    """``_fingerprint_atom`` of each token, inlined: one call per expression."""
+    ident, number, string = TokenKind.IDENT, TokenKind.NUMBER, TokenKind.STRING
+    return [
+        "i" if (kind := t.kind) is ident
+        else "n" if kind is number
+        else "s" if kind is string
+        else t.text.upper()
+        for t in tokens
+    ]
+
+
+def clone_fingerprint(pou: Pou) -> tuple[str, ...]:
+    """The POU's body and actions as one token stream, names and literals erased."""
+    return tuple(flatten_statements(pou.all_statements(), _fingerprint_atom, _fingerprint_seq))
 
 
 @dataclass(frozen=True)
@@ -199,9 +210,9 @@ class CloneReport:
 
 def detect_clones(project: Project, min_tokens: int = 20) -> CloneReport:
     """Group POUs whose normalized body token streams are identical."""
-    by_stream: dict[tuple[NormToken, ...], list[str]] = {}
+    by_stream: dict[tuple[str, ...], list[str]] = {}
     for pou in project.pous:
-        stream = normalized_body(pou)
+        stream = clone_fingerprint(pou)
         if len(stream) < min_tokens:
             continue
         by_stream.setdefault(stream, []).append(pou.name)

@@ -15,7 +15,9 @@ hide the rest of a file.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from typing import TypeVar
 
 from .model import (
     ActionDef,
@@ -41,6 +43,8 @@ from .model import (
     WhileStatement,
 )
 
+_Item = TypeVar("_Item")
+
 KEYWORDS = {
     "FUNCTION_BLOCK", "END_FUNCTION_BLOCK",
     "PROGRAM", "END_PROGRAM",
@@ -59,6 +63,13 @@ KEYWORDS = {
 
 POU_START = {"FUNCTION_BLOCK", "PROGRAM", "FUNCTION", "VAR_GLOBAL"}
 POU_END = {"END_FUNCTION_BLOCK", "END_PROGRAM", "END_FUNCTION"}
+SECTION_KINDS = {
+    "VAR": SectionKind.VAR,
+    "VAR_INPUT": SectionKind.VAR_INPUT,
+    "VAR_OUTPUT": SectionKind.VAR_OUTPUT,
+    "VAR_IN_OUT": SectionKind.VAR_IN_OUT,
+    "VAR_TEMP": SectionKind.VAR_TEMP,
+}
 
 
 @dataclass(frozen=True)
@@ -223,33 +234,53 @@ class _ParseFailure(Exception):
         self.token = token
 
 
+class _NestingTooDeep(_ParseFailure):
+    """A block opened past ``MAX_NESTING``; recovery skips the rest of the POU."""
+
+
+# At most this many IF/CASE/FOR/WHILE blocks may nest.  The parser and the
+# printers recurse once per block, so this keeps them far from Python's
+# recursion limit; deeper code is reported as a syntax error.
+MAX_NESTING = 200
+
+
 class Parser:
     def __init__(self, tokens: list[Token], path: str):
         self.tokens = tokens
         self.path = path
         self.pos = 0
+        self.depth = 0  # IF/CASE/FOR/WHILE blocks open around the current token
         self.diagnostics: list[Diagnostic] = []
         self.partial: list[str] = []
+        # one lane per question the parser asks of a token, each with an
+        # end-of-input slot: the token (None at the end), its upper-cased text
+        # if it is a keyword, its text if it is an operator
+        keyword, op = TokenKind.KEYWORD, TokenKind.OP
+        self._lane: list[Token | None] = [*tokens, None]
+        self._words: list[str | None] = [
+            t.text.upper() if t.kind is keyword else None for t in tokens
+        ]
+        self._words.append(None)
+        self._ops: list[str | None] = [t.text if t.kind is op else None for t in tokens]
+        self._ops.append(None)
 
     # -- token helpers
 
-    def peek(self, offset: int = 0) -> Token | None:
-        idx = self.pos + offset
-        return self.tokens[idx] if idx < len(self.tokens) else None
+    def peek(self) -> Token | None:
+        return self._lane[self.pos]
 
     def at_keyword(self, *words: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind is TokenKind.KEYWORD and tok.text.upper() in words
+        return self._words[self.pos] in words
 
     def at_op(self, text: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind is TokenKind.OP and tok.text == text
+        return self._ops[self.pos] == text
 
     def take(self) -> Token:
-        tok = self.peek()
+        pos = self.pos
+        tok = self._lane[pos]
         if tok is None:
             raise _ParseFailure("unexpected end of file", None)
-        self.pos += 1
+        self.pos = pos + 1
         return tok
 
     def expect_keyword(self, *words: str) -> Token:
@@ -289,8 +320,9 @@ class Parser:
             Diagnostic("warning", message, path=self.path, line=line)
         )
 
-    def skip_to_recovery_point(self) -> None:
-        """Advance to the next END_* keyword or POU start so parsing can resume."""
+    def skip_to_recovery_point(self, block_ends: bool = True) -> None:
+        """Advance to the next END_* keyword (with ``block_ends``) or POU
+        boundary so parsing can resume."""
         while True:
             tok = self.peek()
             if tok is None:
@@ -299,7 +331,7 @@ class Parser:
                 word = tok.text.upper()
                 if word in POU_END or word in POU_START:
                     return
-                if word.startswith("END_"):
+                if block_ends and word.startswith("END_"):
                     self.take()
                     return
             self.take()
@@ -373,7 +405,7 @@ class Parser:
             try:
                 if self.at_op(";"):
                     self.skip_empty_statements()
-                elif self.at_keyword("VAR", "VAR_INPUT", "VAR_OUTPUT", "VAR_IN_OUT", "VAR_TEMP"):
+                elif self.at_keyword(*SECTION_KINDS):
                     sections.append(self.parse_var_section())
                 elif self.at_keyword("ACTION"):
                     actions.append(self.parse_action())
@@ -382,7 +414,7 @@ class Parser:
             except _ParseFailure as failure:
                 self.error(failure)
                 partial = True
-                self.skip_to_recovery_point()
+                self.skip_to_recovery_point(not isinstance(failure, _NestingTooDeep))
                 if self.at_keyword(end_word):
                     self.take()
                     break
@@ -417,14 +449,7 @@ class Parser:
     # -- declarations
 
     def parse_var_section(self) -> VarSection:
-        head = self.take()
-        kind = {
-            "VAR": SectionKind.VAR,
-            "VAR_INPUT": SectionKind.VAR_INPUT,
-            "VAR_OUTPUT": SectionKind.VAR_OUTPUT,
-            "VAR_IN_OUT": SectionKind.VAR_IN_OUT,
-            "VAR_TEMP": SectionKind.VAR_TEMP,
-        }[head.text.upper()]
+        kind = SECTION_KINDS[self.take().text.upper()]
         constant = False
         while self.at_keyword("CONSTANT", "RETAIN", "PERSISTENT"):
             if self.take().text.upper() == "CONSTANT":
@@ -468,7 +493,8 @@ class Parser:
 
     def parse_type_text(self) -> str:
         """Type as written; ARRAY [..] OF T collapses to its element type prefix."""
-        if self.at_keyword("ARRAY"):
+        prefix = ""
+        while self.at_keyword("ARRAY"):
             self.take()
             self.expect_op("[")
             depth = 1
@@ -479,7 +505,7 @@ class Parser:
                 elif tok.kind is TokenKind.OP and tok.text == "]":
                     depth -= 1
             self.expect_keyword("OF")
-            return "ARRAY OF " + self.parse_type_text()
+            prefix += "ARRAY OF "
         tok = self.peek()
         if tok is None:
             raise _ParseFailure("expected a type name", None)
@@ -501,7 +527,7 @@ class Parser:
                 inner.append(self.take().text)
             self.expect_op("]")
             text += "[" + " ".join(inner) + "]"
-        return text
+        return prefix + text
 
     def capture_until_semicolon_text(self) -> str:
         parts: list[str] = []
@@ -527,30 +553,31 @@ class Parser:
     _EXPR_STOP_KEYWORDS = {
         "THEN", "DO", "OF", "TO", "BY", "END_IF", "END_CASE", "END_FOR",
         "END_WHILE", "ELSE", "ELSIF", "END_ACTION",
-    } | POU_END | POU_START | {"END_VAR", "VAR", "VAR_INPUT", "VAR_OUTPUT"}
+    } | POU_END | POU_START | set(SECTION_KINDS) | {"END_VAR", "ACTION"}
 
     def capture_expression(self, stop_keywords: set[str] | None = None) -> TokenSeq:
         """Capture tokens up to ';' or a structural keyword at bracket depth 0."""
         stops = stop_keywords or self._EXPR_STOP_KEYWORDS
-        out: list[Token] = []
+        words, ops = self._words, self._ops
+        start = pos = self.pos
+        end = len(self.tokens)
         depth = 0
-        while True:
-            tok = self.peek()
-            if tok is None:
-                break
-            if tok.kind is TokenKind.OP:
-                if tok.text in "([":
+        while pos < end:
+            op = ops[pos]
+            if op is not None:
+                if op in "([":
                     depth += 1
-                elif tok.text in ")]":
+                elif op in ")]":
                     if depth == 0:
                         break
                     depth -= 1
-                elif tok.text == ";" and depth == 0:
+                elif op == ";" and depth == 0:
                     break
-            if tok.kind is TokenKind.KEYWORD and depth == 0 and tok.text.upper() in stops:
+            elif depth == 0 and words[pos] in stops:
                 break
-            out.append(self.take())
-        return tuple(out)
+            pos += 1
+        self.pos = pos
+        return tuple(self.tokens[start:pos])
 
     def require_expression(self, stop_keywords: set[str] | None = None) -> TokenSeq:
         tokens = self.capture_expression(stop_keywords)
@@ -566,14 +593,17 @@ class Parser:
         tok = self.peek()
         if tok is None:
             raise _ParseFailure("expected a statement", None)
-        if self.at_keyword("IF"):
-            return self.parse_if()
-        if self.at_keyword("CASE"):
-            return self.parse_case()
-        if self.at_keyword("FOR"):
-            return self.parse_for()
-        if self.at_keyword("WHILE"):
-            return self.parse_while()
+        parse_block = _BLOCK_PARSERS.get(self._words[self.pos])
+        if parse_block is not None:
+            if self.depth >= MAX_NESTING:
+                raise _NestingTooDeep(
+                    f"{tok.text} nested more than {MAX_NESTING} blocks deep", tok
+                )
+            self.depth += 1
+            try:
+                return parse_block(self)
+            finally:
+                self.depth -= 1
         if tok.kind is TokenKind.IDENT:
             return self.parse_simple_statement()
         raise _ParseFailure(f"unexpected token {tok.text!r}", tok)
@@ -770,6 +800,14 @@ class Parser:
         return body
 
 
+_BLOCK_PARSERS = {
+    "IF": Parser.parse_if,
+    "CASE": Parser.parse_case,
+    "FOR": Parser.parse_for,
+    "WHILE": Parser.parse_while,
+}
+
+
 def parse_file(source: SourceFile) -> ParseResult:
     """Parse one ST source file into POUs and global variable declarations."""
     tokens, lex_diags = tokenize(source.text, source.path)
@@ -786,100 +824,120 @@ def parse_source(text: str, path: str = "<string>") -> ParseResult:
 # --- token stream / pretty printing ------------------------------------------
 
 
-def _kw(text: str) -> tuple[TokenKind, str]:
-    return (TokenKind.KEYWORD, text)
+# the tokens a statement tree implies rather than holds
+_STRUCTURE = (
+    [(TokenKind.OP, text) for text in (":=", ";", ".", "(", ")", ",", "..", ":")]
+    + [(TokenKind.KEYWORD, word) for word in (
+        "IF", "ELSIF", "THEN", "ELSE", "END_IF", "CASE", "OF", "END_CASE",
+        "FOR", "TO", "BY", "DO", "END_FOR", "WHILE", "END_WHILE",
+    )]
+)
 
 
-def _op(text: str) -> tuple[TokenKind, str]:
-    return (TokenKind.OP, text)
+def flatten_statements(
+    statements: Sequence[Statement],
+    atom: Callable[[TokenKind, str], _Item],
+    seq: Callable[[TokenSeq], Iterable[_Item]],
+) -> list[_Item]:
+    """A statement tree as the token stream it was parsed from.
 
-
-def statement_stream(statements: tuple[Statement, ...]) -> list[tuple[TokenKind, str]]:
-    """Flatten a statement tree back into (kind, text) pairs.
-
-    The stream re-lexes to the same token sequence, which makes it usable both
-    for pretty printing and for normalized clone comparison.
+    ``seq`` turns each parsed expression into items, ``atom`` each token the
+    tree implies (keywords, operators, callee and case-label parts).  Closing
+    keywords follow their bodies, so this recurses once per block; the parser
+    keeps that within ``MAX_NESTING``.
     """
-    out: list[tuple[TokenKind, str]] = []
+    out: list[_Item] = []
+    append, extend = out.append, out.extend
+    mark = {text: atom(kind, text) for kind, text in _STRUCTURE}
 
-    def emit_tokens(seq: TokenSeq) -> None:
-        out.extend((t.kind, t.text) for t in seq)
-
-    def walk(stmts: tuple[Statement, ...]) -> None:
+    def walk(stmts: Sequence[Statement]) -> None:
         for stmt in stmts:
             if isinstance(stmt, Assignment):
-                emit_tokens(stmt.target)
-                out.append(_op(":="))
-                emit_tokens(stmt.value)
-                out.append(_op(";"))
+                extend(seq(stmt.target))
+                append(mark[":="])
+                extend(seq(stmt.value))
+                append(mark[";"])
             elif isinstance(stmt, CallStatement):
-                parts = stmt.callee.split(".")
-                for k, part in enumerate(parts):
+                for k, part in enumerate(stmt.callee.split(".")):
                     if k:
-                        out.append(_op("."))
-                    out.append((TokenKind.IDENT, part))
-                out.append(_op("("))
-                emit_tokens(stmt.args)
-                out.append(_op(")"))
-                out.append(_op(";"))
+                        append(mark["."])
+                    append(atom(TokenKind.IDENT, part))
+                append(mark["("])
+                extend(seq(stmt.args))
+                append(mark[")"])
+                append(mark[";"])
             elif isinstance(stmt, IfStatement):
                 for k, branch in enumerate(stmt.branches):
-                    out.append(_kw("IF" if k == 0 else "ELSIF"))
-                    emit_tokens(branch.condition)
-                    out.append(_kw("THEN"))
+                    append(mark["ELSIF" if k else "IF"])
+                    extend(seq(branch.condition))
+                    append(mark["THEN"])
                     walk(branch.body)
                 if stmt.else_body:
-                    out.append(_kw("ELSE"))
+                    append(mark["ELSE"])
                     walk(stmt.else_body)
-                out.append(_kw("END_IF"))
-                out.append(_op(";"))
+                append(mark["END_IF"])
+                append(mark[";"])
             elif isinstance(stmt, CaseStatement):
-                out.append(_kw("CASE"))
-                emit_tokens(stmt.selector)
-                out.append(_kw("OF"))
+                append(mark["CASE"])
+                extend(seq(stmt.selector))
+                append(mark["OF"])
                 for branch in stmt.branches:
                     for k, label in enumerate(branch.labels):
                         if k:
-                            out.append(_op(","))
+                            append(mark[","])
                         for j, piece in enumerate(label.split("..")):
                             if j:
-                                out.append(_op(".."))
-                            kind = (
-                                TokenKind.NUMBER
-                                if piece[:1].isdigit()
-                                else TokenKind.IDENT
-                            )
-                            out.append((kind, piece))
-                    out.append(_op(":"))
+                                append(mark[".."])
+                            kind = TokenKind.NUMBER if piece[:1].isdigit() else TokenKind.IDENT
+                            append(atom(kind, piece))
+                    append(mark[":"])
                     walk(branch.body)
                 if stmt.else_body:
-                    out.append(_kw("ELSE"))
+                    append(mark["ELSE"])
                     walk(stmt.else_body)
-                out.append(_kw("END_CASE"))
-                out.append(_op(";"))
+                append(mark["END_CASE"])
+                append(mark[";"])
             elif isinstance(stmt, ForStatement):
-                out.append(_kw("FOR"))
-                out.append((TokenKind.IDENT, stmt.var))
-                out.append(_op(":="))
-                emit_tokens(stmt.start)
-                out.append(_kw("TO"))
-                emit_tokens(stmt.stop)
+                append(mark["FOR"])
+                append(atom(TokenKind.IDENT, stmt.var))
+                append(mark[":="])
+                extend(seq(stmt.start))
+                append(mark["TO"])
+                extend(seq(stmt.stop))
                 if stmt.step:
-                    out.append(_kw("BY"))
-                    emit_tokens(stmt.step)
-                out.append(_kw("DO"))
+                    append(mark["BY"])
+                    extend(seq(stmt.step))
+                append(mark["DO"])
                 walk(stmt.body)
-                out.append(_kw("END_FOR"))
-                out.append(_op(";"))
+                append(mark["END_FOR"])
+                append(mark[";"])
             elif isinstance(stmt, WhileStatement):
-                out.append(_kw("WHILE"))
-                emit_tokens(stmt.condition)
-                out.append(_kw("DO"))
+                append(mark["WHILE"])
+                extend(seq(stmt.condition))
+                append(mark["DO"])
                 walk(stmt.body)
-                out.append(_kw("END_WHILE"))
-                out.append(_op(";"))
+                append(mark["END_WHILE"])
+                append(mark[";"])
+
     walk(statements)
     return out
+
+
+def _pair(kind: TokenKind, text: str) -> tuple[TokenKind, str]:
+    return (kind, text)
+
+
+def _pairs(tokens: TokenSeq) -> list[tuple[TokenKind, str]]:
+    return [(t.kind, t.text) for t in tokens]
+
+
+def statement_stream(statements: Sequence[Statement]) -> list[tuple[TokenKind, str]]:
+    """Flatten a statement tree back into (kind, text) pairs.
+
+    The stream re-lexes to the same token sequence, which makes it usable
+    for pretty printing and for structural comparison.
+    """
+    return flatten_statements(statements, _pair, _pairs)
 
 
 _SECTION_HEADERS = {

@@ -21,6 +21,8 @@ from swmat.model import (
     WhileStatement,
 )
 
+NormToken = tuple[TokenKind, str]
+
 
 def _walk_statements(statements):
     for stmt in statements:
@@ -218,3 +220,113 @@ def bfs_strata(edges: dict[str, list[str]], entries: list[str]) -> dict[str, int
                     nxt.append(callee)
         frontier = nxt
     return dist
+
+
+def reference_statement_stream(statements) -> list[NormToken]:
+    """(kind, text) pairs of a statement tree, printed by plain recursion."""
+    out: list[NormToken] = []
+
+    def walk(stmts):
+        for stmt in stmts:
+            if isinstance(stmt, Assignment):
+                out.extend((t.kind, t.text) for t in stmt.target)
+                out.append((TokenKind.OP, ":="))
+                out.extend((t.kind, t.text) for t in stmt.value)
+                out.append((TokenKind.OP, ";"))
+            elif isinstance(stmt, CallStatement):
+                for k, part in enumerate(stmt.callee.split(".")):
+                    if k:
+                        out.append((TokenKind.OP, "."))
+                    out.append((TokenKind.IDENT, part))
+                out.append((TokenKind.OP, "("))
+                out.extend((t.kind, t.text) for t in stmt.args)
+                out.append((TokenKind.OP, ")"))
+                out.append((TokenKind.OP, ";"))
+            elif isinstance(stmt, IfStatement):
+                for k, branch in enumerate(stmt.branches):
+                    out.append((TokenKind.KEYWORD, "IF" if k == 0 else "ELSIF"))
+                    out.extend((t.kind, t.text) for t in branch.condition)
+                    out.append((TokenKind.KEYWORD, "THEN"))
+                    walk(branch.body)
+                if stmt.else_body:
+                    out.append((TokenKind.KEYWORD, "ELSE"))
+                    walk(stmt.else_body)
+                out.append((TokenKind.KEYWORD, "END_IF"))
+                out.append((TokenKind.OP, ";"))
+            elif isinstance(stmt, CaseStatement):
+                out.append((TokenKind.KEYWORD, "CASE"))
+                out.extend((t.kind, t.text) for t in stmt.selector)
+                out.append((TokenKind.KEYWORD, "OF"))
+                for branch in stmt.branches:
+                    for k, label in enumerate(branch.labels):
+                        if k:
+                            out.append((TokenKind.OP, ","))
+                        for j, piece in enumerate(label.split("..")):
+                            if j:
+                                out.append((TokenKind.OP, ".."))
+                            kind = TokenKind.NUMBER if piece[:1].isdigit() else TokenKind.IDENT
+                            out.append((kind, piece))
+                    out.append((TokenKind.OP, ":"))
+                    walk(branch.body)
+                if stmt.else_body:
+                    out.append((TokenKind.KEYWORD, "ELSE"))
+                    walk(stmt.else_body)
+                out.append((TokenKind.KEYWORD, "END_CASE"))
+                out.append((TokenKind.OP, ";"))
+            elif isinstance(stmt, ForStatement):
+                out.append((TokenKind.KEYWORD, "FOR"))
+                out.append((TokenKind.IDENT, stmt.var))
+                out.append((TokenKind.OP, ":="))
+                out.extend((t.kind, t.text) for t in stmt.start)
+                out.append((TokenKind.KEYWORD, "TO"))
+                out.extend((t.kind, t.text) for t in stmt.stop)
+                if stmt.step:
+                    out.append((TokenKind.KEYWORD, "BY"))
+                    out.extend((t.kind, t.text) for t in stmt.step)
+                out.append((TokenKind.KEYWORD, "DO"))
+                walk(stmt.body)
+                out.append((TokenKind.KEYWORD, "END_FOR"))
+                out.append((TokenKind.OP, ";"))
+            elif isinstance(stmt, WhileStatement):
+                out.append((TokenKind.KEYWORD, "WHILE"))
+                out.extend((t.kind, t.text) for t in stmt.condition)
+                out.append((TokenKind.KEYWORD, "DO"))
+                walk(stmt.body)
+                out.append((TokenKind.KEYWORD, "END_WHILE"))
+                out.append((TokenKind.OP, ";"))
+
+    walk(statements)
+    return out
+
+
+def normalize_tokens(stream) -> tuple[NormToken, ...]:
+    """Identifiers become ("id"), numbers and strings ("lit"), the rest upper case.
+
+    Idempotent: normalizing a normalized stream changes nothing.
+    """
+    out: list[NormToken] = []
+    for kind, text in stream:
+        if kind is TokenKind.IDENT:
+            out.append((kind, "id"))
+        elif kind in (TokenKind.NUMBER, TokenKind.STRING):
+            out.append((kind, "lit"))
+        else:
+            out.append((kind, text.upper()))
+    return tuple(out)
+
+
+def clone_body_reference(pou: Pou) -> tuple[NormToken, ...]:
+    """A POU's body and action bodies as one normalized (kind, text) stream."""
+    statements = [stmt for body in _pou_bodies(pou) for stmt in body]
+    return normalize_tokens(reference_statement_stream(statements))
+
+
+def clone_groups_reference(project: Project, min_tokens: int = 20) -> tuple[tuple[str, ...], ...]:
+    """POUs with equal normalized streams of at least min_tokens, as sorted groups."""
+    by_stream: dict[tuple[NormToken, ...], list[str]] = {}
+    for pou in project.pous:
+        stream = clone_body_reference(pou)
+        if len(stream) >= min_tokens:
+            by_stream.setdefault(stream, []).append(pou.name)
+    groups = [sorted(names, key=str.lower) for names in by_stream.values() if len(names) > 1]
+    return tuple(sorted((tuple(g) for g in groups), key=lambda g: g[0].lower()))

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from swmat.cli import run
+from swmat.stparse import MAX_NESTING
 from synth import chain_project
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -293,6 +294,41 @@ def test_analyze_syntax_error_exit_2(tmp_path, capsys):
     (bad / "a.st").write_text("PROGRAM p\nx := ;\nEND_PROGRAM\n", encoding="utf-8")
     assert run(["analyze", str(bad)]) == 2
     assert "a.st" in capsys.readouterr().err
+
+
+_BLOCKS = [("IF x THEN", "END_IF;"), ("CASE x OF 1:", "END_CASE;"),
+           ("FOR i := 1 TO 2 DO", "END_FOR;"), ("WHILE x DO", "END_WHILE;")]
+
+
+def _deep_project(directory: Path, head: str, tail: str, depth: int) -> Path:
+    directory.mkdir()
+    (directory / "deep.st").write_text(
+        "PROGRAM p\nVAR\n  x : BOOL;\n  i : INT;\nEND_VAR\n"
+        + f"{head}\n" * depth + "x := TRUE;\n" + f"{tail}\n" * depth + "END_PROGRAM\n",
+        encoding="utf-8",
+    )
+    (directory / "tasks.txt").write_text("task t cycle 10 entry p\n", encoding="utf-8")
+    return directory
+
+
+def _analyze_all(proj: Path, out: Path) -> int:
+    return run(["analyze", str(proj), "--per-instance", "--dot", str(out / "c.dot"),
+                "--globals-dot", str(out / "g.dot"), "--assessment", str(out / "a.json")])
+
+
+@pytest.mark.parametrize("head, tail", _BLOCKS)
+def test_analyze_deep_nesting_exit_2(tmp_path, capsys, head, tail):
+    proj = _deep_project(tmp_path / "proj", head, tail, 5000)
+    assert _analyze_all(proj, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert f"{proj / 'deep.st'}:206:1: error: {head.split()[0]} nested more than" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("head, tail", _BLOCKS)
+def test_analyze_nesting_at_limit_exit_0(tmp_path, capsys, head, tail):
+    proj = _deep_project(tmp_path / "proj", head, tail, MAX_NESTING)
+    assert _analyze_all(proj, tmp_path) == 0, capsys.readouterr().err
 
 
 def test_analyze_undecodable_file_exit_2(tmp_path, capsys):

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from swmat import stparse
 from swmat.graphs import (
     CallEdge,
     CallGraph,
@@ -27,11 +29,18 @@ from swmat.modularity import (
     detect_cross_cutting,
     estimate_governance,
     grade_meyer,
+    clone_fingerprint,
     load_thresholds,
-    normalize_tokens,
 )
 from swmat.project import parse_project
-from synth import chain_project, star_project, write_project
+from oracles import (
+    clone_body_reference,
+    clone_groups_reference,
+    normalize_tokens,
+    reference_statement_stream,
+)
+from synth import chain_project, random_project, star_project, write_project
+from test_golden import MIXED_ST
 
 
 def _node(name, kind=PouKind.FUNCTION_BLOCK, external=False):
@@ -259,6 +268,76 @@ def test_short_bodies_ignored(tmp_path):
     )
     project, _ = parse_project(tmp_path)
     assert detect_clones(project).groups == ()
+
+
+def _clone_cases():
+    """(name, project files) for the clone oracle comparison."""
+    plant = Path(__file__).parent / "fixtures" / "filling_plant"
+    yield "fixture", {p.name: p.read_text(encoding="utf-8") for p in plant.glob("*.st")}
+    yield "mixed", {"mixed.st": MIXED_ST}
+    pairs = {
+        "assign": ("x := 1;", "x := y;"),
+        "literal": ("x := 'a';", "x := 1;"),
+        "case": ("IF x THEN y := 1; END_IF", "if x then y := 1; end_if"),
+        "range": ("CASE s OF 1..5: x := 1; END_CASE", "CASE t OF 2..9: y := 2; END_CASE"),
+        "range_kind": ("CASE s OF 1..5: x := 1; END_CASE", "CASE s OF a..b: x := 1; END_CASE"),
+        "range_list": ("CASE s OF 1..5: x := 1; END_CASE", "CASE s OF 1, 5: x := 1; END_CASE"),
+        "typed": ("CASE s OF INT#1 .. 5: x := 1; END_CASE", "CASE s OF a..5: x := 1; END_CASE"),
+        "call": ("a.b(x := 1);", "c.d(y := 2);"),
+        "action": ("x := 1;\nACTION act\n  y := 2;\nEND_ACTION",
+                   "x := 1;\ny := 2;"),
+    }
+    for name, (first, second) in pairs.items():
+        yield name, {
+            "a.st": f"PROGRAM a\n{first}\nEND_PROGRAM\n",
+            "b.st": f"PROGRAM b\n{second}\nEND_PROGRAM\n",
+        }
+
+
+@pytest.mark.parametrize("min_tokens", [1, 20])
+def test_clones_match_reference(tmp_path, min_tokens):
+    projects = [
+        parse_project(write_project(tmp_path / name, files))[0]
+        for name, files in _clone_cases()
+    ]
+    projects += [
+        parse_project(random_project(tmp_path / f"random{seed}", seed))[0]
+        for seed in range(60)
+    ]
+    for project in projects:
+        report = detect_clones(project, min_tokens)
+        assert report.groups == clone_groups_reference(project, min_tokens)
+        for pou in project.pous:
+            statements = pou.all_statements()
+            assert stparse.statement_stream(statements) == reference_statement_stream(statements)
+            assert len(clone_fingerprint(pou)) == len(clone_body_reference(pou))
+
+
+@pytest.mark.parametrize(
+    "name, clones",
+    [("assign", False), ("literal", False), ("case", True), ("range", True),
+     ("range_kind", False), ("range_list", False), ("typed", True), ("call", True),
+     ("action", True)],
+)
+def test_clone_pairs(tmp_path, name, clones):
+    files = dict(_clone_cases())[name]
+    project, diagnostics = parse_project(write_project(tmp_path, files))
+    assert not [d for d in diagnostics if d.severity == "error"]
+    assert detect_clones(project, min_tokens=1).groups == ((("a", "b"),) if clones else ())
+
+
+def test_detect_clones_skips_printer_and_kind_hashing(tmp_path, monkeypatch):
+    project, _ = parse_project(write_project(tmp_path, {"mixed.st": MIXED_ST}))
+    expected = detect_clones(project, min_tokens=1)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("clone detection must not go through this")
+
+    monkeypatch.setattr(stparse, "statement_stream", boom)
+    monkeypatch.setattr(TokenKind, "__hash__", boom)
+    with pytest.raises(AssertionError):
+        hash(TokenKind.IDENT)
+    assert detect_clones(project, min_tokens=1) == expected
 
 
 _token_pairs = st.lists(

@@ -19,6 +19,7 @@ from swmat.project import (
     find_call_occurrences,
 )
 from swmat.stparse import (
+    MAX_NESTING,
     SourceFile,
     format_pou,
     parse_file,
@@ -310,6 +311,67 @@ def test_case_with_literal_and_range_labels():
     assert case.branches[0].labels == ("1", "2")
     assert case.branches[1].labels == ("3..5",)
     assert case.else_body
+
+
+@pytest.mark.parametrize(
+    "section",
+    ["VAR", "VAR_INPUT", "VAR_OUTPUT", "VAR_IN_OUT", "VAR_TEMP", "ACTION"],
+)
+def test_missing_semicolon_before_section_reported_at_section(section):
+    body = "ACTION a\n  y := 1;\nEND_ACTION" if section == "ACTION" else (
+        f"{section}\n  y : INT;\nEND_VAR"
+    )
+    result = parse_source(f"FUNCTION_BLOCK fb\nx := 1\n{body}\nEND_FUNCTION_BLOCK\n", "fb.st")
+    errors = [d for d in result.diagnostics if d.severity == "error"]
+    assert [(d.message, d.path, d.line, d.col) for d in errors[:1]] == [
+        (f"expected ';', got {section}", "fb.st", 3, 1)
+    ]
+
+
+_BLOCKS = {
+    "IF": ("IF x THEN", "END_IF;"),
+    "CASE": ("CASE x OF 1:", "END_CASE;"),
+    "FOR": ("FOR i := 1 TO 2 DO", "END_FOR;"),
+    "WHILE": ("WHILE x DO", "END_WHILE;"),
+}
+
+
+def _nested(kind: str, depth: int) -> str:
+    head, tail = _BLOCKS[kind]
+    return (
+        "PROGRAM p\nVAR\n  x : BOOL;\n  i : INT;\nEND_VAR\n"
+        + f"{head}\n" * depth + "x := TRUE;\n" + f"{tail}\n" * depth
+        + "END_PROGRAM\nPROGRAM q\nx := FALSE;\nEND_PROGRAM\n"
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(_BLOCKS))
+def test_nesting_up_to_limit_parses(kind):
+    for depth in (150, MAX_NESTING):
+        result = parse_source(_nested(kind, depth))
+        assert result.ok and not result.partial, [d.render() for d in result.diagnostics]
+        pou = result.pous[0]
+        assert pou_signature(parse_source(format_pou(pou)).pous[0]) == pou_signature(pou)
+
+
+@pytest.mark.parametrize("kind", sorted(_BLOCKS))
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 5000])
+def test_nesting_past_limit_is_one_positioned_error(kind, depth):
+    result = parse_source(_nested(kind, depth), "deep.st")
+    errors = [d for d in result.diagnostics if d.severity == "error"]
+    line = 6 + MAX_NESTING  # the block opened past the limit
+    assert [(d.message, d.path, d.line, d.col) for d in errors] == [
+        (f"{kind} nested more than {MAX_NESTING} blocks deep", "deep.st", line, 1)
+    ]
+    assert result.partial == ["p"]
+    assert [p.name for p in result.pous] == ["p", "q"]
+
+
+def test_deeply_nested_array_type():
+    decl = "ARRAY [1..2] OF " * 5000 + "INT"
+    result = parse_source(f"PROGRAM p\nVAR\n  x : {decl};\nEND_VAR\nEND_PROGRAM\n")
+    assert result.ok
+    assert result.pous[0].var_sections[0].decls[0].type_name == "ARRAY OF " * 5000 + "INT"
 
 
 def test_positions_are_one_based():
