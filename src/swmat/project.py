@@ -50,7 +50,6 @@ class ProjectError(Exception):
 class SymbolTable:
     """Project-wide name resolution context, keys lower-cased."""
 
-    pou_kinds: dict[str, PouKind]
     pou_names: dict[str, str]  # lower -> as declared
     fb_types: set[str]
     globals: dict[str, str]  # lower -> as declared
@@ -58,10 +57,9 @@ class SymbolTable:
 
 
 def build_symbol_table(pous: list[Pou], globals_: list[GlobalVar]) -> SymbolTable:
-    table = SymbolTable({}, {}, set(), {}, {})
+    table = SymbolTable({}, set(), {}, {})
     for pou in pous:
         key = pou.name.lower()
-        table.pou_kinds[key] = pou.kind
         table.pou_names[key] = pou.name
         if pou.kind is PouKind.FUNCTION_BLOCK:
             table.fb_types.add(key)
@@ -98,7 +96,7 @@ def extract_call_sites(pou: Pou, table: SymbolTable) -> list[CallSite]:
         elif "." not in callee_text and base in action_names:
             resolution = CallResolution.LOCAL_ACTION
             target = callee_text
-        elif "." not in callee_text and base not in decls and base in table.pou_kinds:
+        elif "." not in callee_text and base not in decls and base in table.pou_names:
             resolution = CallResolution.DIRECT_POU
             target = table.pou_names[base]
         sites.append(CallSite(pou.name, callee_text, resolution, target, line, col))
@@ -289,12 +287,11 @@ def parse_project(directory: str | Path, name: str | None = None) -> tuple[Proje
         )
 
     table = build_symbol_table(pous, globals_)
-    global_names = {g.name.lower(): g.name for g in globals_}
 
     resolved: list[Pou] = []
     for pou in pous:
         sites = extract_call_sites(pou, table)
-        reads, writes = extract_global_accesses(pou, global_names)
+        reads, writes = extract_global_accesses(pou, table.globals)
         resolved.append(
             dataclasses.replace(
                 pou,

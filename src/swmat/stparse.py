@@ -63,20 +63,14 @@ KEYWORDS = {
 
 POU_START = {"FUNCTION_BLOCK", "PROGRAM", "FUNCTION", "VAR_GLOBAL"}
 POU_END = {"END_FUNCTION_BLOCK", "END_PROGRAM", "END_FUNCTION"}
-SECTION_KINDS = {
-    "VAR": SectionKind.VAR,
-    "VAR_INPUT": SectionKind.VAR_INPUT,
-    "VAR_OUTPUT": SectionKind.VAR_OUTPUT,
-    "VAR_IN_OUT": SectionKind.VAR_IN_OUT,
-    "VAR_TEMP": SectionKind.VAR_TEMP,
-}
+_POU_BOUNDARY = POU_START | POU_END
+_LABEL_KINDS = (TokenKind.NUMBER, TokenKind.IDENT)  # what a CASE label is made of
 
 
 @dataclass(frozen=True)
 class SourceFile:
     path: str
     text: str
-    encoding: str = "utf-8"
 
 
 @dataclass
@@ -97,12 +91,15 @@ class ParseResult:
 # goes to ``_scan_special``: ``(* *)`` comments, ``{}`` pragmas, strings, a
 # first character that is not ASCII, an unexpected character, and a number
 # followed by ``.`` and a non-ASCII character (``odd``), where only
-# ``str.isdigit`` can decide.
+# ``str.isdigit`` can decide.  A typed literal's tail (``T#5s``,
+# ``TOD#12:30:00``) takes a ``:`` only before a digit, so the colon after a
+# typed CASE label such as ``INT#1:`` stays an operator.
+_TYPED_TAIL = r"\#(?:[\w.+\-]|:(?=[0-9]))*"
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?:[ \t\r]+ | //[^\n]*)*
     (?:
-        (?P<word>[A-Za-z_]\w*)(?P<typed>\#[\w.:+\-]*)?
+        (?P<word>[A-Za-z_]\w*)(?P<typed>{_TYPED_TAIL})?
       | (?P<op>:=|<=|>=|<>|\.\.|=>|\*\*|\((?!\*)|[-+*/)\[\]<>=.,;:&\#%])
       | (?P<nl>\n)
       | (?P<number>[0-9][\w\#]*(?:\.[0-9]\w*)?)(?P<odd>\.[^\x00-\x7f])?
@@ -111,6 +108,7 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 _COMMENT_DELIMITER = re.compile(r"\(\*|\*\)")
+_TYPED_TAIL_RE = re.compile(_TYPED_TAIL)
 
 
 def tokenize(text: str, path: str = "<string>") -> tuple[list[Token], list[Diagnostic]]:
@@ -213,9 +211,7 @@ def _scan_special(
         word = text[i:j]
         # typed literals such as T#5s, 16#FF written with a type prefix
         if j < n and text[j] == "#":
-            j += 1
-            while j < n and (text[j].isalnum() or text[j] in "_.:+-"):
-                j += 1
+            j = _TYPED_TAIL_RE.match(text, j).end()
             tokens.append(Token(TokenKind.NUMBER, text[i:j], line, col))
             return j
         kind = TokenKind.KEYWORD if word.upper() in KEYWORDS else TokenKind.IDENT
@@ -283,30 +279,47 @@ class Parser:
         self.pos = pos + 1
         return tok
 
+    def expected(self, what: str) -> _ParseFailure:
+        got = self.peek()
+        return _ParseFailure(f"expected {what}, got {got.text if got else 'end of file'}", got)
+
     def expect_keyword(self, *words: str) -> Token:
         if not self.at_keyword(*words):
-            got = self.peek()
-            raise _ParseFailure(
-                f"expected {' or '.join(words)}, got {got.text if got else 'end of file'}",
-                got,
-            )
+            raise self.expected(" or ".join(words))
         return self.take()
 
     def expect_op(self, text: str) -> Token:
         if not self.at_op(text):
-            got = self.peek()
-            raise _ParseFailure(
-                f"expected {text!r}, got {got.text if got else 'end of file'}", got
-            )
+            raise self.expected(repr(text))
         return self.take()
 
     def expect_ident(self) -> Token:
         tok = self.peek()
         if tok is None or tok.kind is not TokenKind.IDENT:
-            raise _ParseFailure(
-                f"expected identifier, got {tok.text if tok else 'end of file'}", tok
-            )
+            raise self.expected("identifier")
         return self.take()
+
+    def match_bracket(self, close: str, nest: str = "") -> int | None:
+        """Move to the first operator in ``close`` that does not close a
+        bracket opened on the way by an operator in ``nest`` (an empty
+        ``nest``: nothing nests) and return its index.  At end of input
+        return None, with ``pos`` at the end."""
+        ops = self._ops
+        end = len(self.tokens)
+        depth = 0
+        for pos in range(self.pos, end):
+            op = ops[pos]
+            if op is None:
+                continue
+            if op in close:
+                if not depth:
+                    self.pos = pos
+                    return pos
+                depth -= 1
+            elif op in nest:
+                depth += 1
+        self.pos = end
+        return None
 
     def error(self, failure: _ParseFailure) -> None:
         line = failure.token.line if failure.token else None
@@ -323,18 +336,17 @@ class Parser:
     def skip_to_recovery_point(self, block_ends: bool = True) -> None:
         """Advance to the next END_* keyword (with ``block_ends``) or POU
         boundary so parsing can resume."""
-        while True:
-            tok = self.peek()
-            if tok is None:
-                return
-            if tok.kind is TokenKind.KEYWORD:
-                word = tok.text.upper()
-                if word in POU_END or word in POU_START:
-                    return
-                if block_ends and word.startswith("END_"):
-                    self.take()
-                    return
-            self.take()
+        words = self._words
+        end = len(self.tokens)
+        pos = self.pos
+        while pos < end:
+            word = words[pos]
+            if word in _POU_BOUNDARY:
+                break
+            pos += 1
+            if block_ends and word is not None and word.startswith("END_"):
+                break
+        self.pos = pos
 
     # -- file level
 
@@ -363,21 +375,13 @@ class Parser:
 
     def parse_global_block(self) -> list[GlobalVar]:
         self.expect_keyword("VAR_GLOBAL")
-        constant = False
-        while self.at_keyword("CONSTANT", "RETAIN", "PERSISTENT"):
-            if self.take().text.upper() == "CONSTANT":
-                constant = True
-        decls = self.parse_decl_list()
-        return [GlobalVar(d.name, d.type_name, d.init, constant) for d in decls]
+        constant = self.parse_qualifiers()
+        return [GlobalVar(d.name, d.type_name, d.init, constant) for d in self.parse_decl_list()]
 
     def parse_pou(self) -> Pou:
+        kind_word = self._words[self.pos]
         head = self.take()
-        kind_word = head.text.upper()
-        kind = {
-            "FUNCTION_BLOCK": PouKind.FUNCTION_BLOCK,
-            "PROGRAM": PouKind.PROGRAM,
-            "FUNCTION": PouKind.FUNCTION,
-        }[kind_word]
+        kind = PouKind[kind_word]
         end_word = "END_" + kind_word
         name_tok = self.expect_ident()
         return_type: str | None = None
@@ -392,22 +396,23 @@ class Parser:
 
         while True:
             tok = self.peek()
+            word = self._words[self.pos]
             if tok is None:
                 self.warn(f"missing {end_word} at end of file", name_tok.line)
                 break
-            if self.at_keyword(end_word):
+            if word == end_word:
                 self.take()
                 break
-            if tok.kind is TokenKind.KEYWORD and tok.text.upper() in POU_START:
+            if word in POU_START:
                 self.warn(f"missing {end_word} before {tok.text}", tok.line)
                 break
             loop_start = self.pos
             try:
                 if self.at_op(";"):
                     self.skip_empty_statements()
-                elif self.at_keyword(*SECTION_KINDS):
+                elif word in SectionKind.__members__:  # VAR_GLOBAL ended the POU above
                     sections.append(self.parse_var_section())
-                elif self.at_keyword("ACTION"):
+                elif word == "ACTION":
                     actions.append(self.parse_action())
                 else:
                     statements.append(self.parse_statement())
@@ -449,13 +454,18 @@ class Parser:
     # -- declarations
 
     def parse_var_section(self) -> VarSection:
-        kind = SECTION_KINDS[self.take().text.upper()]
+        kind = SectionKind[self._words[self.pos]]
+        self.pos += 1
+        constant = self.parse_qualifiers()
+        return VarSection(kind, tuple(self.parse_decl_list()), constant)
+
+    def parse_qualifiers(self) -> bool:
+        """Skip CONSTANT/RETAIN/PERSISTENT; True if CONSTANT was among them."""
         constant = False
         while self.at_keyword("CONSTANT", "RETAIN", "PERSISTENT"):
-            if self.take().text.upper() == "CONSTANT":
-                constant = True
-        decls = self.parse_decl_list()
-        return VarSection(kind, tuple(decls), constant)
+            constant = constant or self.at_keyword("CONSTANT")
+            self.pos += 1
+        return constant
 
     def parse_decl_list(self) -> list[VarDecl]:
         decls: list[VarDecl] = []
@@ -467,9 +477,7 @@ class Parser:
             if tok is None:
                 self.warn("missing END_VAR at end of file")
                 return decls
-            if tok.kind is TokenKind.KEYWORD and (
-                tok.text.upper() in POU_END or tok.text.upper() in POU_START
-            ):
+            if self._words[self.pos] in _POU_BOUNDARY:
                 self.warn(f"missing END_VAR before {tok.text}", tok.line)
                 return decls
             names = [self.expect_ident().text]
@@ -478,9 +486,7 @@ class Parser:
                 names.append(self.expect_ident().text)
             if self.at_keyword("AT"):
                 self.take()
-                # hardware address: %IX0.0 and friends
-                while not self.at_op(":") and self.peek() is not None:
-                    self.take()
+                self.match_bracket(":")  # hardware address: %IX0.0 and friends
             self.expect_op(":")
             type_name = self.parse_type_text()
             init: str | None = None
@@ -497,63 +503,54 @@ class Parser:
         while self.at_keyword("ARRAY"):
             self.take()
             self.expect_op("[")
-            depth = 1
-            while depth and self.peek() is not None:
-                tok = self.take()
-                if tok.kind is TokenKind.OP and tok.text == "[":
-                    depth += 1
-                elif tok.kind is TokenKind.OP and tok.text == "]":
-                    depth -= 1
+            if self.match_bracket("]", "[") is not None:
+                self.take()
             self.expect_keyword("OF")
             prefix += "ARRAY OF "
         tok = self.peek()
         if tok is None:
             raise _ParseFailure("expected a type name", None)
-        if tok.kind not in (TokenKind.IDENT, TokenKind.KEYWORD):
+        if tok.kind is not TokenKind.IDENT and self._words[self.pos] is None:
             raise _ParseFailure(f"expected a type name, got {tok.text!r}", tok)
         self.take()
         text = tok.text
-        if self.at_op("("):  # STRING(80) or similar size argument
-            self.take()
-            inner = []
-            while not self.at_op(")") and self.peek() is not None:
-                inner.append(self.take().text)
-            self.expect_op(")")
-            text += "(" + " ".join(inner) + ")"
-        if self.at_op("["):
-            self.take()
-            inner = []
-            while not self.at_op("]") and self.peek() is not None:
-                inner.append(self.take().text)
-            self.expect_op("]")
-            text += "[" + " ".join(inner) + "]"
+        for open_, close in ("()", "[]"):  # size arguments: STRING(80), STRING[80]
+            if self.at_op(open_):
+                self.take()
+                start = self.pos
+                self.match_bracket(close)
+                text += open_ + " ".join(t.text for t in self.tokens[start : self.pos]) + close
+                self.expect_op(close)
         return prefix + text
 
     def capture_until_semicolon_text(self) -> str:
-        parts: list[str] = []
+        """Text up to END_VAR or a ';' outside brackets (a stray closer
+        does not hold up the ';')."""
+        words, ops = self._words, self._ops
+        start = pos = self.pos
+        end = len(self.tokens)
         depth = 0
-        while True:
-            tok = self.peek()
-            if tok is None:
-                break
-            if tok.kind is TokenKind.OP:
-                if tok.text in "([":
+        while pos < end:
+            op = ops[pos]
+            if op is not None:
+                if op in "([":
                     depth += 1
-                elif tok.text in ")]":
+                elif op in ")]":
                     depth -= 1
-                elif tok.text == ";" and depth <= 0:
+                elif op == ";" and depth <= 0:
                     break
-            if tok.kind is TokenKind.KEYWORD and tok.text.upper() == "END_VAR":
+            elif words[pos] == "END_VAR":
                 break
-            parts.append(self.take().text)
-        return " ".join(parts)
+            pos += 1
+        self.pos = pos
+        return " ".join(t.text for t in self.tokens[start:pos])
 
     # -- statements
 
     _EXPR_STOP_KEYWORDS = {
         "THEN", "DO", "OF", "TO", "BY", "END_IF", "END_CASE", "END_FOR",
         "END_WHILE", "ELSE", "ELSIF", "END_ACTION",
-    } | POU_END | POU_START | set(SECTION_KINDS) | {"END_VAR", "ACTION"}
+    } | POU_END | POU_START | set(SectionKind.__members__) | {"END_VAR", "ACTION"}
 
     def capture_expression(self, stop_keywords: set[str] | None = None) -> TokenSeq:
         """Capture tokens up to ';' or a structural keyword at bracket depth 0."""
@@ -586,6 +583,8 @@ class Parser:
         return tokens
 
     def skip_empty_statements(self) -> None:
+        # every caller of parse_statement skips these next, so a block or call
+        # statement leaves its optional closing ';' to them
         while self.at_op(";"):
             self.take()
 
@@ -620,36 +619,20 @@ class Parser:
         if self.at_op("("):
             # a plain call statement: name(...) ;
             self.take()
-            args: list[Token] = []
-            depth = 1
-            while depth:
-                tok = self.peek()
-                if tok is None:
-                    raise _ParseFailure("unterminated call argument list", first)
-                if tok.kind is TokenKind.OP and tok.text in "([":
-                    depth += 1
-                elif tok.kind is TokenKind.OP and tok.text in ")]":
-                    depth -= 1
-                    if depth == 0:
-                        self.take()
-                        break
-                args.append(self.take())
-            if self.at_op(";"):
-                self.take()
-            return CallStatement(".".join(path_parts), tuple(args), first.line, first.col)
+            start = self.pos
+            if self.match_bracket(")]", "([") is None:
+                raise _ParseFailure("unterminated call argument list", first)
+            args = tuple(self.tokens[start : self.pos])
+            self.take()
+            return CallStatement(".".join(path_parts), args, first.line, first.col)
         # otherwise an assignment; indexes may appear on the target path
         while self.at_op("["):
-            path_tokens.append(self.take())
-            depth = 1
-            while depth:
-                tok = self.peek()
-                if tok is None:
-                    raise _ParseFailure("unterminated index expression", first)
-                if tok.kind is TokenKind.OP and tok.text == "[":
-                    depth += 1
-                elif tok.kind is TokenKind.OP and tok.text == "]":
-                    depth -= 1
-                path_tokens.append(self.take())
+            start = self.pos
+            self.take()
+            if self.match_bracket("]", "[") is None:
+                raise _ParseFailure("unterminated index expression", first)
+            self.take()
+            path_tokens.extend(self.tokens[start : self.pos])
             while self.at_op("."):
                 path_tokens.append(self.take())
                 path_tokens.append(self.expect_ident())
@@ -676,8 +659,6 @@ class Parser:
             self.take()
             else_body = self.parse_statements_until("END_IF")
         self.expect_keyword("END_IF")
-        if self.at_op(";"):
-            self.take()
         return IfStatement(tuple(branches), tuple(else_body), head.line, head.col)
 
     def parse_case(self) -> CaseStatement:
@@ -708,50 +689,38 @@ class Parser:
                 body.append(self.parse_statement())
                 self.skip_empty_statements()
             branches.append(CaseBranch(tuple(labels), tuple(body)))
-        if self.at_op(";"):
-            self.take()
         return CaseStatement(selector, tuple(branches), tuple(else_body), head.line, head.col)
 
     def at_case_label(self) -> bool:
-        """Lookahead: (literal|ident) (.. literal|ident)? (, ...)* ':' not ':='."""
-        i = self.pos
-        toks = self.tokens
-        n = len(toks)
-
-        def label_atom(j: int) -> int | None:
-            if j < n and toks[j].kind in (TokenKind.NUMBER, TokenKind.IDENT):
-                return j + 1
-            return None
-
-        j = label_atom(i)
-        if j is None:
-            return False
+        """Lookahead: label (',' label)* ':', where a label is an atom or
+        atom '..' atom, and an atom a NUMBER or an identifier."""
+        lane, ops = self._lane, self._ops
+        pos = self.pos
+        ranged = False  # the atom at pos ends a '..' range
         while True:
-            if j < n and toks[j].kind is TokenKind.OP and toks[j].text == "..":
-                j2 = label_atom(j + 1)
-                if j2 is None:
-                    return False
-                j = j2
-            if j < n and toks[j].kind is TokenKind.OP and toks[j].text == ",":
-                j2 = label_atom(j + 1)
-                if j2 is None:
-                    return False
-                j = j2
-                continue
-            break
-        return j < n and toks[j].kind is TokenKind.OP and toks[j].text == ":"
+            tok = lane[pos]
+            if tok is None or tok.kind not in _LABEL_KINDS:
+                return False
+            after = ops[pos + 1]
+            if after == ".." and not ranged:
+                ranged = True
+            elif after == ",":
+                ranged = False
+            else:
+                return after == ":"
+            pos += 2
 
     def parse_case_labels(self) -> list[str]:
         labels: list[str] = []
         while True:
             tok = self.peek()
-            if tok is None or tok.kind not in (TokenKind.NUMBER, TokenKind.IDENT):
+            if tok is None or tok.kind not in _LABEL_KINDS:
                 raise _ParseFailure("expected a case label", tok)
             label = self.take().text
             if self.at_op(".."):
                 self.take()
                 hi = self.peek()
-                if hi is None or hi.kind not in (TokenKind.NUMBER, TokenKind.IDENT):
+                if hi is None or hi.kind not in _LABEL_KINDS:
                     raise _ParseFailure("expected a case label after '..'", hi)
                 label += ".." + self.take().text
             labels.append(label)
@@ -775,8 +744,6 @@ class Parser:
         self.expect_keyword("DO")
         body = self.parse_statements_until("END_FOR")
         self.expect_keyword("END_FOR")
-        if self.at_op(";"):
-            self.take()
         return ForStatement(var, start, stop, step, tuple(body), head.line, head.col)
 
     def parse_while(self) -> WhileStatement:
@@ -785,8 +752,6 @@ class Parser:
         self.expect_keyword("DO")
         body = self.parse_statements_until("END_WHILE")
         self.expect_keyword("END_WHILE")
-        if self.at_op(";"):
-            self.take()
         return WhileStatement(condition, tuple(body), head.line, head.col)
 
     def parse_statements_until(self, *stop_words: str) -> list[Statement]:
@@ -940,24 +905,15 @@ def statement_stream(statements: Sequence[Statement]) -> list[tuple[TokenKind, s
     return flatten_statements(statements, _pair, _pairs)
 
 
-_SECTION_HEADERS = {
-    SectionKind.VAR: "VAR",
-    SectionKind.VAR_INPUT: "VAR_INPUT",
-    SectionKind.VAR_OUTPUT: "VAR_OUTPUT",
-    SectionKind.VAR_IN_OUT: "VAR_IN_OUT",
-    SectionKind.VAR_TEMP: "VAR_TEMP",
-    SectionKind.VAR_GLOBAL: "VAR_GLOBAL",
-}
-
 _BREAK_AFTER = {";", "THEN", "ELSE", "DO", "OF"}
 
 
 def _render_stream(stream: list[tuple[TokenKind, str]]) -> str:
     lines: list[str] = []
     current: list[str] = []
-    for kind, text in stream:
+    for _, text in stream:
         current.append(text)
-        if text.upper() in _BREAK_AFTER or (kind is TokenKind.OP and text == ";"):
+        if text.upper() in _BREAK_AFTER:
             lines.append(" ".join(current))
             current = []
     if current:
@@ -967,14 +923,10 @@ def _render_stream(stream: list[tuple[TokenKind, str]]) -> str:
 
 def format_pou(pou: Pou) -> str:
     """Emit a POU back as parseable Structured Text."""
-    head = {
-        PouKind.PROGRAM: "PROGRAM",
-        PouKind.FUNCTION_BLOCK: "FUNCTION_BLOCK",
-        PouKind.FUNCTION: "FUNCTION",
-    }[pou.kind]
+    head = pou.kind.name
     parts = [f"{head} {pou.name}" + (f" : {pou.return_type}" if pou.return_type else "")]
     for section in pou.var_sections:
-        header = _SECTION_HEADERS[section.kind]
+        header = section.kind.name
         if section.constant:
             header += " CONSTANT"
         parts.append(header)
@@ -989,21 +941,6 @@ def format_pou(pou: Pou) -> str:
         parts.append("END_ACTION")
     parts.append("END_" + head)
     return "\n".join(p for p in parts if p) + "\n"
-
-
-def format_global_block(globals_: list[GlobalVar] | tuple[GlobalVar, ...]) -> str:
-    plain = [g for g in globals_ if not g.constant]
-    const = [g for g in globals_ if g.constant]
-    parts: list[str] = []
-    for group, header in ((const, "VAR_GLOBAL CONSTANT"), (plain, "VAR_GLOBAL")):
-        if not group:
-            continue
-        parts.append(header)
-        for g in group:
-            init = f" := {g.init}" if g.init is not None else ""
-            parts.append(f"  {g.name} : {g.type_name}{init};")
-        parts.append("END_VAR")
-    return "\n".join(parts) + ("\n" if parts else "")
 
 
 def pou_signature(pou: Pou) -> tuple:

@@ -11,6 +11,7 @@ from swmat.model import (
     IfStatement,
     PouKind,
     SectionKind,
+    TokenKind,
 )
 from swmat.project import (
     build_symbol_table,
@@ -311,6 +312,18 @@ def test_case_with_literal_and_range_labels():
     assert case.branches[0].labels == ("1", "2")
     assert case.branches[1].labels == ("3..5",)
     assert case.else_body
+
+
+def test_typed_literal_case_label_keeps_its_colon():
+    result = parse_source("PROGRAM p\nCASE x OF INT#1: y := 1; END_CASE\nEND_PROGRAM", "t.st")
+    assert result.diagnostics == []
+    assert result.pous[0].statements[0].branches[0].labels == ("INT#1",)
+
+
+@pytest.mark.parametrize("literal", ["TOD#12:30:00", "DT#2024-01-01-12:30:00",
+                                     "TIME_OF_DAY#12:30:15.5"])
+def test_typed_literal_keeps_colons_before_digits(literal):
+    assert [(t.kind, t.text) for t in tokenize(literal)[0]] == [(TokenKind.NUMBER, literal)]
 
 
 @pytest.mark.parametrize(
