@@ -1,11 +1,4 @@
-"""Call graphs and global-variable communication graphs, with DOT export.
-
-Node complexity is statements + decision points: every assignment and call
-statement counts once, and so does every IF, every ELSIF, every CASE branch
-label and every loop header.  The metric is a deliberately simple proxy that
-grows with both size and branching; swap it out here if a better one exists
-for your codebase.
-"""
+"""Call graphs and global-variable communication graphs, with DOT export."""
 
 from __future__ import annotations
 
@@ -15,27 +8,12 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
-from .model import (
-    CallResolution,
-    CaseBranch,
-    CaseStatement,
-    IfStatement,
-    Pou,
-    PouKind,
-    Project,
-    walk,
-)
+from .model import CallResolution, Pou, PouKind, Project, body_facts
 
 
 def complexity(pou: Pou) -> int:
-    """Statements + decision points over the body and all action bodies."""
-    total = 0
-    for node in walk(pou.all_statements()):
-        if isinstance(node, CaseBranch):
-            total += len(node.labels)
-        elif not isinstance(node, (IfStatement, CaseStatement)):
-            total += 1  # a simple statement, an IF/ELSIF branch or a loop header
-    return total
+    """Statements + decision points (``model.body_facts``) over the body and all actions."""
+    return body_facts(pou.all_statements()).complexity
 
 
 @dataclass(frozen=True)

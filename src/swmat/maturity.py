@@ -483,8 +483,17 @@ def load_schema_file(path: str | Path) -> QuestionnaireSchema:
 
 
 def answers_from_dict(data: dict) -> AnswerSet:
+    """An AnswerSet from decoded JSON; ValueError names the key of a wrong shape."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected an object at the top level, got {type(data).__name__}")
+    raw_answers = data.get("answers", {})
+    if not isinstance(raw_answers, dict):
+        raise ValueError(f"key 'answers': expected an object, got {type(raw_answers).__name__}")
+    category = data.get("category")
+    if not isinstance(category, str):
+        raise ValueError(f"key 'category': expected a string, got {type(category).__name__}")
     answers: dict[int, AnswerValue] = {}
-    for key, value in data.get("answers", {}).items():
+    for key, value in raw_answers.items():
         qid = int(key)
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             answers[qid] = _to_fraction(value)
@@ -492,7 +501,7 @@ def answers_from_dict(data: dict) -> AnswerSet:
             answers[qid] = value
     return AnswerSet(
         company=data["company"],
-        category=CompanyCategory(data["category"].lower()),
+        category=CompanyCategory(category.lower()),
         answers=answers,
     )
 
@@ -500,7 +509,10 @@ def answers_from_dict(data: dict) -> AnswerSet:
 def load_answers_file(path: str | Path) -> AnswerSet:
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle, parse_float=Fraction)
-    return answers_from_dict(data)
+    try:
+        return answers_from_dict(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def format_ratio(value: Fraction | None, places: int = 4) -> str:

@@ -7,11 +7,11 @@ quarter-point scores (3.25, 3.75, 1.25) stay exact under addition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Iterator, Mapping, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 
 class PouKind(Enum):
@@ -523,19 +523,58 @@ def dotted_paths(tokens: TokenSeq) -> Iterator[tuple[int, int, bool]]:
         i = j
 
 
-def find_call_occurrences(statements: Sequence[Statement]) -> list[tuple[str, int, int]]:
-    """All syntactic call occurrences as (callee text, line, col), in source order."""
-    found: list[tuple[str, int, int]] = []
+class BodyFacts(NamedTuple):
+    calls: list[tuple[str, int, int]]
+    reads: set[str]
+    writes: set[str]
+    complexity: int
+
+
+def body_facts(statements: Sequence[Statement]) -> BodyFacts:
+    """Calls, read and written names, and complexity of a statement tree, in one walk.
+
+    * ``calls``: each syntactic call occurrence as (callee text, line, col),
+      in source order: call statements and every dotted path followed by
+      '(' inside an expression.
+    * ``writes``: the base identifier of each assignment target, and each
+      FOR loop counter.
+    * ``reads``: the base of every other dotted path that is not called; the
+      index expressions inside an assignment target are reads.
+    * ``complexity``: statements + decision points.  Every assignment and
+      call statement counts once, and so does every IF, every ELSIF, every
+      CASE branch label and every loop header.  The metric is a deliberately
+      simple proxy that grows with both size and branching; swap it out here
+      if a better one exists for your codebase.
+
+    Names keep their spelling; resolving them against declarations is the
+    caller's job.
+    """
+    calls: list[tuple[str, int, int]] = []
+    reads: set[str] = set()
+    writes: set[str] = set()
+    complexity = 0
     for node in walk(statements):
+        if isinstance(node, CaseBranch):
+            complexity += len(node.labels)
+        elif not isinstance(node, (IfStatement, CaseStatement)):
+            complexity += 1  # a simple statement, an IF/ELSIF branch or a loop header
+        is_assignment = isinstance(node, Assignment)
         if isinstance(node, CallStatement):
-            found.append((node.callee, node.line, node.col))
-        for tokens in expressions(node):
+            calls.append((node.callee, node.line, node.col))
+        elif is_assignment and node.target and node.target[0].kind is TokenKind.IDENT:
+            writes.add(node.target[0].text)
+        elif isinstance(node, ForStatement):
+            writes.add(node.var)
+        for k, tokens in enumerate(expressions(node)):
             for start, end, is_call in dotted_paths(tokens):
                 if is_call:
                     head = tokens[start]
                     path = ".".join(t.text for t in tokens[start:end:2])
-                    found.append((path, head.line, head.col))
-    return found
+                    calls.append((path, head.line, head.col))
+                # the target's base is the write; its index expressions are reads
+                elif not (is_assignment and k == 0 and start == 0):
+                    reads.add(tokens[start].text)
+    return BodyFacts(calls, reads, writes, complexity)
 
 
 def validate_project(project: Project) -> list[Diagnostic]:
@@ -603,7 +642,7 @@ def validate_project(project: Project) -> list[Diagnostic]:
                 seen_decls.add(key)
 
         body_calls = {
-            text.lower() for text, _, _ in find_call_occurrences(pou.all_statements())
+            text.lower() for text, _, _ in body_facts(pou.all_statements()).calls
         }
         decls = pou.declared_names()
         for site in pou.call_sites:
@@ -632,64 +671,3 @@ def validate_project(project: Project) -> list[Diagnostic]:
                         )
                     )
     return diags
-
-
-# --- serialization -----------------------------------------------------------
-
-_MODEL_CLASSES: dict[str, type] = {}
-_ENUM_CLASSES: dict[str, type] = {}
-
-
-def _register() -> None:
-    for obj in list(globals().values()):
-        if isinstance(obj, type) and is_dataclass(obj):
-            _MODEL_CLASSES[obj.__name__] = obj
-        elif isinstance(obj, type) and issubclass(obj, Enum) and obj is not Enum:
-            _ENUM_CLASSES[obj.__name__] = obj
-
-
-def to_jsonable(obj: Any) -> Any:
-    """Encode any model value into JSON-compatible data (tagged where needed)."""
-    if obj is None or isinstance(obj, (str, int, bool)):
-        return obj
-    if isinstance(obj, Fraction):
-        return {"$frac": str(obj)}
-    if isinstance(obj, Enum):
-        return {"$enum": type(obj).__name__, "value": obj.value}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, frozenset):
-        return {"$set": sorted(to_jsonable(v) for v in obj)}
-    if isinstance(obj, Mapping):
-        return {"$map": [[to_jsonable(k), to_jsonable(v)] for k, v in obj.items()]}
-    if is_dataclass(obj):
-        data: dict[str, Any] = {"$type": type(obj).__name__}
-        for f in fields(obj):
-            data[f.name] = to_jsonable(getattr(obj, f.name))
-        return data
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def from_jsonable(data: Any) -> Any:
-    """Inverse of :func:`to_jsonable`."""
-    if data is None or isinstance(data, (str, int, bool, float)):
-        return data
-    if isinstance(data, list):
-        return tuple(from_jsonable(v) for v in data)
-    if isinstance(data, dict):
-        if "$frac" in data:
-            return Fraction(data["$frac"])
-        if "$enum" in data:
-            return _ENUM_CLASSES[data["$enum"]](data["value"])
-        if "$set" in data:
-            return frozenset(from_jsonable(v) for v in data["$set"])
-        if "$map" in data:
-            return {from_jsonable(k): from_jsonable(v) for k, v in data["$map"]}
-        if "$type" in data:
-            cls = _MODEL_CLASSES[data["$type"]]
-            kwargs = {k: from_jsonable(v) for k, v in data.items() if k != "$type"}
-            return cls(**kwargs)
-    raise TypeError(f"cannot deserialize {data!r}")
-
-
-_register()

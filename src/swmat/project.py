@@ -13,15 +13,13 @@ symbol table.  A project directory may also carry:
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Iterable
 from pathlib import Path
 
-from . import graphs
 from .model import (
-    Assignment,
     CallResolution,
     CallSite,
     Diagnostic,
-    ForStatement,
     GlobalVar,
     LineSpan,
     Pou,
@@ -29,12 +27,8 @@ from .model import (
     Project,
     SourceRef,
     TaskDef,
-    TokenKind,
-    dotted_paths,
-    expressions,
-    find_call_occurrences,
+    body_facts,
     validate_project,
-    walk,
 )
 from .stparse import SourceFile, parse_file
 
@@ -72,15 +66,17 @@ def build_symbol_table(pous: list[Pou], globals_: list[GlobalVar]) -> SymbolTabl
 # --- call sites ---------------------------------------------------------------
 
 
-def extract_call_sites(pou: Pou, table: SymbolTable) -> list[CallSite]:
-    """Resolve every call occurrence in a POU against the symbol table.
+def extract_call_sites(
+    pou: Pou, table: SymbolTable, calls: Iterable[tuple[str, int, int]]
+) -> list[CallSite]:
+    """Resolve a POU's call occurrences (``body_facts(...).calls``) against the table.
 
     Resolution never fails: names that match nothing become EXTERNAL sites.
     """
     decls = pou.declared_names()
     action_names = {a.name.lower() for a in pou.actions}
     sites: list[CallSite] = []
-    for callee_text, line, col in find_call_occurrences(pou.all_statements()):
+    for callee_text, line, col in calls:
         base = callee_text.split(".")[0].lower()
         resolution = CallResolution.EXTERNAL
         target: str | None = None
@@ -107,35 +103,19 @@ def extract_call_sites(pou: Pou, table: SymbolTable) -> list[CallSite]:
 
 
 def extract_global_accesses(
-    pou: Pou, globals_: dict[str, str]
+    pou: Pou, globals_: dict[str, str], reads: Iterable[str], writes: Iterable[str]
 ) -> tuple[set[str], set[str]]:
-    """Classify global-variable uses into (reads, writes).
+    """The globals among a POU's read and written names (``body_facts``), as declared.
 
-    A global is written iff it is the base of an assignment target (or a FOR
-    loop counter); every other value use is a read.  Locally declared names
-    shadow globals of the same name.
+    Locally declared names shadow globals of the same name.
     """
-    read_names: list[str] = []
-    written_names: list[str] = []
-    for node in walk(pou.all_statements()):
-        is_assignment = isinstance(node, Assignment)
-        if is_assignment and node.target and node.target[0].kind is TokenKind.IDENT:
-            written_names.append(node.target[0].text)
-        elif isinstance(node, ForStatement):
-            written_names.append(node.var)
-        for k, tokens in enumerate(expressions(node)):
-            for start, _, is_call in dotted_paths(tokens):
-                # the target's base is the write; its index expressions are reads
-                if not is_call and not (is_assignment and k == 0 and start == 0):
-                    read_names.append(tokens[start].text)
-
     shadowed = pou.declared_names()
 
-    def visible_globals(names: list[str]) -> set[str]:
+    def visible_globals(names: Iterable[str]) -> set[str]:
         keys = {name.lower() for name in names}
         return {globals_[key] for key in keys if key in globals_ and key not in shadowed}
 
-    return visible_globals(read_names), visible_globals(written_names)
+    return visible_globals(reads), visible_globals(writes)
 
 
 # --- manifest files -----------------------------------------------------------
@@ -290,15 +270,16 @@ def parse_project(directory: str | Path, name: str | None = None) -> tuple[Proje
 
     resolved: list[Pou] = []
     for pou in pous:
-        sites = extract_call_sites(pou, table)
-        reads, writes = extract_global_accesses(pou, table.globals)
+        facts = body_facts(pou.all_statements())
+        sites = extract_call_sites(pou, table, facts.calls)
+        reads, writes = extract_global_accesses(pou, table.globals, facts.reads, facts.writes)
         resolved.append(
             dataclasses.replace(
                 pou,
                 call_sites=tuple(sites),
                 global_reads=frozenset(reads),
                 global_writes=frozenset(writes),
-                complexity=graphs.complexity(pou),
+                complexity=facts.complexity,
             )
         )
 

@@ -922,7 +922,12 @@ def _render_stream(stream: list[tuple[TokenKind, str]]) -> str:
 
 
 def format_pou(pou: Pou) -> str:
-    """Emit a POU back as parseable Structured Text."""
+    """Emit a POU back as Structured Text, without what the model does not keep.
+
+    Dropped are comments and layout, ``AT`` addresses, RETAIN/PERSISTENT
+    qualifiers and array bounds.  ``ARRAY[0..3] OF INT`` prints as
+    ``ARRAY OF INT``, which does not parse again.
+    """
     head = pou.kind.name
     parts = [f"{head} {pou.name}" + (f" : {pou.return_type}" if pou.return_type else "")]
     for section in pou.var_sections:
@@ -944,7 +949,10 @@ def format_pou(pou: Pou) -> str:
 
 
 def pou_signature(pou: Pou) -> tuple:
-    """Position-free structural projection of a POU, for equality checks."""
+    """Position-free structural projection of a POU, for equality checks.
+
+    It sees what ``format_pou`` prints, so it ignores the same dropped parts.
+    """
     return (
         pou.name.lower(),
         pou.kind,

@@ -89,6 +89,34 @@ def _pou_bodies(pou: Pou):
         yield action.body
 
 
+def reference_call_occurrences(pou: Pou) -> list[str]:
+    """Callee texts of every call in a POU's body and actions (not in source order)."""
+    occurrences = []
+    for body in _pou_bodies(pou):
+        for stmt in _walk_statements(body):
+            if isinstance(stmt, CallStatement):
+                occurrences.append(stmt.callee)
+            for stream in _token_streams(stmt):
+                for parts, called in _paths(stream):
+                    if called:
+                        occurrences.append(".".join(parts))
+    return occurrences
+
+
+def reference_complexity(pou: Pou) -> int:
+    """One per simple statement and loop, per IF/ELSIF branch and per CASE label."""
+    total = 0
+    for body in _pou_bodies(pou):
+        for stmt in _walk_statements(body):
+            if isinstance(stmt, IfStatement):
+                total += len(stmt.branches)
+            elif isinstance(stmt, CaseStatement):
+                total += sum(len(branch.labels) for branch in stmt.branches)
+            else:
+                total += 1
+    return total
+
+
 def brute_force_call_edges(project: Project) -> dict[tuple[str, str], int]:
     """Resolved (caller, callee) multiplicities, recomputed from scratch.
 
@@ -110,17 +138,7 @@ def brute_force_call_edges(project: Project) -> dict[tuple[str, str], int]:
                 local_types[decl.name.lower()] = decl.type_name.lower()
         action_names = {a.name.lower() for a in pou.actions}
 
-        occurrences = []
-        for body in _pou_bodies(pou):
-            for stmt in _walk_statements(body):
-                if isinstance(stmt, CallStatement):
-                    occurrences.append(stmt.callee)
-                for stream in _token_streams(stmt):
-                    for parts, called in _paths(stream):
-                        if called:
-                            occurrences.append(".".join(parts))
-
-        for callee in occurrences:
+        for callee in reference_call_occurrences(pou):
             base = callee.split(".")[0].lower()
             if base in local_types and local_types[base] in fb_by_lower:
                 target = fb_by_lower[local_types[base]]
@@ -137,11 +155,10 @@ def brute_force_call_edges(project: Project) -> dict[tuple[str, str], int]:
     return counts
 
 
-def brute_force_global_edges(project: Project) -> set[tuple[str, str, str]]:
-    """(writer, reader, global) triples recomputed with a private LHS scan."""
+def reference_global_accesses(project: Project) -> dict[str, tuple[set[str], set[str]]]:
+    """Per POU name, the (reads, writes) of visible globals, by a private LHS scan."""
     global_names = {g.name.lower(): g.name for g in project.globals}
-    reads: dict[str, set[str]] = {}
-    writes: dict[str, set[str]] = {}
+    accesses = {}
 
     for pou in project.pous:
         local = set()
@@ -149,6 +166,8 @@ def brute_force_global_edges(project: Project) -> set[tuple[str, str, str]]:
             for decl in section.decls:
                 local.add(decl.name.lower())
         visible = {k: v for k, v in global_names.items() if k not in local}
+        reads: set[str] = set()
+        writes: set[str] = set()
 
         def add_reads(tokens, skip_first=False):
             for idx, (parts, called) in enumerate(_paths(tokens)):
@@ -158,12 +177,12 @@ def brute_force_global_edges(project: Project) -> set[tuple[str, str, str]]:
                     continue
                 name = visible.get(parts[0].lower())
                 if name:
-                    reads.setdefault(name, set()).add(pou.name)
+                    reads.add(name)
 
         def add_write(text):
             name = visible.get(text.lower())
             if name:
-                writes.setdefault(name, set()).add(pou.name)
+                writes.add(name)
 
         for body in _pou_bodies(pou):
             for stmt in _walk_statements(body):
@@ -186,6 +205,19 @@ def brute_force_global_edges(project: Project) -> set[tuple[str, str, str]]:
                     add_reads(stmt.step)
                 elif isinstance(stmt, WhileStatement):
                     add_reads(stmt.condition)
+        accesses[pou.name] = (reads, writes)
+    return accesses
+
+
+def brute_force_global_edges(project: Project) -> set[tuple[str, str, str]]:
+    """(writer, reader, global) triples from the per-POU reference accesses."""
+    reads: dict[str, set[str]] = {}
+    writes: dict[str, set[str]] = {}
+    for pou_name, (pou_reads, pou_writes) in reference_global_accesses(project).items():
+        for g in pou_reads:
+            reads.setdefault(g, set()).add(pou_name)
+        for g in pou_writes:
+            writes.setdefault(g, set()).add(pou_name)
 
     edges = set()
     for g in set(reads) | set(writes):

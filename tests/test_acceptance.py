@@ -29,10 +29,11 @@ from swmat.model import (
     Grade,
     GovernanceLevel,
     StructureStyle,
+    body_facts,
     validate_project,
 )
 from swmat.modularity import assessment_score, classify_structure_style
-from swmat.project import find_call_occurrences, parse_project
+from swmat.project import parse_project
 from swmat.reporting import RadarSeries, RadarSpec, emit_radar_svg
 from swmat.stparse import parse_source, statement_stream
 from synth import chain_project, random_project, star_project
@@ -140,7 +141,7 @@ def test_criterion_04_fixture_parsing():
 
     dispatch = parse_source("PROGRAM main\n" + MODE_DISPATCH_BODY + "END_PROGRAM")
     assert dispatch.ok
-    dispatch_calls = sorted(c[0] for c in find_call_occurrences(dispatch.pous[0].statements))
+    dispatch_calls = sorted(c[0] for c in body_facts(dispatch.pous[0].statements).calls)
     assert dispatch_calls == ["automatic", "automatic", "emergency_stop", "reinit", "setup"]
 
     tank_decls = parse_source(TANK_CONTROL_DECLS)
@@ -154,7 +155,7 @@ def test_criterion_04_fixture_parsing():
 
     guarded = parse_source("FUNCTION_BLOCK fb\n" + GUARDED_MODE_BODY + "END_FUNCTION_BLOCK")
     assert guarded.ok
-    guarded_calls = sorted(c[0] for c in find_call_occurrences(guarded.pous[0].statements))
+    guarded_calls = sorted(c[0] for c in body_facts(guarded.pous[0].statements).calls)
     assert guarded_calls == ["abort", "automatic", "automatic", "emergency_stop", "reinit", "setup"]
     _ok(4, "code excerpts parse clean; declarations and call sites match exactly")
 

@@ -369,6 +369,25 @@ def test_malformed_structured_input_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["score", "cohort"])
+@pytest.mark.parametrize(
+    "payload", [{"company": "a", "category": None, "answers": {}}, [1]], ids=["null-category", "list"]
+)
+def test_wrongly_shaped_answer_file_exit_2(tmp_path, capsys, command, payload):
+    answers_dir = tmp_path / "answers"
+    answers_dir.mkdir()
+    answers = answers_dir / "bad.json"
+    answers.write_text(json.dumps(payload), encoding="utf-8")
+    if command == "score":
+        argv = ["score", "--answers", str(answers)]
+    else:
+        argv = ["cohort", "--answers-dir", str(answers_dir), "--out", str(tmp_path / "out")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert str(answers) in err
+    assert "Traceback" not in err
+
+
 def test_rerun_byte_identical(tmp_path):
     answers = _write_answers(tmp_path / "answers.json")
     first = tmp_path / "r1.json"

@@ -6,6 +6,9 @@ import pytest
 
 from swmat.model import (
     AnswerSet,
+    CallResolution,
+    CallSite,
+    CallStatement,
     CompanyCategory,
     GlobalVar,
     LineSpan,
@@ -14,11 +17,10 @@ from swmat.model import (
     Project,
     SourceRef,
     TaskDef,
-    from_jsonable,
-    to_jsonable,
     validate_project,
 )
 from swmat.stparse import parse_source
+from model_codec import from_jsonable, to_jsonable
 
 
 def _project(source: str, tasks=()) -> Project:
@@ -66,6 +68,14 @@ def test_duplicate_declarations_flagged():
     )
     diags = validate_project(project)
     assert any("duplicate declaration" in d.message for d in diags)
+
+
+def test_call_site_absent_from_body_flagged():
+    body = (CallStatement("present", (), 1, 1),)
+    sites = (CallSite("p", "absent", CallResolution.EXTERNAL, None, 1, 1),)
+    pou = Pou("p", PouKind.PROGRAM, statements=body, call_sites=sites)
+    diags = validate_project(Project("p", (pou,)))
+    assert [d.message for d in diags] == ["call site 'absent' does not occur in the body"]
 
 
 def test_plant_fixture_validates_clean(plant_project):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,6 +38,9 @@ from oracles import (
     clone_body_reference,
     clone_groups_reference,
     normalize_tokens,
+    reference_call_occurrences,
+    reference_complexity,
+    reference_global_accesses,
     reference_statement_stream,
 )
 from synth import chain_project, random_project, star_project, write_project
@@ -294,8 +298,8 @@ def _clone_cases():
         }
 
 
-@pytest.mark.parametrize("min_tokens", [1, 20])
-def test_clones_match_reference(tmp_path, min_tokens):
+def _reference_corpus(tmp_path):
+    """The clone cases and 60 random projects, parsed, for the oracle comparisons."""
     projects = [
         parse_project(write_project(tmp_path / name, files))[0]
         for name, files in _clone_cases()
@@ -304,13 +308,40 @@ def test_clones_match_reference(tmp_path, min_tokens):
         parse_project(random_project(tmp_path / f"random{seed}", seed))[0]
         for seed in range(60)
     ]
-    for project in projects:
+    return projects
+
+
+@pytest.mark.parametrize("min_tokens", [1, 20])
+def test_clones_match_reference(tmp_path, min_tokens):
+    for project in _reference_corpus(tmp_path):
         report = detect_clones(project, min_tokens)
         assert report.groups == clone_groups_reference(project, min_tokens)
         for pou in project.pous:
             statements = pou.all_statements()
             assert stparse.statement_stream(statements) == reference_statement_stream(statements)
             assert len(clone_fingerprint(pou)) == len(clone_body_reference(pou))
+
+
+_INDEXED_TARGET_ST = """\
+VAR_GLOBAL
+  gArr : ARRAY[0..3] OF INT;
+  gIdx : INT;
+END_VAR
+PROGRAM p
+gArr[gIdx] := 1;
+END_PROGRAM
+"""
+
+
+def test_pou_facts_match_reference(tmp_path):
+    indexed = write_project(tmp_path / "indexed", {"indexed.st": _INDEXED_TARGET_ST})
+    for project in _reference_corpus(tmp_path) + [parse_project(indexed)[0]]:
+        accesses = reference_global_accesses(project)
+        for pou in project.pous:
+            assert (pou.global_reads, pou.global_writes) == accesses[pou.name]
+            assert pou.complexity == reference_complexity(pou)
+            calls = Counter(site.callee_text for site in pou.call_sites)
+            assert calls == Counter(reference_call_occurrences(pou))
 
 
 @pytest.mark.parametrize(

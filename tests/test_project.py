@@ -14,12 +14,12 @@ from swmat.model import (
     Project,
     Token,
     TokenKind,
+    body_facts,
     validate_project,
 )
 from swmat.project import (
     ProjectError,
     extract_global_accesses,
-    find_call_occurrences,
     parse_project,
 )
 from synth import write_project
@@ -151,10 +151,10 @@ def test_walkers_handle_deep_nesting():
     pou = Pou("p", PouKind.PROGRAM, statements=(stmt,), call_sites=sites)
 
     assert complexity(pou) == depth + 1
-    calls = find_call_occurrences(pou.statements)
-    assert [c[0] for c in calls] == ["Ready"] * depth + ["Check"]
+    facts = body_facts(pou.statements)
+    assert [c[0] for c in facts.calls] == ["Ready"] * depth + ["Check"]
     globals_ = {"gin": "gIn", "gout": "gOut"}
-    assert extract_global_accesses(pou, globals_) == ({"gIn"}, {"gOut"})
+    assert extract_global_accesses(pou, globals_, facts.reads, facts.writes) == ({"gIn"}, {"gOut"})
     assert validate_project(Project("deep", (pou,))) == []
 
 

@@ -12,12 +12,12 @@ from swmat.model import (
     PouKind,
     SectionKind,
     TokenKind,
+    body_facts,
 )
 from swmat.project import (
     build_symbol_table,
     extract_call_sites,
     extract_global_accesses,
-    find_call_occurrences,
 )
 from swmat.stparse import (
     MAX_NESTING,
@@ -71,6 +71,15 @@ END_IF
 """
 
 
+def _call_sites(pou, table):
+    return extract_call_sites(pou, table, body_facts(pou.all_statements()).calls)
+
+
+def _global_accesses(pou, globals_):
+    facts = body_facts(pou.all_statements())
+    return extract_global_accesses(pou, globals_, facts.reads, facts.writes)
+
+
 def _single_pou(text: str):
     result = parse_source(text)
     assert result.ok, [d.render() for d in result.diagnostics]
@@ -83,7 +92,7 @@ def test_empty_function_block():
     assert pou.kind is PouKind.FUNCTION_BLOCK
     assert pou.var_sections == ()
     assert pou.statements == ()
-    assert find_call_occurrences(pou.statements) == []
+    assert body_facts(pou.statements).calls == []
 
 
 def test_instance_declaration_block():
@@ -98,7 +107,7 @@ def test_instance_declaration_block():
 
 def test_mode_dispatch_call_sites():
     pou = _single_pou("PROGRAM main\n" + MODE_DISPATCH_BODY + "END_PROGRAM")
-    calls = [c[0] for c in find_call_occurrences(pou.statements)]
+    calls = [c[0] for c in body_facts(pou.statements).calls]
     assert sorted(calls) == sorted(
         ["setup", "automatic", "automatic", "reinit", "emergency_stop"]
     )
@@ -115,7 +124,7 @@ def test_mode_dispatch_call_sites():
 
 def test_guarded_mode_call_sites():
     pou = _single_pou("FUNCTION_BLOCK fb\n" + GUARDED_MODE_BODY + "END_FUNCTION_BLOCK")
-    calls = sorted(c[0] for c in find_call_occurrences(pou.statements))
+    calls = sorted(c[0] for c in body_facts(pou.statements).calls)
     assert calls == ["abort", "automatic", "automatic", "emergency_stop", "reinit", "setup"]
     outer = pou.statements[0]
     assert isinstance(outer, IfStatement)
@@ -219,7 +228,7 @@ def test_action_blocks_and_local_action_resolution():
     result = parse_source(text)
     pou = result.pous[0]
     table = build_symbol_table(result.pous, result.globals)
-    sites = extract_call_sites(pou, table)
+    sites = _call_sites(pou, table)
     assert len(sites) == 1
     assert sites[0].resolution is CallResolution.LOCAL_ACTION
 
@@ -228,7 +237,7 @@ def test_calls_inside_expressions_detected():
     pou = _single_pou(
         "PROGRAM p\nx := MAX(a, MIN(b, c)) + f2(d);\nEND_PROGRAM"
     )
-    calls = sorted(c[0] for c in find_call_occurrences(pou.statements))
+    calls = sorted(c[0] for c in body_facts(pou.statements).calls)
     assert calls == ["MAX", "MIN", "f2"]
 
 
@@ -240,7 +249,7 @@ def test_instance_member_call_resolves_to_fb_type():
     result = parse_source(text)
     table = build_symbol_table(result.pous, result.globals)
     main = result.pous[1]
-    sites = extract_call_sites(main, table)
+    sites = _call_sites(main, table)
     assert sites[0].resolution is CallResolution.INSTANCE_OF_FB
     assert sites[0].target == "Motor"
 
@@ -248,13 +257,13 @@ def test_instance_member_call_resolves_to_fb_type():
 def test_unknown_callee_is_external_never_fatal():
     result = parse_source("PROGRAM p\nmystery();\nEND_PROGRAM")
     table = build_symbol_table(result.pous, result.globals)
-    sites = extract_call_sites(result.pous[0], table)
+    sites = _call_sites(result.pous[0], table)
     assert sites[0].resolution is CallResolution.EXTERNAL
 
 
 def test_global_access_lhs_rule():
     result = parse_source("PROGRAM p\ngBusy := TRUE;\nEND_PROGRAM")
-    reads, writes = extract_global_accesses(result.pous[0], {"gbusy": "gBusy"})
+    reads, writes = _global_accesses(result.pous[0], {"gbusy": "gBusy"})
     assert writes == {"gBusy"} and reads == set()
 
 
@@ -262,7 +271,7 @@ def test_global_access_read_and_write():
     result = parse_source(
         "PROGRAM p\nIF gStart THEN gBusy := gBusy OR x; END_IF\nEND_PROGRAM"
     )
-    reads, writes = extract_global_accesses(
+    reads, writes = _global_accesses(
         result.pous[0], {"gstart": "gStart", "gbusy": "gBusy"}
     )
     assert reads == {"gStart", "gBusy"}
@@ -271,7 +280,7 @@ def test_global_access_read_and_write():
 
 def test_global_access_none():
     result = parse_source("PROGRAM p\nx := y;\nEND_PROGRAM")
-    reads, writes = extract_global_accesses(result.pous[0], {"g": "g"})
+    reads, writes = _global_accesses(result.pous[0], {"g": "g"})
     assert (reads, writes) == (set(), set())
 
 
@@ -279,14 +288,14 @@ def test_local_shadowing_hides_global():
     result = parse_source(
         "PROGRAM p\nVAR\n  gBusy : BOOL;\nEND_VAR\ngBusy := TRUE;\nEND_PROGRAM"
     )
-    reads, writes = extract_global_accesses(result.pous[0], {"gbusy": "gBusy"})
+    reads, writes = _global_accesses(result.pous[0], {"gbusy": "gBusy"})
     assert writes == set()
 
 
 def test_output_args_not_counted_as_writes():
     # only assignment targets count; VAR_OUTPUT wiring stays invisible
     result = parse_source("PROGRAM p\nfb1(out => gDone);\nEND_PROGRAM")
-    reads, writes = extract_global_accesses(result.pous[0], {"gdone": "gDone"})
+    reads, writes = _global_accesses(result.pous[0], {"gdone": "gDone"})
     assert writes == set()
     assert reads == {"gDone"}
 
