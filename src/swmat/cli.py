@@ -252,6 +252,11 @@ def _radar_for(
     return reporting.RadarSpec(spokes, (company, cohort_mean))
 
 
+def _radar_file_name(company: str) -> str:
+    safe = "".join(c if c.isalnum() or c in "-_" else "_" for c in company)
+    return f"radar_{safe}.svg"
+
+
 def _cmd_cohort(args: argparse.Namespace) -> int:
     _require_distinct(args.answers_dir, args.out)
     schema = _load_schema(args.schema)
@@ -261,6 +266,15 @@ def _cmd_cohort(args: argparse.Namespace) -> int:
         answer_sets = [a for a in answer_sets if a.category == category]
         if not answer_sets:
             raise InputError(f"no answer sets in category {category.value!r}")
+    # one radar file per company; a second one would overwrite the first
+    radar_files: dict[str, str] = {}
+    for answers in answer_sets:
+        name = _radar_file_name(answers.company)
+        if name in radar_files:
+            print(f"error: companies {radar_files[name]!r} and {answers.company!r} "
+                  f"both map to radar file {name}", file=sys.stderr)
+            return EXIT_INVARIANT
+        radar_files[name] = answers.company
     reports = [
         maturity.build_report(schema, answers, strict=args.strict)
         for answers in answer_sets
@@ -272,10 +286,9 @@ def _cmd_cohort(args: argparse.Namespace) -> int:
     (out / "overview.csv").write_text(
         reporting.emit_overview_csv(reports), encoding="utf-8"
     )
-    for report in reports:
+    for report, name in zip(reports, radar_files):
         spec = _radar_for(report, stats.question_means)
-        safe = "".join(c if c.isalnum() or c in "-_" else "_" for c in report.company)
-        (out / f"radar_{safe}.svg").write_text(
+        (out / name).write_text(
             reporting.emit_radar_svg(spec), encoding="utf-8"
         )
 
@@ -339,8 +352,8 @@ def _cmd_configure(args: argparse.Namespace) -> int:
         config = configurator.load_module_config(config_path)
         generated = configurator.generate_template_project(templates, config)
     else:
-        data = json.loads(config_path.read_text(encoding="utf-8"))
-        template_name = data.get("template")
+        data = configurator.load_parameter_config(config_path)
+        template_name = data["template"]
         if template_name not in templates.templates:
             raise configurator.ConfigError(f"unknown template {template_name}")
         invariable = []

@@ -26,6 +26,9 @@ from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 
+from .model import TokenKind
+from .stparse import tokenize
+
 MODE_CONSTANTS = (
     "PLCMODSETUP",
     "PLCMODAUTOMATIC",
@@ -50,6 +53,25 @@ _LAST_END_VAR_RE = re.compile(r"END_VAR", re.IGNORECASE)
 
 class ConfigError(Exception):
     pass
+
+
+_SHAPES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _expect(value, shape: type, path: str | Path, key: str | None = None):
+    """``value`` if it is a ``shape``; otherwise a ValueError naming the
+    config file and the key (``None``: the top level)."""
+    if not isinstance(value, shape):
+        where = f"key {key!r}" if key else "top level"
+        raise ValueError(f"{path}: {where}: expected {_SHAPES[shape]}, got {type(value).__name__}")
+    return value
+
+
+def _check_name(name: str, what: str) -> None:
+    """A generated name must read back as exactly one ST identifier."""
+    tokens, diags = tokenize(name)
+    if diags or [(t.kind, t.text) for t in tokens] != [(TokenKind.IDENT, name)]:
+        raise ConfigError(f"{what} {name!r} is not an ST identifier")
 
 
 class Provenance(Enum):
@@ -181,28 +203,43 @@ class ModuleConfig:
 
 
 def load_module_config(path: str | Path) -> ModuleConfig:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    instances = tuple(
-        InstanceSpec(
-            name=item["name"],
-            template=item["template"],
-            params={k: str(v) for k, v in item.get("params", {}).items()},
-        )
-        for item in data.get("instances", [])
-    )
+    """The template-mode config; ValueError names the key of a wrong shape."""
+    data = _expect(json.loads(Path(path).read_text(encoding="utf-8")), dict, path)
+    instances = []
+    for index, item in enumerate(_expect(data.get("instances", []), list, path, "instances")):
+        key = f"instances[{index}]"
+        item = _expect(item, dict, path, key)
+        params = _expect(item.get("params", {}), dict, path, f"{key}.params")
+        instances.append(InstanceSpec(
+            name=_expect(item.get("name"), str, path, f"{key}.name"),
+            template=_expect(item.get("template"), str, path, f"{key}.template"),
+            params={k: str(v) for k, v in params.items()},
+        ))
     return ModuleConfig(
-        supervisory=data.get("supervisory", "main"),
+        supervisory=_expect(data.get("supervisory", "main"), str, path, "supervisory"),
         mode_constants=tuple(data.get("mode_constants", MODE_CONSTANTS)),
-        instances=instances,
+        instances=tuple(instances),
     )
+
+
+def load_parameter_config(path: str | Path) -> dict:
+    """The parameter-mode config; ValueError names the key of a wrong shape."""
+    data = _expect(json.loads(Path(path).read_text(encoding="utf-8")), dict, path)
+    _expect(data.get("template"), str, path, "template")
+    if "rows" in data:
+        for index, row in enumerate(_expect(data["rows"], list, path, "rows")):
+            _expect(row, dict, path, f"rows[{index}]")
+    return data
 
 
 def _check_module_config(templates: TemplateSet, config: ModuleConfig) -> dict[str, dict[str, str]]:
     """Validate the config and collapse per-instance params to one set per template."""
     templates.validate()
+    _check_name(config.supervisory, "supervisory program")
     seen_names: set[str] = set()
     per_template: dict[str, dict[str, str]] = {}
     for spec in config.instances:
+        _check_name(spec.name, "instance")
         key = spec.name.lower()
         if key in seen_names:
             raise ConfigError(f"duplicate instance name {spec.name!r}")
@@ -328,6 +365,7 @@ def generate_parameter_project(pp: ParameterProject) -> GeneratedProject:
         name = row.get(pp.name_column, "").strip()
         if not name:
             raise ConfigError(f"row {index}: empty component name")
+        _check_name(name, f"row {index}: component")
         key = name.lower()
         if key in seen:
             raise ConfigError(f"row {index}: duplicate component name {name!r}")

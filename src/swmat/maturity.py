@@ -489,6 +489,9 @@ def answers_from_dict(data: dict) -> AnswerSet:
     raw_answers = data.get("answers", {})
     if not isinstance(raw_answers, dict):
         raise ValueError(f"key 'answers': expected an object, got {type(raw_answers).__name__}")
+    company = data.get("company")
+    if not isinstance(company, str):
+        raise ValueError(f"key 'company': expected a string, got {type(company).__name__}")
     category = data.get("category")
     if not isinstance(category, str):
         raise ValueError(f"key 'category': expected a string, got {type(category).__name__}")
@@ -500,7 +503,7 @@ def answers_from_dict(data: dict) -> AnswerSet:
         else:
             answers[qid] = value
     return AnswerSet(
-        company=data["company"],
+        company=company,
         category=CompanyCategory(category.lower()),
         answers=answers,
     )

@@ -86,29 +86,26 @@ class ParseResult:
 
 
 # One match per token, after the blanks and ``//`` comments ahead of it; a
-# newline is a match of its own, so lines are counted exactly.  ``\w`` is
-# exactly ``str.isalnum() or "_"``.  What the pattern leaves at a token start
-# goes to ``_scan_special``: ``(* *)`` comments, ``{}`` pragmas, strings, a
-# first character that is not ASCII, an unexpected character, and a number
-# followed by ``.`` and a non-ASCII character (``odd``), where only
-# ``str.isdigit`` can decide.  A typed literal's tail (``T#5s``,
+# newline is a match of its own, so lines are counted exactly.  Words and
+# numbers are ASCII, as IEC 61131-3 identifiers are (``re.ASCII`` makes ``\w``
+# ``[A-Za-z0-9_]``).  What the pattern leaves at a token start goes to
+# ``_scan_special``: ``(* *)`` comments, ``{}`` pragmas, strings, and any
+# other character, which is an error.  A typed literal's tail (``T#5s``,
 # ``TOD#12:30:00``) takes a ``:`` only before a digit, so the colon after a
 # typed CASE label such as ``INT#1:`` stays an operator.
-_TYPED_TAIL = r"\#(?:[\w.+\-]|:(?=[0-9]))*"
 _TOKEN_RE = re.compile(
-    rf"""
+    r"""
     (?:[ \t\r]+ | //[^\n]*)*
     (?:
-        (?P<word>[A-Za-z_]\w*)(?P<typed>{_TYPED_TAIL})?
+        (?P<word>[A-Za-z_]\w*)(?P<typed>\#(?:[\w.+\-]|:(?=[0-9]))*)?
       | (?P<op>:=|<=|>=|<>|\.\.|=>|\*\*|\((?!\*)|[-+*/)\[\]<>=.,;:&\#%])
       | (?P<nl>\n)
-      | (?P<number>[0-9][\w\#]*(?:\.[0-9]\w*)?)(?P<odd>\.[^\x00-\x7f])?
+      | (?P<number>[0-9][\w\#]*(?:\.[0-9]\w*)?)
     )?
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,
 )
 _COMMENT_DELIMITER = re.compile(r"\(\*|\*\)")
-_TYPED_TAIL_RE = re.compile(_TYPED_TAIL)
 
 
 def tokenize(text: str, path: str = "<string>") -> tuple[list[Token], list[Diagnostic]]:
@@ -138,7 +135,7 @@ def tokenize(text: str, path: str = "<string>") -> tuple[list[Token], list[Diagn
                 append(Token(TokenKind.NUMBER, text[start : m.end()], line,
                              start - line_start + 1))
             else:  # end of text, or a token for _scan_special
-                pos = m.start("number") if kind == "odd" else m.end()
+                pos = m.end()
                 break
         if pos >= n:
             break
@@ -155,8 +152,9 @@ def _scan_special(
     text: str, i: int, line: int, col: int, path: str,
     tokens: list[Token], diags: list[Diagnostic],
 ) -> int:
-    """Scan the one comment, pragma or token at ``text[i]`` that ``_TOKEN_RE``
-    leaves alone; return the index after it."""
+    """Scan the comment, pragma or string at ``text[i]``; any other character
+    here, a non-ASCII one included, is an error, since ``_TOKEN_RE`` takes
+    every ASCII word, number and operator.  Return the index after it."""
     n = len(text)
     ch = text[i]
     if text.startswith("(*", i):
@@ -193,30 +191,6 @@ def _scan_special(
             return j
         tokens.append(Token(TokenKind.STRING, text[i : j + 1], line, col))
         return j + 1
-    if ch.isdigit():
-        j = i
-        while j < n and (text[j].isalnum() or text[j] in "_#"):
-            j += 1
-        # keep a decimal part, but leave ".." (subrange) alone
-        if j + 1 < n and text[j] == "." and text[j + 1].isdigit():
-            j += 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-        tokens.append(Token(TokenKind.NUMBER, text[i:j], line, col))
-        return j
-    if ch.isalpha() or ch == "_":
-        j = i
-        while j < n and (text[j].isalnum() or text[j] == "_"):
-            j += 1
-        word = text[i:j]
-        # typed literals such as T#5s, 16#FF written with a type prefix
-        if j < n and text[j] == "#":
-            j = _TYPED_TAIL_RE.match(text, j).end()
-            tokens.append(Token(TokenKind.NUMBER, text[i:j], line, col))
-            return j
-        kind = TokenKind.KEYWORD if word.upper() in KEYWORDS else TokenKind.IDENT
-        tokens.append(Token(kind, word, line, col))
-        return j
     diags.append(
         Diagnostic("error", f"unexpected character {ch!r}", path=path, line=line, col=col)
     )
@@ -234,9 +208,9 @@ class _NestingTooDeep(_ParseFailure):
     """A block opened past ``MAX_NESTING``; recovery skips the rest of the POU."""
 
 
-# At most this many IF/CASE/FOR/WHILE blocks may nest.  The parser and the
-# printers recurse once per block, so this keeps them far from Python's
-# recursion limit; deeper code is reported as a syntax error.
+# At most this many IF/CASE/FOR/WHILE blocks may nest.  The parser and
+# ``flatten_statements`` recurse once per block, so this keeps them far from
+# Python's recursion limit; deeper code is reported as a syntax error.
 MAX_NESTING = 200
 
 
@@ -887,86 +861,3 @@ def flatten_statements(
     walk(statements)
     return out
 
-
-def _pair(kind: TokenKind, text: str) -> tuple[TokenKind, str]:
-    return (kind, text)
-
-
-def _pairs(tokens: TokenSeq) -> list[tuple[TokenKind, str]]:
-    return [(t.kind, t.text) for t in tokens]
-
-
-def statement_stream(statements: Sequence[Statement]) -> list[tuple[TokenKind, str]]:
-    """Flatten a statement tree back into (kind, text) pairs.
-
-    The stream re-lexes to the same token sequence, which makes it usable
-    for pretty printing and for structural comparison.
-    """
-    return flatten_statements(statements, _pair, _pairs)
-
-
-_BREAK_AFTER = {";", "THEN", "ELSE", "DO", "OF"}
-
-
-def _render_stream(stream: list[tuple[TokenKind, str]]) -> str:
-    lines: list[str] = []
-    current: list[str] = []
-    for _, text in stream:
-        current.append(text)
-        if text.upper() in _BREAK_AFTER:
-            lines.append(" ".join(current))
-            current = []
-    if current:
-        lines.append(" ".join(current))
-    return "\n".join(lines)
-
-
-def format_pou(pou: Pou) -> str:
-    """Emit a POU back as Structured Text, without what the model does not keep.
-
-    Dropped are comments and layout, ``AT`` addresses, RETAIN/PERSISTENT
-    qualifiers and array bounds.  ``ARRAY[0..3] OF INT`` prints as
-    ``ARRAY OF INT``, which does not parse again.
-    """
-    head = pou.kind.name
-    parts = [f"{head} {pou.name}" + (f" : {pou.return_type}" if pou.return_type else "")]
-    for section in pou.var_sections:
-        header = section.kind.name
-        if section.constant:
-            header += " CONSTANT"
-        parts.append(header)
-        for decl in section.decls:
-            init = f" := {decl.init}" if decl.init is not None else ""
-            parts.append(f"  {decl.name} : {decl.type_name}{init};")
-        parts.append("END_VAR")
-    parts.append(_render_stream(statement_stream(pou.statements)))
-    for action in pou.actions:
-        parts.append(f"ACTION {action.name}")
-        parts.append(_render_stream(statement_stream(action.body)))
-        parts.append("END_ACTION")
-    parts.append("END_" + head)
-    return "\n".join(p for p in parts if p) + "\n"
-
-
-def pou_signature(pou: Pou) -> tuple:
-    """Position-free structural projection of a POU, for equality checks.
-
-    It sees what ``format_pou`` prints, so it ignores the same dropped parts.
-    """
-    return (
-        pou.name.lower(),
-        pou.kind,
-        (pou.return_type or "").lower(),
-        tuple(
-            (
-                s.kind,
-                s.constant,
-                tuple((d.name.lower(), d.type_name.lower(), d.init) for d in s.decls),
-            )
-            for s in pou.var_sections
-        ),
-        tuple(statement_stream(pou.statements)),
-        tuple(
-            (a.name.lower(), tuple(statement_stream(a.body))) for a in pou.actions
-        ),
-    )

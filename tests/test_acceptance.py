@@ -35,7 +35,8 @@ from swmat.model import (
 from swmat.modularity import assessment_score, classify_structure_style
 from swmat.project import parse_project
 from swmat.reporting import RadarSeries, RadarSpec, emit_radar_svg
-from swmat.stparse import parse_source, statement_stream
+from swmat.stparse import parse_source
+from st_printer import statement_stream
 from synth import chain_project, random_project, star_project
 from test_configurator import (
     BASE_HELPER,

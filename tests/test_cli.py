@@ -164,6 +164,23 @@ def test_cohort_category_filter(tmp_path):
     assert len((out / "overview.csv").read_text(encoding="utf-8").splitlines()) == 2
 
 
+@pytest.mark.parametrize(
+    "first, second, radar",
+    [("ACME GmbH", "ACME_GmbH", "radar_ACME_GmbH.svg"), ("ACME", "ACME", "radar_ACME.svg")],
+    ids=["mapped-alike", "same-company"],
+)
+def test_cohort_radar_file_collision_exit_3(tmp_path, capsys, first, second, radar):
+    answers_dir = tmp_path / "answers"
+    answers_dir.mkdir()
+    _write_answers(answers_dir / "a.json", dict(OP_EXAMPLE, company=first))
+    _write_answers(answers_dir / "b.json", dict(OP_EXAMPLE, company=second))
+    out = tmp_path / "reports"
+    assert run(["cohort", "--answers-dir", str(answers_dir), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"error: companies {first!r} and {second!r} both map to radar file {radar}" in err
+    assert not out.exists()
+
+
 def test_cohort_same_dir_usage_error(tmp_path):
     answers_dir = tmp_path / "answers"
     answers_dir.mkdir()
@@ -247,6 +264,66 @@ def test_configure_unknown_template_exit_3(tmp_path, capsys):
     assert "unknown template X" in capsys.readouterr().err
 
 
+_FILLER_INSTANCE = {"name": "fa", "template": "Filler", "params": {"units": 3, "station": 1}}
+_STORAGE_ROW = {"name": "PlaceA", "width": 2, "depth": 4}
+
+
+@pytest.mark.parametrize(
+    "mode, config, code, needle",
+    [
+        ("template", [], 2, "top level: expected an object, got list"),
+        ("template", {"instances": {}}, 2, "key 'instances': expected a list"),
+        ("template", {"instances": [dict(_FILLER_INSTANCE, name=None)]}, 2,
+         "key 'instances[0].name': expected a string, got NoneType"),
+        ("template", {"instances": [dict(_FILLER_INSTANCE, template=1)]}, 2,
+         "key 'instances[0].template': expected a string, got int"),
+        ("template", {"instances": [dict(_FILLER_INSTANCE, params=[])]}, 2,
+         "key 'instances[0].params': expected an object, got list"),
+        ("template", {"supervisory": None, "instances": [_FILLER_INSTANCE]}, 2,
+         "key 'supervisory': expected a string, got NoneType"),
+        ("template", {"supervisory": "my prog", "instances": [_FILLER_INSTANCE]}, 3,
+         "supervisory program 'my prog' is not an ST identifier"),
+        ("template", {"supervisory": "IF", "instances": [_FILLER_INSTANCE]}, 3,
+         "supervisory program 'IF' is not an ST identifier"),
+        ("template", {"instances": [dict(_FILLER_INSTANCE, name="Förderband")]}, 3,
+         "instance 'Förderband' is not an ST identifier"),
+        ("parameter", [], 2, "top level: expected an object, got list"),
+        ("parameter", {"template": ["storage"], "rows": []}, 2,
+         "key 'template': expected a string, got list"),
+        ("parameter", {"template": "storage", "rows": {}}, 2,
+         "key 'rows': expected a list, got dict"),
+        ("parameter", {"template": "storage", "rows": [[1]]}, 2,
+         "key 'rows[0]': expected an object, got list"),
+        ("parameter", {"template": "storage", "rows": [dict(_STORAGE_ROW, name="my belt")]},
+         3, "row 0: component 'my belt' is not an ST identifier"),
+    ],
+    ids=["list", "instances-object", "null-name", "int-template", "list-params",
+         "null-supervisory", "spaced-supervisory", "keyword-supervisory",
+         "non-ascii-instance", "parameter-list", "list-template", "object-rows",
+         "list-row", "spaced-component"],
+)
+def test_configure_wrongly_shaped_config(tmp_path, capsys, mode, config, code, needle):
+    from test_configurator import FILLER_TEMPLATE, STORAGE_TEMPLATE
+
+    templates_dir = tmp_path / "templates"
+    templates_dir.mkdir()
+    (templates_dir / "Filler.st.tpl").write_text(FILLER_TEMPLATE, encoding="utf-8")
+    (templates_dir / "storage.st.tpl").write_text(STORAGE_TEMPLATE, encoding="utf-8")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(
+        ["configure", "--mode", mode, "--templates", str(templates_dir),
+         "--config", str(config_path), "--out", str(out)]
+    ) == code
+    err = capsys.readouterr().err
+    assert needle in err
+    if code == 2:
+        assert f"error: {config_path}: " in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_configure_parameter_mode(tmp_path):
     templates_dir = tmp_path / "templates"
     templates_dir.mkdir()
@@ -294,6 +371,30 @@ def test_analyze_syntax_error_exit_2(tmp_path, capsys):
     (bad / "a.st").write_text("PROGRAM p\nx := ;\nEND_PROGRAM\n", encoding="utf-8")
     assert run(["analyze", str(bad)]) == 2
     assert "a.st" in capsys.readouterr().err
+
+
+def test_analyze_non_ascii_identifier_exit_2(tmp_path, capsys):
+    bad = tmp_path / "proj"
+    bad.mkdir()
+    (bad / "a.st").write_text("PROGRAM p\nFörderband := 1;\nEND_PROGRAM\n", encoding="utf-8")
+    assert run(["analyze", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad / 'a.st'}:2:2: error: unexpected character 'ö'" in err
+    assert "Traceback" not in err
+
+
+def test_analyze_non_ascii_in_comments_strings_pragmas_exit_0(tmp_path, capsys):
+    proj = tmp_path / "proj"
+    proj.mkdir()
+    (proj / "a.st").write_text(
+        "PROGRAM p\nVAR\n  s : STRING := 'Förderband ² Ⅻ';\nEND_VAR\n"
+        "(* Förderband ² Ⅻ *)\n// Förderband ² Ⅻ\n{ Förderband ² Ⅻ }\n"
+        "s := \"Förderband\";\nEND_PROGRAM\n",
+        encoding="utf-8",
+    )
+    (proj / "tasks.txt").write_text("task t cycle 10 entry p\n", encoding="utf-8")
+    assert run(["analyze", str(proj)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 _BLOCKS = [("IF x THEN", "END_IF;"), ("CASE x OF 1:", "END_CASE;"),
@@ -371,7 +472,14 @@ def test_malformed_structured_input_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["score", "cohort"])
 @pytest.mark.parametrize(
-    "payload", [{"company": "a", "category": None, "answers": {}}, [1]], ids=["null-category", "list"]
+    "payload",
+    [
+        {"company": "a", "category": None, "answers": {}},
+        [1],
+        {"company": None, "category": "machine", "answers": {}},
+        {"category": "machine", "answers": {}},
+    ],
+    ids=["null-category", "list", "null-company", "no-company"],
 )
 def test_wrongly_shaped_answer_file_exit_2(tmp_path, capsys, command, payload):
     answers_dir = tmp_path / "answers"

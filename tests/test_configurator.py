@@ -23,7 +23,8 @@ from swmat.configurator import (
 from swmat.graphs import build_call_graph
 from swmat.model import CaseStatement, validate_project
 from swmat.project import parse_project
-from swmat.stparse import parse_source, statement_stream
+from swmat.stparse import parse_source
+from st_printer import statement_stream
 
 FILLER_TEMPLATE = """FUNCTION_BLOCK Filler
 VAR_INPUT

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swmat import stparse
 from swmat.graphs import (
     CallEdge,
     CallGraph,
@@ -43,6 +42,7 @@ from oracles import (
     reference_global_accesses,
     reference_statement_stream,
 )
+from st_printer import statement_stream
 from synth import chain_project, random_project, star_project, write_project
 from test_golden import MIXED_ST
 
@@ -318,7 +318,7 @@ def test_clones_match_reference(tmp_path, min_tokens):
         assert report.groups == clone_groups_reference(project, min_tokens)
         for pou in project.pous:
             statements = pou.all_statements()
-            assert stparse.statement_stream(statements) == reference_statement_stream(statements)
+            assert statement_stream(statements) == reference_statement_stream(statements)
             assert len(clone_fingerprint(pou)) == len(clone_body_reference(pou))
 
 
@@ -364,7 +364,6 @@ def test_detect_clones_skips_printer_and_kind_hashing(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("clone detection must not go through this")
 
-    monkeypatch.setattr(stparse, "statement_stream", boom)
     monkeypatch.setattr(TokenKind, "__hash__", boom)
     with pytest.raises(AssertionError):
         hash(TokenKind.IDENT)

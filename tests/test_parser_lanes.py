@@ -45,12 +45,10 @@ from swmat.stparse import (
     Parser,
     _NestingTooDeep,
     _ParseFailure,
-    format_pou,
     parse_source,
-    pou_signature,
-    statement_stream,
     tokenize,
 )
+from st_printer import format_pou, pou_signature, statement_stream
 from synth import random_project
 from test_golden import MIXED_ST
 

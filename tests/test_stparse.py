@@ -22,12 +22,11 @@ from swmat.project import (
 from swmat.stparse import (
     MAX_NESTING,
     SourceFile,
-    format_pou,
     parse_file,
     parse_source,
-    pou_signature,
     tokenize,
 )
+from st_printer import format_pou, pou_signature
 
 MAIN_INSTANCE_DECLS = """PROGRAM main
 VAR

@@ -2,13 +2,15 @@
 
 ``_reference_tokenize`` is the tokenizer ``stparse.tokenize`` replaced, kept
 here as the reference: tokens (kind, text, line, col) and diagnostics must
-be identical on every input.  Its one change since is the typed-literal
-colon rule, made in both.
+be identical on every input.  Its changes since are the typed-literal
+colon rule, made in both, and ASCII character classes: identifiers and
+numbers are ASCII, so any other character outside a comment, pragma or
+string is an ``unexpected character`` error in both.
 """
 
 from __future__ import annotations
 
-import re
+import string
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,6 +20,9 @@ from swmat.stparse import KEYWORDS, tokenize
 
 _TWO_CHAR_OPS = (":=", "<=", ">=", "<>", "..", "=>", "**")
 _ONE_CHAR_OPS = "+-*/()[]<>=.,;:&#%"
+_DIGITS = frozenset(string.digits)
+_LETTERS = frozenset(string.ascii_letters)
+_ALNUM = _DIGITS | _LETTERS
 
 
 def _reference_tokenize(text: str, path: str = "<string>") -> tuple[list[Token], list[Diagnostic]]:
@@ -99,23 +104,23 @@ def _reference_tokenize(text: str, path: str = "<string>") -> tuple[list[Token],
             tokens.append(Token(TokenKind.STRING, text[i : j + 1], start_line, start_col))
             advance(j + 1 - i)
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start_line, start_col = line, col
             j = i
-            while j < n and (text[j].isalnum() or text[j] in "_#"):
+            while j < n and (text[j] in _ALNUM or text[j] in "_#"):
                 j += 1
             # keep a decimal part, but leave ".." (subrange) alone
-            if j < n and text[j] == "." and text[j : j + 2] != ".." and j + 1 < n and text[j + 1].isdigit():
+            if j < n and text[j] == "." and text[j : j + 2] != ".." and j + 1 < n and text[j + 1] in _DIGITS:
                 j += 1
-                while j < n and (text[j].isalnum() or text[j] == "_"):
+                while j < n and (text[j] in _ALNUM or text[j] == "_"):
                     j += 1
             tokens.append(Token(TokenKind.NUMBER, text[i:j], start_line, start_col))
             advance(j - i)
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in _LETTERS or ch == "_":
             start_line, start_col = line, col
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and (text[j] in _ALNUM or text[j] == "_"):
                 j += 1
             word = text[i:j]
             # typed literals such as T#5s, 16#FF written with a type prefix;
@@ -123,7 +128,7 @@ def _reference_tokenize(text: str, path: str = "<string>") -> tuple[list[Token],
             if j < n and text[j] == "#":
                 j += 1
                 while j < n and (
-                    text[j].isalnum() or text[j] in "_.+-"
+                    text[j] in _ALNUM or text[j] in "_.+-"
                     or text[j] == ":" and j + 1 < n and text[j + 1] in "0123456789"
                 ):
                     j += 1
@@ -216,11 +221,3 @@ def test_tokenize_matches_reference(text):
 )
 def test_tokenize_matches_reference_on_edge_cases(text):
     _assert_same(text)
-
-
-def test_word_class_is_isalnum_or_underscore():
-    # the regex tokenizer reads identifier and number tails with \w
-    every_char = "".join(map(chr, range(0x110000)))
-    assert re.findall(r"\w", every_char) == [
-        c for c in every_char if c.isalnum() or c == "_"
-    ]
