@@ -18,10 +18,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import configurator, graphs, maturity, modularity, reporting
-from .default_schema import default_schema
-from .model import CompanyCategory, Diagnostic, MaturityReport
-from .project import ProjectError, parse_project
+# modules, not names: the package loads each one on first use, so a
+# command runs only the half it needs and --help runs neither
+from . import configurator, graphs, maturity, model, modularity, project, reporting
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -108,13 +107,17 @@ def build_parser() -> _ArgumentParser:
     return parser
 
 
-def _print_diagnostics(diags: list[Diagnostic]) -> None:
+def _print_diagnostics(diags: list[model.Diagnostic]) -> None:
     for diag in diags:
         print(diag.render(), file=sys.stderr)
 
 
 def _load_schema(path: str | None):
     if path is None:
+        # on the package, ``default_schema`` names the function, not the
+        # module, so ``from . import`` above cannot hold it without running it
+        from .default_schema import default_schema
+
         return default_schema()
     return maturity.load_schema_file(path)
 
@@ -146,8 +149,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if output and Path(output).resolve().parent == Path(args.project_dir).resolve():
             raise UsageError("output files must live outside the project directory")
     try:
-        project, diagnostics = parse_project(args.project_dir)
-    except ProjectError as exc:
+        parsed, diagnostics = project.parse_project(args.project_dir)
+    except project.ProjectError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     _print_diagnostics(diagnostics)
@@ -163,10 +166,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         parameters_present="parameters" in args.governance,
         provenance_log_present="provenance" in args.governance,
     )
-    call_graph = graphs.build_call_graph(project, per_instance=args.per_instance)
-    global_graph = graphs.build_global_comm_graph(project)
+    call_graph = graphs.build_call_graph(parsed, per_instance=args.per_instance)
+    global_graph = graphs.build_global_comm_graph(parsed)
     analysis = modularity.assess_project(
-        project, call_graph, global_graph, thresholds, evidence, plant=args.plant
+        parsed, call_graph, global_graph, thresholds, evidence, plant=args.plant
     )
 
     if args.dot:
@@ -182,9 +185,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     assessment = analysis.assessment
     summary = {
-        "project": project.name,
-        "pous": len(project.pous),
-        "tasks": len(project.tasks),
+        "project": parsed.name,
+        "pous": len(parsed.pous),
+        "tasks": len(parsed.tasks),
         "entries": list(call_graph.entries),
         "levels_below_entry": assessment.levels_below_entry,
         "structure_style": assessment.structure_style.value,
@@ -203,7 +206,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         Path(args.assessment).write_text(
             json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
-    print(f"project {project.name}: {len(project.pous)} POUs, "
+    print(f"project {parsed.name}: {len(parsed.pous)} POUs, "
           f"{len(call_graph.edges)} call edges, {global_graph.edge_count} global edges")
     print(f"style {assessment.structure_style.value}, "
           f"f = {assessment.coupling_fraction}, "
@@ -236,7 +239,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _radar_for(
-    report: MaturityReport, mean: dict[int, Fraction | None]
+    report: model.MaturityReport, mean: dict[int, Fraction | None]
 ) -> reporting.RadarSpec:
     qids = sorted(report.per_question_normalized)
     spokes = tuple((qid, "") for qid in qids)
@@ -261,7 +264,7 @@ def _cmd_cohort(args: argparse.Namespace) -> int:
     _require_distinct(args.answers_dir, args.out)
     schema = _load_schema(args.schema)
     answer_sets = _load_answer_dir(args.answers_dir)
-    category = CompanyCategory(args.category) if args.category else None
+    category = model.CompanyCategory(args.category) if args.category else None
     if category is not None:
         answer_sets = [a for a in answer_sets if a.category == category]
         if not answer_sets:
@@ -411,11 +414,7 @@ def run(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (maturity.ScoringError, maturity.DegenerateSampleError,
-            configurator.ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except (InputError, ProjectError, FileNotFoundError, NotADirectoryError,
+    except (InputError, FileNotFoundError, NotADirectoryError,
             json.JSONDecodeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -423,6 +422,14 @@ def run(argv: list[str] | None = None) -> int:
         # malformed structured input (missing keys, wrong shapes)
         print(f"error: malformed input: {exc!r}", file=sys.stderr)
         return EXIT_INPUT
+    # naming a module's exception loads that module, so these clauses come
+    # last, and a scoring error never loads the configurator
+    except (maturity.ScoringError, maturity.DegenerateSampleError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except configurator.ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 def main() -> None:

@@ -215,9 +215,14 @@ def load_module_config(path: str | Path) -> ModuleConfig:
             template=_expect(item.get("template"), str, path, f"{key}.template"),
             params={k: str(v) for k, v in params.items()},
         ))
+    constants = _expect(data.get("mode_constants", list(MODE_CONSTANTS)), list, path,
+                        "mode_constants")
     return ModuleConfig(
         supervisory=_expect(data.get("supervisory", "main"), str, path, "supervisory"),
-        mode_constants=tuple(data.get("mode_constants", MODE_CONSTANTS)),
+        mode_constants=tuple(
+            _expect(item, str, path, f"mode_constants[{index}]")
+            for index, item in enumerate(constants)
+        ),
         instances=tuple(instances),
     )
 
@@ -236,6 +241,8 @@ def _check_module_config(templates: TemplateSet, config: ModuleConfig) -> dict[s
     """Validate the config and collapse per-instance params to one set per template."""
     templates.validate()
     _check_name(config.supervisory, "supervisory program")
+    for constant in config.mode_constants:
+        _check_name(constant, "mode constant")
     seen_names: set[str] = set()
     per_template: dict[str, dict[str, str]] = {}
     for spec in config.instances:
@@ -382,9 +389,11 @@ def generate_parameter_project(pp: ParameterProject) -> GeneratedProject:
         for column in pp.columns:
             if column == pp.name_column:
                 continue
+            global_name = f"{name}_{column}"
+            _check_name(global_name, f"row {index}: parameter global")
             value = row.get(column, "")
             globals_lines.append(
-                (f"  {name}_{column} : {_guess_type(value)} := {_st_literal(value)};",
+                (f"  {global_name} : {_guess_type(value)} := {_st_literal(value)};",
                  Provenance.CONFIG)
             )
     globals_lines.append(("END_VAR", Provenance.CONFIG))

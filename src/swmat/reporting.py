@@ -13,12 +13,17 @@ import math
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
-from xml.sax.saxutils import escape
 
 from .maturity import format_ratio
 from .model import MaturityReport
 
 RADAR_MAX = Fraction(5)
+
+
+def escape(text: str) -> str:
+    """``&``, ``<`` and ``>`` as XML entities, the bytes
+    ``xml.sax.saxutils.escape`` gives without importing ``xml.sax``."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 @dataclass(frozen=True)

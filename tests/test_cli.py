@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,7 @@ from swmat.stparse import MAX_NESTING
 from synth import chain_project
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 OP_EXAMPLE = {
     "company": "case-op",
@@ -201,8 +205,7 @@ def test_correlate_single_set_degenerate(tmp_path, capsys):
     assert "degenerate sample" in capsys.readouterr().err
 
 
-def test_correlate_writes_rows(tmp_path):
-    answers_dir = tmp_path / "answers"
+def _write_correlate_answers(answers_dir: Path) -> Path:
     answers_dir.mkdir()
     variants = [
         ("a", "always", "defined-tested", "yes", "tool-complete", "often", "yes"),
@@ -217,6 +220,11 @@ def test_correlate_writes_rows(tmp_path):
             "answers": {"23": q23, "24": q24, "26": q26, "27": q27, "28": q28, "30": q30},
         }
         _write_answers(answers_dir / f"{name}.json", payload)
+    return answers_dir
+
+
+def test_correlate_writes_rows(tmp_path):
+    answers_dir = _write_correlate_answers(tmp_path / "answers")
     out = tmp_path / "corr.csv"
     code = run(["correlate", "--answers-dir", str(answers_dir), "--out", str(out)])
     assert code == 0
@@ -287,6 +295,14 @@ _STORAGE_ROW = {"name": "PlaceA", "width": 2, "depth": 4}
          "supervisory program 'IF' is not an ST identifier"),
         ("template", {"instances": [dict(_FILLER_INSTANCE, name="Förderband")]}, 3,
          "instance 'Förderband' is not an ST identifier"),
+        ("template", {"mode_constants": "AB", "instances": [_FILLER_INSTANCE]}, 2,
+         "key 'mode_constants': expected a list, got str"),
+        ("template", {"mode_constants": 5, "instances": [_FILLER_INSTANCE]}, 2,
+         "key 'mode_constants': expected a list, got int"),
+        ("template", {"mode_constants": ["SETUP", None], "instances": [_FILLER_INSTANCE]}, 2,
+         "key 'mode_constants[1]': expected a string, got NoneType"),
+        ("template", {"mode_constants": ["my mode"], "instances": [_FILLER_INSTANCE]}, 3,
+         "mode constant 'my mode' is not an ST identifier"),
         ("parameter", [], 2, "top level: expected an object, got list"),
         ("parameter", {"template": ["storage"], "rows": []}, 2,
          "key 'template': expected a string, got list"),
@@ -296,11 +312,16 @@ _STORAGE_ROW = {"name": "PlaceA", "width": 2, "depth": 4}
          "key 'rows[0]': expected an object, got list"),
         ("parameter", {"template": "storage", "rows": [dict(_STORAGE_ROW, name="my belt")]},
          3, "row 0: component 'my belt' is not an ST identifier"),
+        ("parameter", {"template": "storage", "rows": [dict(_STORAGE_ROW, **{"max speed": 5})]},
+         3, "row 0: parameter global 'PlaceA_max speed' is not an ST identifier"),
+        ("parameter", {"template": "storage", "rows": [dict(_STORAGE_ROW, name="END", VAR=1)]},
+         3, "row 0: parameter global 'END_VAR' is not an ST identifier"),
     ],
     ids=["list", "instances-object", "null-name", "int-template", "list-params",
          "null-supervisory", "spaced-supervisory", "keyword-supervisory",
-         "non-ascii-instance", "parameter-list", "list-template", "object-rows",
-         "list-row", "spaced-component"],
+         "non-ascii-instance", "string-mode-constants", "int-mode-constants",
+         "null-mode-constant", "spaced-mode-constant", "parameter-list", "list-template",
+         "object-rows", "list-row", "spaced-component", "spaced-global", "keyword-global"],
 )
 def test_configure_wrongly_shaped_config(tmp_path, capsys, mode, config, code, needle):
     from test_configurator import FILLER_TEMPLATE, STORAGE_TEMPLATE
@@ -510,3 +531,90 @@ def test_chain_analyze_smoke(tmp_path, capsys):
     code = run(["analyze", str(project_dir)])
     assert code == 0
     assert "hierarchical_calls" in capsys.readouterr().out
+
+
+# --- what each command loads ---------------------------------------------------------
+
+# Runs ``swmat`` as ``-m`` does and, at exit, names the swmat modules whose code
+# ran.  A module the package's lazy loader runs goes through no import
+# statement of its own, so ``-X importtime`` never lists it; a module still
+# waiting for its first attribute access is not yet a plain ModuleType.
+_REPORT_EXECUTED = """
+import atexit, runpy, sys, types
+
+def report():
+    ran = sorted(name for name, module in sys.modules.items()
+                 if name.partition(".")[0] == "swmat" and type(module) is types.ModuleType)
+    print("swmat-executed:", *ran, file=sys.stderr)
+
+atexit.register(report)
+runpy.run_module("swmat", run_name="__main__", alter_sys=True)
+"""
+
+ANALYZER = {"swmat.stparse", "swmat.project", "swmat.graphs", "swmat.modularity"}
+# the stdlib modules ``xml.sax.saxutils`` drags in
+HEAVY_STDLIB = {"xml.sax", "urllib.request", "http.client", "email.parser", "ssl"}
+
+
+def _importtime(args: list[str], cwd: Path) -> tuple[subprocess.CompletedProcess, set[str]]:
+    """Run python -X importtime ARGS; the result and every module it lists."""
+    paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    listed = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    return proc, listed
+
+
+def _command_inputs(command: str, tmp_path: Path) -> list[str]:
+    if command == "--help":
+        return ["--help"]
+    if command == "analyze":
+        return ["analyze", str(FIXTURES / "filling_plant"),
+                "--dot", str(tmp_path / "calls.dot"), "--assessment", str(tmp_path / "a.json")]
+    if command == "score":
+        return ["score", "--answers", str(_write_answers(tmp_path / "answers.json"))]
+    if command == "configure":
+        from test_configurator import FILLER_TEMPLATE
+
+        templates = tmp_path / "templates"
+        templates.mkdir()
+        (templates / "Filler.st.tpl").write_text(FILLER_TEMPLATE, encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"instances": [_FILLER_INSTANCE]}), encoding="utf-8")
+        return ["configure", "--mode", "template", "--templates", str(templates),
+                "--config", str(config), "--out", str(tmp_path / "generated")]
+    answers_dir = _write_correlate_answers(tmp_path / "answers")
+    if command == "cohort":
+        return ["cohort", "--answers-dir", str(answers_dir), "--out", str(tmp_path / "out")]
+    return ["correlate", "--answers-dir", str(answers_dir), "--out", str(tmp_path / "c.csv")]
+
+
+@pytest.mark.parametrize(
+    "command, not_run",
+    [
+        ("--help", None),
+        ("analyze", {"swmat.maturity", "swmat.reporting", "swmat.configurator",
+                     "swmat.default_schema"}),
+        ("score", ANALYZER | {"swmat.configurator"}),
+        ("cohort", ANALYZER | {"swmat.configurator"}),
+        ("correlate", ANALYZER | {"swmat.configurator"}),
+        ("configure", {"swmat.graphs", "swmat.modularity", "swmat.project",
+                       "swmat.reporting"}),
+    ],
+)
+def test_command_runs_only_its_half(tmp_path, command, not_run):
+    proc, listed = _importtime(["-c", _REPORT_EXECUTED, *_command_inputs(command, tmp_path)],
+                               tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    report = [line for line in proc.stderr.splitlines() if line.startswith("swmat-executed:")]
+    ran = set(report[0].split()[1:])
+    assert {"swmat", "swmat.cli"} <= ran
+    assert {name for name in listed if name.startswith("swmat")} <= ran
+    if not_run is None:
+        assert ran == {"swmat", "swmat.cli"}  # argparse only: neither half
+    else:
+        assert not ran & not_run
+    _, bare = _importtime(["-c", "pass"], tmp_path)
+    assert not (listed - bare) & HEAVY_STDLIB

@@ -213,6 +213,16 @@ def test_placeholder_in_body_is_hard_error():
         generate_template_project(templates, _config(_filler("a")))
 
 
+@pytest.mark.parametrize("constant", ["my mode", "END_VAR", "1ST", ""])
+def test_mode_constant_must_be_identifier(constant):
+    config = ModuleConfig(
+        supervisory="line_main", mode_constants=("PLCMODSETUP", constant),
+        instances=(_filler("a"),),
+    )
+    with pytest.raises(ConfigError, match=f"mode constant {constant!r} is not an ST identifier"):
+        generate_template_project(_templates(), config)
+
+
 def test_generation_deterministic():
     config = _config(_filler("a"), _filler("b"))
     first = generate_template_project(_templates(), config)
@@ -297,6 +307,24 @@ def test_parameter_missing_column_in_row():
     rows = [{"name": "PlaceA", "width": "1"}]
     with pytest.raises(ConfigError, match="row 0"):
         generate_parameter_project(_parameter_project(rows))
+
+
+@pytest.mark.parametrize(
+    "name, column, global_name",
+    [("PlaceA", "max speed", "PlaceA_max speed"), ("END", "VAR", "END_VAR"),
+     ("PlaceA", "größe", "PlaceA_größe")],
+)
+def test_parameter_global_must_be_identifier(name, column, global_name):
+    pp = ParameterProject(
+        invariable=(("storage_main.st", BASE_MAIN), ("place_helper.st", BASE_HELPER)),
+        component_template=STORAGE_TEMPLATE,
+        columns=("name", "width", "depth", column),
+        rows=({"name": name, "width": "1", "depth": "2", column: "5"},),
+    )
+    with pytest.raises(
+        ConfigError, match=f"row 0: parameter global {global_name!r} is not an ST identifier"
+    ):
+        generate_parameter_project(pp)
 
 
 def test_parameter_component_stream_matches_template(tmp_path):

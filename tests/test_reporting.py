@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from swmat import reporting
 from swmat.model import Category, CompanyCategory, MaturityReport
 from swmat.reporting import (
     RadarSeries,
@@ -109,6 +110,29 @@ def test_radar_svg_is_well_formed_xml():
         (_series([F(2)] * 4, name="a&b<c>"),),
     )
     ET.fromstring(emit_radar_svg(spec))  # raises on malformed output
+
+
+_AWKWARD = ("a & b", "<tag>", 'say "hi"', "it's", "&amp; already", "Größe µ ≤ 5 €", "")
+
+
+def test_escape_matches_saxutils():
+    from xml.sax.saxutils import escape as oracle
+
+    for text in _AWKWARD:
+        assert reporting.escape(text) == oracle(text)
+
+
+def test_radar_svg_escapes_like_saxutils(monkeypatch):
+    from xml.sax import saxutils
+
+    spec = RadarSpec(
+        tuple((i, label) for i, label in enumerate(_AWKWARD, 1)),
+        (_series([F(2)] * len(_AWKWARD), name="A&B <GmbH> \"Süd\" 'Nord'"),
+         _series([F(1)] * len(_AWKWARD), name="Ünternehmen & Co", dashed=True)),
+    )
+    svg = emit_radar_svg(spec).encode("utf-8")
+    monkeypatch.setattr(reporting, "escape", saxutils.escape)
+    assert svg == emit_radar_svg(spec).encode("utf-8")
 
 
 # --- overview CSV ----------------------------------------------------------------
