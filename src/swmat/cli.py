@@ -349,39 +349,12 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
 
 def _cmd_configure(args: argparse.Namespace) -> int:
     _require_distinct(args.templates, args.out)
-    templates = configurator.load_template_dir(args.templates)
-    config_path = Path(args.config)
     if args.mode == "template":
-        config = configurator.load_module_config(config_path)
+        templates = configurator.load_template_dir(args.templates)
+        config = configurator.load_module_config(args.config)
         generated = configurator.generate_template_project(templates, config)
     else:
-        data = configurator.load_parameter_config(config_path)
-        template_name = data["template"]
-        if template_name not in templates.templates:
-            raise configurator.ConfigError(f"unknown template {template_name}")
-        invariable = []
-        for fname in data.get("invariable", []):
-            path = Path(args.templates) / fname
-            if not path.exists():
-                raise InputError(f"invariable file not found: {path}")
-            invariable.append((fname, path.read_text(encoding="utf-8")))
-        if "rows" in data:
-            rows = tuple({k: str(v) for k, v in row.items()} for row in data["rows"])
-            columns = tuple(data.get("columns") or (rows[0].keys() if rows else ()))
-        else:
-            table_path = config_path.parent / data["table"]
-            if not table_path.exists():
-                raise InputError(f"parameter table not found: {table_path}")
-            columns, rows = configurator.load_parameter_table(
-                table_path.read_text(encoding="utf-8")
-            )
-        pp = configurator.ParameterProject(
-            invariable=tuple(invariable),
-            component_template=templates.templates[template_name],
-            columns=columns,
-            rows=rows,
-            name_column=data.get("name_column", "name"),
-        )
+        pp = configurator.load_parameter_project(args.config, args.templates)
         generated = configurator.generate_parameter_project(pp)
     generated.write_to(args.out)
     ratio = configurator.specificity_ratio(generated)
@@ -414,13 +387,8 @@ def run(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InputError, FileNotFoundError, NotADirectoryError,
-            json.JSONDecodeError, ValueError, OSError) as exc:
+    except (InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (KeyError, TypeError) as exc:
-        # malformed structured input (missing keys, wrong shapes)
-        print(f"error: malformed input: {exc!r}", file=sys.stderr)
         return EXIT_INPUT
     # naming a module's exception loads that module, so these clauses come
     # last, and a scoring error never loads the configurator

@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 
-from .model import TokenKind
+from .model import SCALAR, TokenKind, load_json
 from .stparse import tokenize
 
 MODE_CONSTANTS = (
@@ -53,18 +52,6 @@ _LAST_END_VAR_RE = re.compile(r"END_VAR", re.IGNORECASE)
 
 class ConfigError(Exception):
     pass
-
-
-_SHAPES = {dict: "an object", list: "a list", str: "a string"}
-
-
-def _expect(value, shape: type, path: str | Path, key: str | None = None):
-    """``value`` if it is a ``shape``; otherwise a ValueError naming the
-    config file and the key (``None``: the top level)."""
-    if not isinstance(value, shape):
-        where = f"key {key!r}" if key else "top level"
-        raise ValueError(f"{path}: {where}: expected {_SHAPES[shape]}, got {type(value).__name__}")
-    return value
 
 
 def _check_name(name: str, what: str) -> None:
@@ -202,39 +189,20 @@ class ModuleConfig:
     instances: tuple[InstanceSpec, ...] = ()
 
 
+TEMPLATE_CONFIG_SHAPE = {
+    "supervisory?": str, "mode_constants?": [str],
+    "instances?": [{"name": str, "template": str, "params?": {"*": SCALAR}}],
+}
+
+
 def load_module_config(path: str | Path) -> ModuleConfig:
-    """The template-mode config; ValueError names the key of a wrong shape."""
-    data = _expect(json.loads(Path(path).read_text(encoding="utf-8")), dict, path)
-    instances = []
-    for index, item in enumerate(_expect(data.get("instances", []), list, path, "instances")):
-        key = f"instances[{index}]"
-        item = _expect(item, dict, path, key)
-        params = _expect(item.get("params", {}), dict, path, f"{key}.params")
-        instances.append(InstanceSpec(
-            name=_expect(item.get("name"), str, path, f"{key}.name"),
-            template=_expect(item.get("template"), str, path, f"{key}.template"),
-            params={k: str(v) for k, v in params.items()},
-        ))
-    constants = _expect(data.get("mode_constants", list(MODE_CONSTANTS)), list, path,
-                        "mode_constants")
-    return ModuleConfig(
-        supervisory=_expect(data.get("supervisory", "main"), str, path, "supervisory"),
-        mode_constants=tuple(
-            _expect(item, str, path, f"mode_constants[{index}]")
-            for index, item in enumerate(constants)
-        ),
-        instances=tuple(instances),
-    )
-
-
-def load_parameter_config(path: str | Path) -> dict:
-    """The parameter-mode config; ValueError names the key of a wrong shape."""
-    data = _expect(json.loads(Path(path).read_text(encoding="utf-8")), dict, path)
-    _expect(data.get("template"), str, path, "template")
-    if "rows" in data:
-        for index, row in enumerate(_expect(data["rows"], list, path, "rows")):
-            _expect(row, dict, path, f"rows[{index}]")
-    return data
+    """The template-mode config of ``TEMPLATE_CONFIG_SHAPE``."""
+    data = load_json(path, TEMPLATE_CONFIG_SHAPE)
+    instances = tuple(InstanceSpec(item["name"], item["template"],
+                                   {k: str(v) for k, v in item.get("params", {}).items()})
+                      for item in data.get("instances", ()))
+    return ModuleConfig(data.get("supervisory", "main"),
+                        tuple(data.get("mode_constants", MODE_CONSTANTS)), instances)
 
 
 def _check_module_config(templates: TemplateSet, config: ModuleConfig) -> dict[str, dict[str, str]]:
@@ -345,6 +313,36 @@ def load_parameter_table(text: str) -> tuple[tuple[str, ...], tuple[dict[str, st
         raise ConfigError("parameter table has no header row")
     rows = tuple({k: (v or "") for k, v in row.items()} for row in reader)
     return tuple(reader.fieldnames), rows
+
+
+PARAMETER_CONFIG_SHAPE = {
+    "template": str, "invariable?": [str], "rows?": [{"*": SCALAR}], "columns?": [str],
+    "table?": str, "name_column?": str,
+}
+
+
+def load_parameter_project(path: str | Path, template_dir: str | Path) -> ParameterProject:
+    """The parameter-mode config of ``PARAMETER_CONFIG_SHAPE``; the invariable
+    files come from ``template_dir``, a CSV ``table`` from beside the config."""
+    data = load_json(path, PARAMETER_CONFIG_SHAPE)
+    templates = load_template_dir(template_dir).templates
+    if data["template"] not in templates:
+        raise ConfigError(f"unknown template {data['template']}")
+    try:  # a file the config names may be missing, unreadable or not UTF-8
+        invariable = tuple((name, (Path(template_dir) / name).read_text(encoding="utf-8"))
+                           for name in data.get("invariable", ()))
+        if "rows" in data:
+            rows = tuple({k: str(v) for k, v in row.items()} for row in data["rows"])
+            columns = tuple(data.get("columns") or (rows[0] if rows else ()))
+        elif "table" in data:
+            table = Path(path).parent / data["table"]
+            columns, rows = load_parameter_table(table.read_text(encoding="utf-8"))
+        else:
+            raise ValueError("key 'table': expected a string, got nothing")
+    except (ValueError, OSError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return ParameterProject(invariable, templates[data["template"]], columns, rows,
+                            data.get("name_column", "name"))
 
 
 def _pou_names(text: str) -> set[str]:

@@ -8,7 +8,6 @@ the correlation coefficient drops to float because of the square root.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -27,7 +26,9 @@ from .model import (
     Option,
     Question,
     QuestionnaireSchema,
+    SCALAR,
     SCORED_CATEGORIES,
+    load_json,
 )
 
 INTERACTION_IDS = (23, 24, 26, 27)
@@ -141,7 +142,7 @@ def parse_numeric_answer(value: AnswerValue) -> tuple[Fraction, str | None]:
         return bound, f"bound {text!r} resolved to {bound}"
     try:
         return Fraction(text), None
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise ScoringError(f"cannot read {value!r} as a number") from None
 
 
@@ -441,18 +442,18 @@ def schema_to_dict(schema: QuestionnaireSchema) -> dict:
 
 
 def _to_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(str(value))
-    raise ScoringError(f"cannot read {value!r} as a score")
+    # a float decoded without parse_float=Fraction reads as its shortest decimal
+    return Fraction(str(value) if isinstance(value, float) else value)
+
+
+SCHEMA_SHAPE = {"questions": [{
+    "id": SCALAR, "text": str, "category": str, "weight?": SCALAR, "mode?": str,
+    "options?": [{"key": str, "label?": str, "score": SCALAR}],
+}]}
 
 
 def schema_from_dict(data: dict) -> QuestionnaireSchema:
+    """A schema from decoded JSON of ``SCHEMA_SHAPE``."""
     questions = []
     for q in data["questions"]:
         options = tuple(
@@ -477,41 +478,28 @@ def schema_from_dict(data: dict) -> QuestionnaireSchema:
 
 
 def load_schema_file(path: str | Path) -> QuestionnaireSchema:
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle, parse_float=Fraction)
-    return schema_from_dict(data)
+    data = load_json(path, SCHEMA_SHAPE, parse_float=Fraction)
+    try:
+        return schema_from_dict(data)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+ANSWERS_SHAPE = {"company": str, "category": str, "answers?": {"*": SCALAR}}
 
 
 def answers_from_dict(data: dict) -> AnswerSet:
-    """An AnswerSet from decoded JSON; ValueError names the key of a wrong shape."""
-    if not isinstance(data, dict):
-        raise ValueError(f"expected an object at the top level, got {type(data).__name__}")
-    raw_answers = data.get("answers", {})
-    if not isinstance(raw_answers, dict):
-        raise ValueError(f"key 'answers': expected an object, got {type(raw_answers).__name__}")
-    company = data.get("company")
-    if not isinstance(company, str):
-        raise ValueError(f"key 'company': expected a string, got {type(company).__name__}")
-    category = data.get("category")
-    if not isinstance(category, str):
-        raise ValueError(f"key 'category': expected a string, got {type(category).__name__}")
-    answers: dict[int, AnswerValue] = {}
-    for key, value in raw_answers.items():
-        qid = int(key)
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            answers[qid] = _to_fraction(value)
-        else:
-            answers[qid] = value
+    """An AnswerSet from decoded JSON of ``ANSWERS_SHAPE``."""
     return AnswerSet(
-        company=company,
-        category=CompanyCategory(category.lower()),
-        answers=answers,
+        company=data["company"],
+        category=CompanyCategory(data["category"].lower()),
+        answers={int(key): value for key, value in data.get("answers", {}).items()},
     )
 
 
 def load_answers_file(path: str | Path) -> AnswerSet:
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle, parse_float=Fraction)
+    """An answer file; every JSON number in it reads as an exact Fraction."""
+    data = load_json(path, ANSWERS_SHAPE, parse_float=Fraction, parse_int=Fraction)
     try:
         return answers_from_dict(data)
     except ValueError as exc:

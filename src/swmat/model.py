@@ -7,10 +7,12 @@ quarter-point scores (3.25, 3.75, 1.25) stay exact under addition.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence, Union
 
 
@@ -671,3 +673,58 @@ def validate_project(project: Project) -> list[Diagnostic]:
                         )
                     )
     return diags
+
+
+# --- JSON input shapes ------------------------------------------------------------
+
+
+SCALAR = "a string or number"  # a shape: a bool is never a number
+_ABSENT = object()
+_EXPECTED = {dict: "an object", list: "a list", str: "a string", SCALAR: SCALAR}
+
+
+def check_json(value, shape, path: str | Path, key: str = "") -> None:
+    """Raise a ValueError naming the file ``path`` and the key path where
+    ``value``, found at ``key``, first differs from ``shape``: ``str``,
+    ``SCALAR``, ``[item]`` (a list of ``item``) or ``{name: shape}`` (an
+    object; a listed key is required unless its name ends in ``?``, and
+    ``"*"`` checks every value)."""
+    kind = type(shape) if isinstance(shape, (list, dict)) else shape
+    ok = (isinstance(value, (str, int, float, Fraction)) and not isinstance(value, bool)
+          if kind is SCALAR else isinstance(value, kind))
+    if not ok:
+        got = "nothing" if value is _ABSENT else type(value).__name__
+        where = f"key {key!r}" if key else "top level"
+        raise ValueError(f"{path}: {where}: expected {_EXPECTED[kind]}, got {got}")
+    if kind is list:
+        for index, item in enumerate(value):
+            check_json(item, shape[0], path, f"{key}[{index}]")
+    elif kind is dict:
+        for name, item_shape in shape.items():
+            if name == "*":
+                items = value.items()
+            elif name.endswith("?"):
+                name = name[:-1]
+                items = [(name, value[name])] if name in value else ()
+            else:
+                items = [(name, value.get(name, _ABSENT))]
+            for child, item in items:
+                check_json(item, item_shape, path, f"{key}.{child}" if key else child)
+
+
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def load_json(path: str | Path, shape, **options):
+    """The JSON document in the file ``path``, checked against ``shape``.
+    Bytes that are not UTF-8, text that is not JSON (``NaN`` included) or
+    nests too deep raise a ValueError naming the file, as a wrong shape does.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            value = json.load(handle, parse_constant=_no_constant, **options)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    check_json(value, shape, path)
+    return value

@@ -116,7 +116,8 @@ def emit_radar_svg(spec: RadarSpec) -> str:
     for series_index, series in enumerate(spec.series):
         color = _COLORS[series_index % len(_COLORS)]
         dash = ' stroke-dasharray="6 4"' if series.dashed else ""
-        lines.append(f'  <g data-series="{escape(series.name)}">')
+        name = escape(series.name).replace('"', "&quot;")  # an attribute value
+        lines.append(f'  <g data-series="{name}">')
         runs = _segments(series.values)
         complete = len(runs) == 1 and len(runs[0]) == count
         for run in runs:

@@ -316,12 +316,33 @@ _STORAGE_ROW = {"name": "PlaceA", "width": 2, "depth": 4}
          3, "row 0: parameter global 'PlaceA_max speed' is not an ST identifier"),
         ("parameter", {"template": "storage", "rows": [dict(_STORAGE_ROW, name="END", VAR=1)]},
          3, "row 0: parameter global 'END_VAR' is not an ST identifier"),
+        ("template", {"instances": [{"template": "Filler"}]}, 2,
+         "key 'instances[0].name': expected a string, got nothing"),
+        ("template", {"instances": [dict(_FILLER_INSTANCE, params={"units": [3], "station": 1})]},
+         2, "key 'instances[0].params.units': expected a string or number, got list"),
+        ("template", {"instances": [dict(_FILLER_INSTANCE, params={"units": {}, "station": 1})]},
+         2, "key 'instances[0].params.units': expected a string or number, got dict"),
+        ("parameter", {"template": "storage", "rows": [dict(_STORAGE_ROW, width=[1])]}, 2,
+         "key 'rows[0].width': expected a string or number, got list"),
+        ("parameter", {"template": "storage", "rows": [dict(_STORAGE_ROW, width={"a": 1})]}, 2,
+         "key 'rows[0].width': expected a string or number, got dict"),
+        ("parameter", {"template": "storage", "rows": [dict(_STORAGE_ROW, width=True)]}, 2,
+         "key 'rows[0].width': expected a string or number, got bool"),
+        ("parameter", {"template": "storage"}, 2,
+         "key 'table': expected a string, got nothing"),
+        ("parameter", {"template": "storage", "table": "missing.csv"}, 2,
+         "No such file or directory"),
+        ("parameter", {"template": "storage", "invariable": ["no\x00file.st"], "rows": []}, 2,
+         "embedded null byte"),
     ],
     ids=["list", "instances-object", "null-name", "int-template", "list-params",
          "null-supervisory", "spaced-supervisory", "keyword-supervisory",
          "non-ascii-instance", "string-mode-constants", "int-mode-constants",
          "null-mode-constant", "spaced-mode-constant", "parameter-list", "list-template",
-         "object-rows", "list-row", "spaced-component", "spaced-global", "keyword-global"],
+         "object-rows", "list-row", "spaced-component", "spaced-global", "keyword-global",
+         "no-name", "list-param-value", "object-param-value", "list-row-value",
+         "object-row-value", "bool-row-value", "no-rows-or-table", "missing-table",
+         "null-byte-invariable"],
 )
 def test_configure_wrongly_shaped_config(tmp_path, capsys, mode, config, code, needle):
     from test_configurator import FILLER_TEMPLATE, STORAGE_TEMPLATE
@@ -491,18 +512,33 @@ def test_malformed_structured_input_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+_ANSWERED = {"company": "a", "category": "machine"}
+
+
 @pytest.mark.parametrize("command", ["score", "cohort"])
 @pytest.mark.parametrize(
-    "payload",
+    "payload, needle",
     [
-        {"company": "a", "category": None, "answers": {}},
-        [1],
-        {"company": None, "category": "machine", "answers": {}},
-        {"category": "machine", "answers": {}},
+        ({"company": "a", "category": None, "answers": {}},
+         "key 'category': expected a string, got NoneType"),
+        ([1], "top level: expected an object, got list"),
+        ({"company": None, "category": "machine", "answers": {}},
+         "key 'company': expected a string, got NoneType"),
+        ({"category": "machine", "answers": {}}, "key 'company': expected a string, got nothing"),
+        # a bool is not a number: true used to score as 1
+        (dict(_ANSWERED, answers={"7": True}),
+         "key 'answers.7': expected a string or number, got bool"),
+        (dict(_ANSWERED, answers={"7": [1]}),
+         "key 'answers.7': expected a string or number, got list"),
+        (dict(_ANSWERED, answers={"7": None}),
+         "key 'answers.7': expected a string or number, got NoneType"),
+        (dict(_ANSWERED, answers={"7": float("nan")}), "NaN is not a JSON number"),
+        (dict(_ANSWERED, answers={"x": "never"}), "invalid literal for int()"),
     ],
-    ids=["null-category", "list", "null-company", "no-company"],
+    ids=["null-category", "list", "null-company", "no-company", "bool-answer", "list-answer",
+         "null-answer", "nan-answer", "non-integer-id"],
 )
-def test_wrongly_shaped_answer_file_exit_2(tmp_path, capsys, command, payload):
+def test_wrongly_shaped_answer_file_exit_2(tmp_path, capsys, command, payload, needle):
     answers_dir = tmp_path / "answers"
     answers_dir.mkdir()
     answers = answers_dir / "bad.json"
@@ -513,7 +549,43 @@ def test_wrongly_shaped_answer_file_exit_2(tmp_path, capsys, command, payload):
         argv = ["cohort", "--answers-dir", str(answers_dir), "--out", str(tmp_path / "out")]
     assert run(argv) == 2
     err = capsys.readouterr().err
-    assert str(answers) in err
+    assert f"error: {answers}: {needle}" in err
+    assert "Traceback" not in err
+
+
+_QUESTION = {"id": 36, "text": "t", "category": "OP", "options": [{"key": "a", "score": 5}]}
+
+
+@pytest.mark.parametrize(
+    "text, needle",
+    [
+        (b"{}", "key 'questions': expected a list, got nothing"),
+        (b"[]", "top level: expected an object, got list"),
+        (b'{"questions": 5}', "key 'questions': expected a list, got int"),
+        (b'{"questions": [5]}', "key 'questions[0]': expected an object, got int"),
+        (json.dumps({"questions": [dict(_QUESTION, options=[{"key": "a"}])]}).encode(),
+         "key 'questions[0].options[0].score': expected a string or number, got nothing"),
+        (json.dumps({"questions": [dict(_QUESTION, id="x")]}).encode(),
+         "invalid literal for int() with base 10: 'x'"),
+        (json.dumps({"questions": [dict(_QUESTION, weight=True)]}).encode(),
+         "key 'questions[0].weight': expected a string or number, got bool"),
+        (json.dumps({"questions": [dict(_QUESTION, weight="1/0")]}).encode(), "Fraction(1, 0)"),
+        (json.dumps({"questions": [dict(_QUESTION, id=float("inf"))]}).encode(),
+         "Infinity is not a JSON number"),
+        (b"{", "Expecting property name enclosed in double quotes"),
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff"),
+        (b"[" * 100_000, "maximum recursion depth exceeded"),
+    ],
+    ids=["empty-object", "list", "int-questions", "int-question", "no-score", "non-integer-id",
+         "bool-weight", "zero-denominator", "infinite-id", "not-json", "not-utf-8", "deep"],
+)
+def test_wrongly_shaped_schema_exit_2(tmp_path, capsys, text, needle):
+    schema = tmp_path / "schema.json"
+    schema.write_bytes(text)
+    answers = _write_answers(tmp_path / "answers.json")
+    assert run(["score", "--schema", str(schema), "--answers", str(answers)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {schema}: {needle}" in err
     assert "Traceback" not in err
 
 

@@ -185,6 +185,12 @@ def test_ranges_resolve_to_midpoint():
     assert "midpoint" in note
 
 
+@pytest.mark.parametrize("text", ["1/0", "many", "2-"])
+def test_unreadable_number_raises_scoring_error(text):
+    with pytest.raises(ScoringError, match="cannot read"):
+        parse_numeric_answer(text)
+
+
 def test_report_computes_complexity_from_cpus_and_programmers(schema):
     answers = _answers({9: "2-6", 7: F(2)})
     report = build_report(schema, answers)

@@ -112,6 +112,13 @@ def test_radar_svg_is_well_formed_xml():
     ET.fromstring(emit_radar_svg(spec))  # raises on malformed output
 
 
+def test_radar_data_series_attribute_reads_back():
+    name = 'ACME "Süd" & <Co>'
+    svg = emit_radar_svg(RadarSpec(_spokes(3), (_series([F(1)] * 3, name=name),)))
+    groups = ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}g")
+    assert [g.get("data-series") for g in groups] == [name]
+
+
 _AWKWARD = ("a & b", "<tag>", 'say "hi"', "it's", "&amp; already", "Größe µ ≤ 5 €", "")
 
 
