@@ -173,15 +173,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     )
 
     if args.dot:
-        options = graphs.DotOptions(
-            size_by_complexity=True, color_by_kind=True, graph_name="calls"
-        )
-        Path(args.dot).write_text(graphs.emit_dot(call_graph, options), encoding="utf-8")
+        Path(args.dot).write_text(graphs.emit_dot(call_graph), encoding="utf-8")
     if args.globals_dot:
-        options = graphs.DotOptions(graph_name="global_communication")
-        Path(args.globals_dot).write_text(
-            graphs.emit_dot(global_graph, options), encoding="utf-8"
-        )
+        Path(args.globals_dot).write_text(graphs.emit_dot(global_graph), encoding="utf-8")
 
     assessment = analysis.assessment
     summary = {

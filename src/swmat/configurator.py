@@ -25,7 +25,7 @@ from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 
-from .model import SCALAR, TokenKind, load_json
+from .model import SCALAR, TokenKind, load_json, read_text
 from .stparse import tokenize
 
 MODE_CONSTANTS = (
@@ -150,7 +150,7 @@ def load_template_dir(directory: str | Path) -> TemplateSet:
     root = Path(directory)
     templates: dict[str, str] = {}
     for path in sorted(root.glob("*.st.tpl")):
-        templates[path.name[: -len(".st.tpl")]] = path.read_text(encoding="utf-8")
+        templates[path.name[: -len(".st.tpl")]] = read_text(path)
     return TemplateSet(templates)
 
 
@@ -329,14 +329,14 @@ def load_parameter_project(path: str | Path, template_dir: str | Path) -> Parame
     if data["template"] not in templates:
         raise ConfigError(f"unknown template {data['template']}")
     try:  # a file the config names may be missing, unreadable or not UTF-8
-        invariable = tuple((name, (Path(template_dir) / name).read_text(encoding="utf-8"))
+        invariable = tuple((name, read_text(Path(template_dir) / name))
                            for name in data.get("invariable", ()))
         if "rows" in data:
             rows = tuple({k: str(v) for k, v in row.items()} for row in data["rows"])
             columns = tuple(data.get("columns") or (rows[0] if rows else ()))
         elif "table" in data:
             table = Path(path).parent / data["table"]
-            columns, rows = load_parameter_table(table.read_text(encoding="utf-8"))
+            columns, rows = load_parameter_table(read_text(table))
         else:
             raise ValueError("key 'table': expected a string, got nothing")
     except (ValueError, OSError) as exc:

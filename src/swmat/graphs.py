@@ -8,7 +8,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
-from .model import CallResolution, Pou, PouKind, Project, body_facts
+from .model import CallResolution, CallSite, Pou, PouKind, Project, body_facts
 
 
 def complexity(pou: Pou) -> int:
@@ -135,97 +135,62 @@ def build_call_graph(project: Project, per_instance: bool = False) -> CallGraph:
     inherits the type's complexity and outgoing calls.  Node complexity is
     the ``Pou.complexity`` that ``parse_project`` stored.
     """
-    nodes: dict[str, CallGraphNode] = {}
-    order: list[str] = []
-    for pou in project.pous:
-        nodes[pou.name] = CallGraphNode(
-            pou.name, pou.kind, pou.complexity, stub=pou.stub, group=pou.group
-        )
-        order.append(pou.name)
+    nodes = {
+        pou.name: CallGraphNode(pou.name, pou.kind, pou.complexity, stub=pou.stub, group=pou.group)
+        for pou in project.pous
+    }
     canonical = {name.lower(): name for name in nodes}
-
-    edge_count: dict[tuple[str, str], int] = {}
-    externals: dict[str, str] = {}
-
-    def external_name(text: str) -> str:
-        key = text.lower()
-        if key not in externals:
-            externals[key] = text
-        return externals[key]
-
-    def add_edge(caller: str, callee: str) -> None:
-        edge_count[(caller, callee)] = edge_count.get((caller, callee), 0) + 1
-
-    type_targets: dict[str, list[str]] = {}
-
-    for pou in project.pous:
-        for site in pou.call_sites:
-            if site.resolution is CallResolution.LOCAL_ACTION:
-                continue  # intra-POU structure, not an inter-POU call
-            if site.resolution is CallResolution.EXTERNAL:
-                ext = external_name(site.callee_text)
-                if ext.lower() not in canonical:
-                    nodes.setdefault(
-                        ext, CallGraphNode(ext, None, 0, external=True)
-                    )
-                    if ext not in order:
-                        order.append(ext)
-                add_edge(pou.name, ext)
-                continue
-            target = site.target or site.callee_text
-            target = canonical.get(target.lower(), target)
-            if per_instance and site.resolution is CallResolution.INSTANCE_OF_FB:
-                instance = site.callee_text.split(".")[0]
-                inst_node = f"{pou.name}.{instance}"
-                if inst_node not in nodes:
-                    base = nodes[target]
-                    nodes[inst_node] = CallGraphNode(
-                        inst_node, base.kind, base.complexity, stub=base.stub
-                    )
-                    order.append(inst_node)
-                    type_targets.setdefault(inst_node, []).append(target)
-                add_edge(pou.name, inst_node)
-            else:
-                add_edge(pou.name, target)
-
-    if per_instance:
-        # instance nodes continue into the type-level subgraph
-        pous_by_name: dict[str, Pou] = {}
-        for pou in project.pous:
-            pous_by_name.setdefault(pou.name.lower(), pou)
-        for inst_node, targets in type_targets.items():
-            for target in targets:
-                target_pou = pous_by_name.get(target.lower())
-                if target_pou is None:
-                    continue
-                for site in target_pou.call_sites:
-                    if site.resolution is CallResolution.LOCAL_ACTION:
-                        continue
-                    if site.resolution is CallResolution.EXTERNAL:
-                        add_edge(inst_node, external_name(site.callee_text))
-                    else:
-                        callee = canonical.get((site.target or "").lower())
-                        if callee:
-                            add_edge(inst_node, callee)
-
-    edges = tuple(
-        CallEdge(caller, callee, count)
-        for (caller, callee), count in sorted(edge_count.items())
-    )
-
     entries: list[str] = []
     for task in project.tasks:
         target = canonical.get(task.entry.lower())
         if target and target not in entries:
             entries.append(target)
+
+    def callee_of(site: CallSite) -> str | None:
+        """The node a call site reaches: the POU its target or text names, in
+        any case, else an external node spelled as that text first appeared."""
+        if site.resolution is CallResolution.LOCAL_ACTION:
+            return None  # intra-POU structure, not an inter-POU call
+        text = site.callee_text if site.resolution is CallResolution.EXTERNAL else site.target
+        key = text.lower()
+        if key not in canonical:
+            canonical[key] = text
+            nodes.setdefault(text, CallGraphNode(text, None, 0, external=True))
+        return canonical[key]
+
+    edge_count: Counter[tuple[str, str]] = Counter()
+    instance_types: dict[str, Pou] = {}
+    pous = {pou.name: pou for pou in project.pous}
+    for pou in project.pous:
+        for site in pou.call_sites:
+            callee = callee_of(site)
+            if callee is None:
+                continue
+            if per_instance and site.resolution is CallResolution.INSTANCE_OF_FB:
+                instance = f"{pou.name}.{site.callee_text.split('.')[0]}"
+                if instance not in nodes:
+                    base = nodes[callee]
+                    nodes[instance] = CallGraphNode(
+                        instance, base.kind, base.complexity, stub=base.stub
+                    )
+                    instance_types[instance] = pous[callee]
+                callee = instance
+            edge_count[pou.name, callee] += 1
+    # instance nodes continue into the type-level subgraph
+    for instance, fb_type in instance_types.items():
+        for site in fb_type.call_sites:
+            callee = callee_of(site)
+            if callee is not None:
+                edge_count[instance, callee] += 1
+
+    edges = tuple(
+        CallEdge(caller, callee, count)
+        for (caller, callee), count in sorted(edge_count.items())
+    )
     if not entries:
         called = {e.callee for e in edges}
-        entries = [
-            n for n in order if n not in called and not nodes[n].external
-        ]
-
-    node_tuple = tuple(nodes[name] for name in order)
-    return CallGraph(node_tuple, edges, tuple(entries))
+        entries = [n for n, node in nodes.items() if n not in called and not node.external]
+    return CallGraph(tuple(nodes.values()), edges, tuple(entries))
 
 
 def build_global_comm_graph(project: Project) -> GlobalCommGraph:
@@ -251,14 +216,6 @@ def build_global_comm_graph(project: Project) -> GlobalCommGraph:
 # --- DOT export ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DotOptions:
-    size_by_complexity: bool = False
-    color_by_kind: bool = False
-    min_width: float = 0.3
-    graph_name: str = "pous"
-
-
 _KIND_COLORS = {
     PouKind.PROGRAM: "lightblue",
     PouKind.FUNCTION_BLOCK: "palegoldenrod",
@@ -276,27 +233,28 @@ def node_width(complexity_value: int, min_width: float) -> float:
     return max(min_width, min_width * math.sqrt(complexity_value))
 
 
-def _node_line(node: CallGraphNode, options: DotOptions, indent: str) -> str:
-    attrs: list[str] = [f"label={_quote(f'{node.name} ({node.complexity})')}"]
-    if options.size_by_complexity:
-        width = node_width(node.complexity, options.min_width)
-        attrs.append(f"width={width:.2f}")
-        attrs.append("fixedsize=true")
-    if options.color_by_kind:
-        attrs.append("style=filled")
-        attrs.append(f"fillcolor={_quote(_KIND_COLORS[node.kind])}")
+def _node_line(node: CallGraphNode, indent: str) -> str:
+    attrs = [
+        f"label={_quote(f'{node.name} ({node.complexity})')}",
+        f"width={node_width(node.complexity, 0.3):.2f}",
+        "fixedsize=true",
+        "style=filled",
+        f"fillcolor={_quote(_KIND_COLORS[node.kind])}",
+    ]
     if node.external:
         attrs.append("shape=box")
     return f"{indent}{_quote(node.name)} [{', '.join(attrs)}];"
 
 
-def emit_dot(graph: CallGraph | GlobalCommGraph, options: DotOptions | None = None) -> str:
-    """Render either graph type as deterministic Graphviz DOT text."""
-    options = options or DotOptions()
-    lines = [f"digraph {_quote(options.graph_name)} {{"]
-    lines.append("  node [shape=circle];")
+def emit_dot(graph: CallGraph | GlobalCommGraph) -> str:
+    """Render either graph type as deterministic Graphviz DOT text.
 
-    if isinstance(graph, CallGraph):
+    Call-graph nodes are filled by POU kind and sized by sqrt(complexity).
+    """
+    call_graph = isinstance(graph, CallGraph)
+    graph_name = "calls" if call_graph else "global_communication"
+    lines = [f"digraph {_quote(graph_name)} {{", "  node [shape=circle];"]
+    if call_graph:
         ordered = sorted(graph.nodes, key=lambda n: (n.name.lower(), n.name))
         grouped: dict[str, list[CallGraphNode]] = {}
         for node in ordered:
@@ -304,12 +262,12 @@ def emit_dot(graph: CallGraph | GlobalCommGraph, options: DotOptions | None = No
                 grouped.setdefault(node.group, []).append(node)
         for node in ordered:
             if not node.group:
-                lines.append(_node_line(node, options, "  "))
+                lines.append(_node_line(node, "  "))
         for group in sorted(grouped):
             lines.append(f"  subgraph {_quote('cluster_' + group)} {{")
             lines.append(f"    label={_quote(group)};")
             for node in grouped[group]:
-                lines.append(_node_line(node, options, "    "))
+                lines.append(_node_line(node, "    "))
             lines.append("  }")
         for entry in sorted(graph.entries, key=str.lower):
             lines.append(f"  {_quote(entry)} [penwidth=2];")

@@ -483,6 +483,8 @@ def load_schema_file(path: str | Path) -> QuestionnaireSchema:
         return schema_from_dict(data)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"{path}: {exc}") from None
+    except ScoringError as exc:
+        raise ScoringError(f"{path}: {exc}") from None
 
 
 ANSWERS_SHAPE = {"company": str, "category": str, "answers?": {"*": SCALAR}}

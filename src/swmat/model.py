@@ -339,6 +339,8 @@ class QuestionnaireSchema:
                     f"the questionnaire groups it under {expected.value}"
                 )
             if q.mode is AnswerMode.SINGLE_CHOICE:
+                if q.weight <= 0:
+                    problems.append(f"question {q.id}: weight {q.weight} must be > 0")
                 if not q.options:
                     problems.append(f"question {q.id}: single-choice without options")
                     continue
@@ -716,14 +718,23 @@ def _no_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of the file ``path``; bytes that are not UTF-8 raise a
+    ValueError naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def load_json(path: str | Path, shape, **options):
     """The JSON document in the file ``path``, checked against ``shape``.
     Bytes that are not UTF-8, text that is not JSON (``NaN`` included) or
     nests too deep raise a ValueError naming the file, as a wrong shape does.
     """
+    text = read_text(path)
     try:
-        with open(path, encoding="utf-8") as handle:
-            value = json.load(handle, parse_constant=_no_constant, **options)
+        value = json.loads(text, parse_constant=_no_constant, **options)
     except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from None
     check_json(value, shape, path)

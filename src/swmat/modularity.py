@@ -27,6 +27,7 @@ from .model import (
     StructureStyle,
     TokenKind,
     TokenSeq,
+    read_text,
 )
 from .stparse import flatten_statements
 
@@ -50,11 +51,13 @@ class Thresholds:
 
 
 def load_thresholds(path: str | Path) -> Thresholds:
-    """Read ``key = value`` overrides; unknown keys raise, comments allowed."""
+    """Read ``key = value`` overrides; comments allowed.  An unknown key or a
+    value that does not read as the knob's type raises a ValueError naming
+    the file and line."""
     values = Thresholds()
     valid = {f.name: f.type for f in fields(Thresholds)}
     overrides = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -65,10 +68,12 @@ def load_thresholds(path: str | Path) -> Thresholds:
         value = value.strip()
         if key not in valid:
             raise ValueError(f"{path}:{lineno}: unknown threshold {key!r}")
-        if valid[key] == "int":
-            overrides[key] = int(value)
-        else:
-            overrides[key] = Fraction(value)
+        try:
+            overrides[key] = int(value) if valid[key] == "int" else Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            expected = "an integer" if valid[key] == "int" else "a number"
+            message = f"{path}:{lineno}: {key}: expected {expected}, got {value!r}"
+            raise ValueError(message) from None
     return replace(values, **overrides)
 
 

@@ -117,12 +117,13 @@ def reference_complexity(pou: Pou) -> int:
     return total
 
 
-def brute_force_call_edges(project: Project) -> dict[tuple[str, str], int]:
-    """Resolved (caller, callee) multiplicities, recomputed from scratch.
+def _resolved_calls(project: Project):
+    """(caller POU, callee text, target, is_instance) per inter-POU call.
 
-    Matches the type-collapsed call graph: instance calls count against the
-    FB type, local action calls are internal, unknown names go to a stub
-    named by the callee text.
+    Instance calls (through a local or global of an FB type) target the FB
+    type, direct calls the POU, local action calls are skipped; any other
+    text targets the POU it spells in any case, else a stub spelled as the
+    text.
     """
     pou_by_lower = {p.name.lower(): p for p in project.pous}
     fb_by_lower = {
@@ -130,7 +131,6 @@ def brute_force_call_edges(project: Project) -> dict[tuple[str, str], int]:
     }
     global_types = {g.name.lower(): g.type_name.lower() for g in project.globals}
 
-    counts: dict[tuple[str, str], int] = {}
     for pou in project.pous:
         local_types = {}
         for section in pou.var_sections:
@@ -141,17 +141,53 @@ def brute_force_call_edges(project: Project) -> dict[tuple[str, str], int]:
         for callee in reference_call_occurrences(pou):
             base = callee.split(".")[0].lower()
             if base in local_types and local_types[base] in fb_by_lower:
-                target = fb_by_lower[local_types[base]]
+                yield pou, callee, fb_by_lower[local_types[base]], True
             elif base in global_types and global_types[base] in fb_by_lower:
-                target = fb_by_lower[global_types[base]]
+                yield pou, callee, fb_by_lower[global_types[base]], True
             elif "." not in callee and base in action_names:
                 continue
             elif "." not in callee and base not in local_types and base in pou_by_lower:
-                target = pou_by_lower[base].name
+                yield pou, callee, pou_by_lower[base].name, False
+            elif callee.lower() in pou_by_lower:
+                yield pou, callee, pou_by_lower[callee.lower()].name, False
             else:
-                target = callee  # external stub keeps the callee spelling
-            key = (pou.name, target)
-            counts[key] = counts.get(key, 0) + 1
+                yield pou, callee, callee, False
+
+
+def brute_force_call_edges(project: Project) -> dict[tuple[str, str], int]:
+    """Resolved (caller, callee) multiplicities, recomputed from scratch.
+
+    Matches the type-collapsed call graph: instance calls count against the
+    FB type, local action calls are internal, unknown names go to a stub
+    named by the callee text.
+    """
+    counts: dict[tuple[str, str], int] = {}
+    for pou, _, target, _ in _resolved_calls(project):
+        counts[pou.name, target] = counts.get((pou.name, target), 0) + 1
+    return counts
+
+
+def brute_force_instance_edges(project: Project) -> dict[tuple[str, str], int]:
+    """(caller, callee) multiplicities of the per-instance call graph.
+
+    An instance call goes to the node ``<caller>.<instance>``; each such node
+    then makes every call its FB type makes, counted as in the
+    type-collapsed graph.
+    """
+    type_edges = brute_force_call_edges(project)
+    counts: dict[tuple[str, str], int] = {}
+    instance_types: dict[str, str] = {}
+    for pou, callee, target, is_instance in _resolved_calls(project):
+        if is_instance:
+            target_node = f"{pou.name}.{callee.split('.')[0]}"
+            instance_types.setdefault(target_node, target)
+        else:
+            target_node = target
+        counts[pou.name, target_node] = counts.get((pou.name, target_node), 0) + 1
+    for node, fb_type in instance_types.items():
+        for (caller, callee), count in type_edges.items():
+            if caller == fb_type:
+                counts[node, callee] = counts.get((node, callee), 0) + count
     return counts
 
 

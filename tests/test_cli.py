@@ -135,6 +135,67 @@ def test_analyze_thresholds_env(tmp_path, monkeypatch):
     assert run(["analyze", str(FIXTURES / "filling_plant")]) == 0
 
 
+@pytest.mark.parametrize("per_instance", [[], ["--per-instance"]], ids=["types", "instances"])
+def test_analyze_call_to_local_named_like_a_pou(tmp_path, capsys, per_instance):
+    # `motor` is an INT, so `motor();` stays unresolved; its text spells the
+    # FB `Motor` in another case and reaches that node
+    project = tmp_path / "proj"
+    project.mkdir()
+    (project / "a.st").write_text(
+        "PROGRAM Main\nVAR\n  motor : INT;\nEND_VAR\nmotor();\nEND_PROGRAM\n"
+        "FUNCTION_BLOCK Motor\nEND_FUNCTION_BLOCK\n",
+        encoding="utf-8",
+    )
+    dot = tmp_path / "calls.dot"
+    assert run(["analyze", str(project), "--dot", str(dot), *per_instance]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert '"Main" -> "Motor" [label="1"];' in dot.read_text(encoding="utf-8")
+
+
+_WEIGHT_ZERO_SCHEMA = {"questions": [{
+    "id": 36, "text": "t", "category": "OP", "weight": 0, "options": [{"key": "a", "score": 0}],
+}]}
+
+
+@pytest.mark.parametrize(
+    "kind, content, code, needle",
+    [
+        ("thresholds", b"fan_out_bound = 1/0\n", 2,
+         ":1: fan_out_bound: expected a number, got '1/0'"),
+        ("thresholds", b"depth_min = 1.5\n", 2, ":1: depth_min: expected an integer, got '1.5'"),
+        ("thresholds", b"# knobs\nfan_out_bound = abc\n", 2,
+         ":2: fan_out_bound: expected a number, got 'abc'"),
+        ("thresholds", b"\xff", 2, ": 'utf-8' codec can't decode byte 0xff"),
+        ("template", b"\xff", 2, ": 'utf-8' codec can't decode byte 0xff"),
+        ("schema", json.dumps(_WEIGHT_ZERO_SCHEMA).encode(), 3,
+         ": invalid schema: question 36: weight 0 must be > 0"),
+    ],
+    ids=["thresholds-zero-denominator", "thresholds-fraction-for-int", "thresholds-not-a-number",
+         "thresholds-not-utf-8", "template-not-utf-8", "schema-weight-zero"],
+)
+def test_bad_input_file_named_in_error(tmp_path, capsys, kind, content, code, needle):
+    bad = tmp_path / "in" / {"thresholds": "th.txt", "template": "x.st.tpl",
+                             "schema": "schema.json"}[kind]
+    bad.parent.mkdir()
+    bad.write_bytes(content)
+    out = tmp_path / "out"
+    if kind == "thresholds":
+        argv = ["analyze", str(FIXTURES / "filling_plant"), "--thresholds", str(bad)]
+    elif kind == "template":
+        config = tmp_path / "config.json"
+        config.write_text('{"instances": []}', encoding="utf-8")
+        argv = ["configure", "--mode", "template", "--templates", str(bad.parent),
+                "--config", str(config), "--out", str(out)]
+    else:
+        answers = _write_answers(tmp_path / "answers.json", dict(OP_EXAMPLE, answers={"36": "a"}))
+        argv = ["score", "--schema", str(bad), "--answers", str(answers)]
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    assert f"error: {bad}{needle}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cohort_outputs(tmp_path):
     answers_dir = tmp_path / "answers"
     answers_dir.mkdir()

@@ -5,11 +5,14 @@ import random
 
 import pytest
 
-from oracles import brute_force_call_edges, brute_force_global_edges
+from oracles import (
+    brute_force_call_edges,
+    brute_force_global_edges,
+    brute_force_instance_edges,
+)
 from swmat import graphs
 from swmat.cli import run
 from swmat.graphs import (
-    DotOptions,
     build_call_graph,
     build_global_comm_graph,
     complexity,
@@ -186,6 +189,10 @@ def test_graphs_agree_with_brute_force_oracle(tmp_path, seed):
     assert {(e.caller, e.callee): e.multiplicity for e in graph.edges} == (
         brute_force_call_edges(project)
     )
+    graph = build_call_graph(project, per_instance=True)
+    assert {(e.caller, e.callee): e.multiplicity for e in graph.edges} == (
+        brute_force_instance_edges(project)
+    )
     global_graph = build_global_comm_graph(project)
     assert {(e.writer, e.reader, e.via) for e in global_graph.edges} == (
         brute_force_global_edges(project)
@@ -310,9 +317,8 @@ def test_dot_width_scaling_ratio():
 
 
 def test_dot_deterministic(plant_project):
-    options = DotOptions(size_by_complexity=True, color_by_kind=True)
     graph = build_call_graph(plant_project)
-    assert emit_dot(graph, options) == emit_dot(graph, options)
+    assert emit_dot(graph) == emit_dot(graph)
 
 
 def test_dot_groups_become_clusters(tmp_path):
