@@ -134,14 +134,23 @@ def _require_distinct(input_path: str, output_path: str) -> None:
         raise UsageError("output directory must differ from the input directory")
 
 
-def _load_answer_dir(directory: str) -> list:
+def _load_answer_dir(directory: str) -> list[tuple[Path, model.AnswerSet]]:
+    """Each answer file in ``directory`` with its answer set, in name order."""
     root = Path(directory)
     if not root.is_dir():
         raise InputError(f"{directory}: not a directory")
     files = sorted(root.glob("*.json"))
     if not files:
         raise InputError(f"{directory}: no answer files (*.json)")
-    return [maturity.load_answers_file(path) for path in files]
+    return [(path, maturity.load_answers_file(path)) for path in files]
+
+
+def _scored(path: str | Path, score, *args, **kwargs):
+    """``score(*args, **kwargs)``; a scoring error names the answer file ``path``."""
+    try:
+        return score(*args, **kwargs)
+    except maturity.ScoringError as exc:
+        raise maturity.ScoringError(f"{path}: {exc}") from None
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -216,7 +225,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_score(args: argparse.Namespace) -> int:
     schema = _load_schema(args.schema)
     answers = maturity.load_answers_file(args.answers)
-    report = maturity.build_report(schema, answers, strict=args.strict)
+    report = _scored(args.answers, maturity.build_report, schema, answers, strict=args.strict)
     for note in maturity.numeric_notes(schema, answers):
         print(note, file=sys.stderr)
     payload = (
@@ -260,12 +269,12 @@ def _cmd_cohort(args: argparse.Namespace) -> int:
     answer_sets = _load_answer_dir(args.answers_dir)
     category = model.CompanyCategory(args.category) if args.category else None
     if category is not None:
-        answer_sets = [a for a in answer_sets if a.category == category]
+        answer_sets = [(p, a) for p, a in answer_sets if a.category == category]
         if not answer_sets:
             raise InputError(f"no answer sets in category {category.value!r}")
     # one radar file per company; a second one would overwrite the first
     radar_files: dict[str, str] = {}
-    for answers in answer_sets:
+    for _, answers in answer_sets:
         name = _radar_file_name(answers.company)
         if name in radar_files:
             print(f"error: companies {radar_files[name]!r} and {answers.company!r} "
@@ -273,8 +282,8 @@ def _cmd_cohort(args: argparse.Namespace) -> int:
             return EXIT_INVARIANT
         radar_files[name] = answers.company
     reports = [
-        maturity.build_report(schema, answers, strict=args.strict)
-        for answers in answer_sets
+        _scored(path, maturity.build_report, schema, answers, strict=args.strict)
+        for path, answers in answer_sets
     ]
     stats = maturity.cohort_stats(reports)
 
@@ -324,7 +333,10 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
     interaction_ids = _parse_id_list(args.interaction, "--interaction")
     target_ids = _parse_id_list(args.targets, "--targets")
 
-    normalized = [maturity.normalized_answers(schema, a) for a in answer_sets]
+    normalized = [
+        _scored(path, maturity.normalized_answers, schema, answers)
+        for path, answers in answer_sets
+    ]
     interaction = [
         maturity.interaction_variable(n, interaction_ids) for n in normalized
     ]

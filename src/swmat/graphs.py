@@ -131,9 +131,10 @@ def build_call_graph(project: Project, per_instance: bool = False) -> CallGraph:
 
     By default instance calls collapse onto the FB type, so two instances of
     one block yield a single edge with multiplicity two.  With
-    ``per_instance`` every declared instance becomes its own node that
-    inherits the type's complexity and outgoing calls.  Node complexity is
-    the ``Pou.complexity`` that ``parse_project`` stored.
+    ``per_instance`` every declared instance becomes its own node, named
+    ``<caller>.<instance>`` as the instance is declared, that inherits the
+    type's complexity and outgoing calls.  Node complexity is the
+    ``Pou.complexity`` that ``parse_project`` stored.
     """
     nodes = {
         pou.name: CallGraphNode(pou.name, pou.kind, pou.complexity, stub=pou.stub, group=pou.group)
@@ -161,13 +162,18 @@ def build_call_graph(project: Project, per_instance: bool = False) -> CallGraph:
     edge_count: Counter[tuple[str, str]] = Counter()
     instance_types: dict[str, Pou] = {}
     pous = {pou.name: pou for pou in project.pous}
+    global_names = project.global_names()
     for pou in project.pous:
+        decls = pou.declared_names() if per_instance else {}
         for site in pou.call_sites:
             callee = callee_of(site)
             if callee is None:
                 continue
             if per_instance and site.resolution is CallResolution.INSTANCE_OF_FB:
-                instance = f"{pou.name}.{site.callee_text.split('.')[0]}"
+                # spelled as declared: the local, else the global, called through
+                var = site.callee_text.split(".")[0]
+                declared = decls.get(var.lower()) or global_names.get(var.lower())
+                instance = f"{pou.name}.{declared.name if declared else var}"
                 if instance not in nodes:
                     base = nodes[callee]
                     nodes[instance] = CallGraphNode(

@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -63,21 +64,71 @@ def find_option(question: Question, answer: str) -> Option:
     )
 
 
+class _ScoringTable:
+    """What scoring needs of one schema, worked out once for all answer sets.
+
+    Every weight and option score is a whole number of steps of
+    ``1/denominator``, so category sums add integers and become one exact
+    Fraction at the end.  ``entries`` maps (question id, answer text) to the
+    option's score, its 0..5 normalization and its steps; ``entry`` fills it
+    by ``find_option``'s rules on the first use of each answer text.
+    """
+
+    def __init__(self, schema: QuestionnaireSchema):
+        self.schema = schema
+        self.known = frozenset(schema.ids())
+        self.denominator = math.lcm(*(
+            value.denominator
+            for q in schema.questions
+            for value in (q.weight, *(o.score for o in q.options))
+        ))
+        self.weight_steps = {
+            qid: self.steps(schema.question(qid).weight) for qid in schema.scored_ids()
+        }
+        self.entries: dict[tuple[int, str], tuple[Fraction, Fraction, int]] = {}
+
+    def steps(self, value: Fraction) -> int:
+        return value.numerator * (self.denominator // value.denominator)
+
+    def entry(self, qid: int, answer: AnswerValue) -> tuple[Fraction, Fraction, int]:
+        """(score, normalized score, score steps) of one answer.  An unknown
+        id raises KeyError; an unscored question, an answer that is not text
+        or names no option raises ScoringError."""
+        found = self.entries.get((qid, answer)) if isinstance(answer, str) else None
+        if found is None:
+            question = self.schema.question(qid)
+            if question.mode is not AnswerMode.SINGLE_CHOICE:
+                raise ScoringError(f"question {qid} is not scored ({question.mode.value})")
+            if not isinstance(answer, str):
+                raise ScoringError(f"question {qid}: expected an option key, got {answer!r}")
+            score = find_option(question, answer).score
+            found = (score, score / question.weight * 5, self.steps(score))
+            self.entries[qid, answer] = found
+        return found
+
+
+def _table(schema: QuestionnaireSchema) -> _ScoringTable:
+    """The scoring table of ``schema``, built on first use and kept in the
+    schema's instance dict, as ``cached_property`` keeps its ``_by_id``: it
+    lives exactly as long as the schema does."""
+    table = schema.__dict__.get("_scoring_table")
+    if table is None:
+        table = schema.__dict__["_scoring_table"] = _ScoringTable(schema)
+    return table
+
+
 def validate_answers(schema: QuestionnaireSchema, answers: AnswerSet) -> list[str]:
     """Check the answer-set invariants: known ids, known option keys."""
     problems: list[str] = []
-    known = set(schema.ids())
+    table = _table(schema)
     for qid, value in sorted(answers.answers.items()):
-        if qid not in known:
+        if qid not in table.known:
             problems.append(f"answer for unknown question {qid}")
             continue
         question = schema.question(qid)
         if question.mode is AnswerMode.SINGLE_CHOICE:
-            if not isinstance(value, str):
-                problems.append(f"question {qid}: expected an option key, got {value!r}")
-                continue
             try:
-                find_option(question, value)
+                table.entry(qid, value)
             except ScoringError as exc:
                 problems.append(str(exc))
         elif question.mode is AnswerMode.NUMERIC:
@@ -111,13 +162,8 @@ def score_answer(
     schema: QuestionnaireSchema, qid: int, answer: AnswerValue
 ) -> tuple[Fraction, Fraction]:
     """Raw score (0..weight) and its 0..5 normalization for one answer."""
-    question = schema.question(qid)
-    if question.mode is not AnswerMode.SINGLE_CHOICE:
-        raise ScoringError(f"question {qid} is not scored ({question.mode.value})")
-    if not isinstance(answer, str):
-        raise ScoringError(f"question {qid}: expected an option key, got {answer!r}")
-    score = find_option(question, answer).score
-    return score, score / question.weight * 5
+    score, normalized, _ = _table(schema).entry(qid, answer)
+    return score, normalized
 
 
 _RANGE_RE = re.compile(r"^\s*(-?\d+(?:\.\d+)?)\s*-\s*(-?\d+(?:\.\d+)?)\s*$")
@@ -130,6 +176,12 @@ def parse_numeric_answer(value: AnswerValue) -> tuple[Fraction, str | None]:
         return value, None
     if isinstance(value, int):
         return Fraction(value), None
+    return _parse_numeric_text(value)
+
+
+@lru_cache(maxsize=1024)
+def _parse_numeric_text(value: AnswerValue) -> tuple[Fraction, str | None]:
+    # cohorts repeat the same few range texts, and parsing one is costly
     text = str(value).strip()
     match = _RANGE_RE.match(text)
     if match:
@@ -172,25 +224,27 @@ def category_maturity(
     """
     if category not in SCORED_CATEGORIES:
         raise ValueError(f"{category} is not a scored category")
-    gained = Fraction(0)
-    reachable = Fraction(0)
+    table = _table(schema)
+    gained = reachable = 0  # in steps of 1/table.denominator
     answered: list[int] = []
     unanswered: list[int] = []
     for qid in schema.scored_ids(category):
-        question = schema.question(qid)
         raw = answers.answers.get(qid)
         if raw is None:
             unanswered.append(qid)
             if strict:
-                reachable += question.weight
+                reachable += table.weight_steps[qid]
             continue
-        score, _ = score_answer(schema, qid, raw)
-        gained += score
-        reachable += question.weight
+        gained += table.entry(qid, raw)[2]
+        reachable += table.weight_steps[qid]
         answered.append(qid)
-    maturity = gained / reachable if reachable else None
     return CategoryScore(
-        category, maturity, gained, reachable, tuple(answered), tuple(unanswered)
+        category,
+        Fraction(gained, reachable) if reachable else None,
+        Fraction(gained, table.denominator),
+        Fraction(reachable, table.denominator),
+        tuple(answered),
+        tuple(unanswered),
     )
 
 
@@ -217,13 +271,11 @@ def normalized_answers(
     schema: QuestionnaireSchema, answers: AnswerSet
 ) -> dict[int, Fraction | None]:
     """Normalized 0..5 score per scored question; None where unanswered."""
+    table = _table(schema)
     out: dict[int, Fraction | None] = {}
     for qid in schema.scored_ids():
         raw = answers.answers.get(qid)
-        if raw is None:
-            out[qid] = None
-        else:
-            out[qid] = score_answer(schema, qid, raw)[1]
+        out[qid] = None if raw is None else table.entry(qid, raw)[1]
     return out
 
 
@@ -391,10 +443,7 @@ def cohort_stats(
             if value is not None:
                 values.append(value)
 
-    question_means = {
-        qid: (sum(values, Fraction(0)) / len(values) if values else None)
-        for qid, values in question_values.items()
-    }
+    question_means = {qid: _mean(values) for qid, values in question_values.items()}
     question_counts = {qid: len(values) for qid, values in question_values.items()}
 
     category_values = {
@@ -402,13 +451,20 @@ def cohort_stats(
         Category.TEST: [r.m_test for r in cohort],
         Category.OP: [r.m_op for r in cohort],
     }
-    category_means: dict[Category, Fraction | None] = {}
-    for cat, values in category_values.items():
-        maturities = [m for m in values if m is not None]
-        category_means[cat] = (
-            sum(maturities, Fraction(0)) / len(maturities) if maturities else None
-        )
+    category_means = {
+        cat: _mean([m for m in values if m is not None])
+        for cat, values in category_values.items()
+    }
     return CohortStats(question_means, question_counts, category_means, len(cohort))
+
+
+def _mean(values: Sequence[Fraction]) -> Fraction | None:
+    """The exact mean, summed as integers over one common denominator."""
+    if not values:
+        return None
+    denominator = math.lcm(*{v.denominator for v in values})
+    total = sum(v.numerator * (denominator // v.denominator) for v in values)
+    return Fraction(total, denominator * len(values))
 
 
 # --- schema / answers file formats ----------------------------------------------
@@ -499,9 +555,14 @@ def answers_from_dict(data: dict) -> AnswerSet:
     )
 
 
+def _whole(text: str) -> Fraction:
+    # Fraction's fast path for an int, not its parser for any number text
+    return Fraction(int(text))
+
+
 def load_answers_file(path: str | Path) -> AnswerSet:
     """An answer file; every JSON number in it reads as an exact Fraction."""
-    data = load_json(path, ANSWERS_SHAPE, parse_float=Fraction, parse_int=Fraction)
+    data = load_json(path, ANSWERS_SHAPE, parse_float=Fraction, parse_int=_whole)
     try:
         return answers_from_dict(data)
     except ValueError as exc:
@@ -513,12 +574,12 @@ def format_ratio(value: Fraction | None, places: int = 4) -> str:
     if value is None:
         return ""
     scale = 10**places
-    scaled = value * scale
+    # value * scale rounded half away from zero, in integers
+    numerator, denominator = value.numerator * scale, value.denominator
     quotient = (
-        (scaled.numerator * 2 + scaled.denominator)
-        // (2 * scaled.denominator)
-        if scaled >= 0
-        else -((-scaled.numerator * 2 + scaled.denominator) // (2 * scaled.denominator))
+        (numerator * 2 + denominator) // (2 * denominator)
+        if numerator >= 0
+        else -((-numerator * 2 + denominator) // (2 * denominator))
     )
     sign = "-" if quotient < 0 else ""
     quotient = abs(quotient)

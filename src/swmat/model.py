@@ -311,19 +311,30 @@ class QuestionnaireSchema:
         return by_id
 
     def ids(self, category: Category | None = None) -> tuple[int, ...]:
-        return tuple(
-            q.id for q in self.questions if category is None or q.category == category
-        )
+        if category is None:
+            return self._ids
+        return tuple(q.id for q in self.questions if q.category == category)
+
+    @cached_property
+    def _ids(self) -> tuple[int, ...]:
+        return tuple(q.id for q in self.questions)
 
     def scored_ids(self, category: Category | None = None) -> tuple[int, ...]:
         """Ids of single-choice questions that enter a maturity score."""
-        return tuple(
-            q.id
-            for q in self.questions
-            if q.mode is AnswerMode.SINGLE_CHOICE
-            and q.category in SCORED_CATEGORIES
-            and (category is None or q.category == category)
-        )
+        return self._scored_ids.get(category, ())
+
+    @cached_property
+    def _scored_ids(self) -> dict[Category | None, tuple[int, ...]]:
+        scored = [
+            q for q in self.questions
+            if q.mode is AnswerMode.SINGLE_CHOICE and q.category in SCORED_CATEGORIES
+        ]
+        by_category: dict[Category | None, tuple[int, ...]] = {
+            category: tuple(q.id for q in scored if q.category == category)
+            for category in SCORED_CATEGORIES
+        }
+        by_category[None] = tuple(q.id for q in scored)
+        return by_category
 
     def validate(self) -> list[str]:
         problems: list[str] = []
@@ -685,22 +696,42 @@ _ABSENT = object()
 _EXPECTED = {dict: "an object", list: "a list", str: "a string", SCALAR: SCALAR}
 
 
-def check_json(value, shape, path: str | Path, key: str = "") -> None:
+def check_json(value, shape, path: str | Path) -> None:
     """Raise a ValueError naming the file ``path`` and the key path where
-    ``value``, found at ``key``, first differs from ``shape``: ``str``,
-    ``SCALAR``, ``[item]`` (a list of ``item``) or ``{name: shape}`` (an
-    object; a listed key is required unless its name ends in ``?``, and
-    ``"*"`` checks every value)."""
+    ``value`` first differs from ``shape``: ``str``, ``SCALAR``, ``[item]``
+    (a list of ``item``) or ``{name: shape}`` (an object; a listed key is
+    required unless its name ends in ``?``, and ``"*"`` checks every value)."""
+    misfit = _misfit(value, shape)
+    if misfit is None:
+        return
+    keys, kind, found = misfit
+    key = ""
+    for part in reversed(keys):
+        if isinstance(part, int):
+            key = f"{key}[{part}]"
+        else:
+            key = f"{key}.{part}" if key else part
+    got = "nothing" if found is _ABSENT else type(found).__name__
+    where = f"key {key!r}" if key else "top level"
+    raise ValueError(f"{path}: {where}: expected {_EXPECTED[kind]}, got {got}")
+
+
+def _misfit(value, shape) -> tuple[list, object, object] | None:
+    """None if ``value`` fits ``shape``, else the first misfit: its key path
+    as list indexes and object keys, innermost first, the kind of shape
+    expected there and the value found.  Most files fit, so the key path is
+    built only on the way out of a misfit."""
     kind = type(shape) if isinstance(shape, (list, dict)) else shape
     ok = (isinstance(value, (str, int, float, Fraction)) and not isinstance(value, bool)
           if kind is SCALAR else isinstance(value, kind))
     if not ok:
-        got = "nothing" if value is _ABSENT else type(value).__name__
-        where = f"key {key!r}" if key else "top level"
-        raise ValueError(f"{path}: {where}: expected {_EXPECTED[kind]}, got {got}")
+        return [], kind, value
     if kind is list:
         for index, item in enumerate(value):
-            check_json(item, shape[0], path, f"{key}[{index}]")
+            misfit = _misfit(item, shape[0])
+            if misfit is not None:
+                misfit[0].append(index)
+                return misfit
     elif kind is dict:
         for name, item_shape in shape.items():
             if name == "*":
@@ -711,7 +742,11 @@ def check_json(value, shape, path: str | Path, key: str = "") -> None:
             else:
                 items = [(name, value.get(name, _ABSENT))]
             for child, item in items:
-                check_json(item, item_shape, path, f"{key}.{child}" if key else child)
+                misfit = _misfit(item, item_shape)
+                if misfit is not None:
+                    misfit[0].append(child)
+                    return misfit
+    return None
 
 
 def _no_constant(name: str):

@@ -10,9 +10,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-import statistics
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .maturity import format_ratio
 from .model import MaturityReport
@@ -56,15 +56,26 @@ _OUTER = 220.0  # radius drawn for value 5
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
 
+_MAX = float(RADAR_MAX)
+
+
 def radius_for(value: Fraction) -> float:
     """Affine map from a 0..5 value onto the ring radii."""
-    return _INNER + (_OUTER - _INNER) * float(value) / float(RADAR_MAX)
+    # numerator / denominator is float(value) without the numbers.Rational detour
+    return _INNER + (_OUTER - _INNER) * (value.numerator / value.denominator) / _MAX
+
+
+@lru_cache(maxsize=16)
+def _directions(count: int) -> tuple[tuple[float, float], ...]:
+    """(cos, sin) of each of ``count`` spokes, clockwise from 12 o'clock."""
+    angles = [-math.pi / 2 + 2 * math.pi * index / count for index in range(count)]
+    return tuple((math.cos(angle), math.sin(angle)) for angle in angles)
 
 
 def _point(index: int, count: int, value: Fraction) -> tuple[float, float]:
-    angle = -math.pi / 2 + 2 * math.pi * index / count
+    cos, sin = _directions(count)[index]
     r = radius_for(value)
-    return (_CENTER + r * math.cos(angle), _CENTER + r * math.sin(angle))
+    return (_CENTER + r * cos, _CENTER + r * sin)
 
 
 def _fmt(x: float) -> str:
@@ -87,10 +98,11 @@ def _segments(values: tuple[Fraction | None, ...]) -> list[list[int]]:
     return runs
 
 
-def emit_radar_svg(spec: RadarSpec) -> str:
-    """Render the radar as standalone SVG 1.1 text."""
-    spec.validate()
-    count = len(spec.spokes)
+@lru_cache(maxsize=16)
+def _frame(spokes: tuple[tuple[int, str], ...]) -> str:
+    """The opening lines every radar over ``spokes`` shares: the header, both
+    rings, and each spoke with its label."""
+    count = len(spokes)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -101,7 +113,7 @@ def emit_radar_svg(spec: RadarSpec) -> str:
         f'  <circle cx="{_fmt(_CENTER)}" cy="{_fmt(_CENTER)}" r="{_fmt(_OUTER)}" '
         'fill="none" stroke="#333333" stroke-width="1"/>',
     ]
-    for idx, (qid, label) in enumerate(spec.spokes):
+    for idx, (qid, label) in enumerate(spokes):
         x0, y0 = _point(idx, count, Fraction(0))
         x1, y1 = _point(idx, count, RADAR_MAX)
         lines.append(
@@ -113,6 +125,14 @@ def emit_radar_svg(spec: RadarSpec) -> str:
             f'  <text x="{_fmt(lx)}" y="{_fmt(ly)}" font-size="11" '
             f'text-anchor="middle">{escape(f"#{qid} {label}" if label else f"#{qid}")}</text>'
         )
+    return "\n".join(lines)
+
+
+def emit_radar_svg(spec: RadarSpec) -> str:
+    """Render the radar as standalone SVG 1.1 text."""
+    spec.validate()
+    count = len(spec.spokes)
+    lines = [_frame(spec.spokes)]
     for series_index, series in enumerate(spec.series):
         color = _COLORS[series_index % len(_COLORS)]
         dash = ' stroke-dasharray="6 4"' if series.dashed else ""
@@ -200,9 +220,20 @@ def emit_scatter_csv(points: list[ScatterPoint]) -> str:
             (
                 "",
                 category,
-                format_ratio(statistics.median(p.x for p in group)),
-                format_ratio(statistics.median(p.y for p in group)),
+                format_ratio(_median([p.x for p in group])),
+                format_ratio(_median([p.y for p in group])),
                 "median",
             )
         )
     return buffer.getvalue()
+
+
+def _median(values: list[Fraction]) -> Fraction:
+    """``statistics.median`` of exact values, sorted by their floats first:
+    rounding keeps the order of unequal floats, and the exact value breaks
+    a tie between equal ones, so the order is exact at float speed."""
+    ordered = sorted(values, key=lambda v: (v.numerator / v.denominator, v))
+    middle = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[middle]
+    return (ordered[middle - 1] + ordered[middle]) / 2

@@ -7,11 +7,14 @@ tree with local name resolution, no sharing of the resolution code under test.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from swmat.model import (
+    AnswerMode,
     Assignment,
     CallStatement,
     CaseStatement,
+    Category,
     ForStatement,
     IfStatement,
     Pou,
@@ -118,40 +121,44 @@ def reference_complexity(pou: Pou) -> int:
 
 
 def _resolved_calls(project: Project):
-    """(caller POU, callee text, target, is_instance) per inter-POU call.
+    """(caller POU, callee text, target, instance) per inter-POU call.
 
     Instance calls (through a local or global of an FB type) target the FB
-    type, direct calls the POU, local action calls are skipped; any other
-    text targets the POU it spells in any case, else a stub spelled as the
-    text.
+    type, and ``instance`` is that variable as its declaration spells it;
+    it is None for every other call.  Direct calls target the POU, local
+    action calls are skipped; any other text targets the POU it spells in
+    any case, else a stub spelled as the text.
     """
     pou_by_lower = {p.name.lower(): p for p in project.pous}
     fb_by_lower = {
         p.name.lower(): p.name for p in project.pous if p.kind is PouKind.FUNCTION_BLOCK
     }
     global_types = {g.name.lower(): g.type_name.lower() for g in project.globals}
+    global_spelling = {g.name.lower(): g.name for g in project.globals}
 
     for pou in project.pous:
         local_types = {}
+        local_spelling = {}
         for section in pou.var_sections:
             for decl in section.decls:
                 local_types[decl.name.lower()] = decl.type_name.lower()
+                local_spelling[decl.name.lower()] = decl.name
         action_names = {a.name.lower() for a in pou.actions}
 
         for callee in reference_call_occurrences(pou):
             base = callee.split(".")[0].lower()
             if base in local_types and local_types[base] in fb_by_lower:
-                yield pou, callee, fb_by_lower[local_types[base]], True
+                yield pou, callee, fb_by_lower[local_types[base]], local_spelling[base]
             elif base in global_types and global_types[base] in fb_by_lower:
-                yield pou, callee, fb_by_lower[global_types[base]], True
+                yield pou, callee, fb_by_lower[global_types[base]], global_spelling[base]
             elif "." not in callee and base in action_names:
                 continue
             elif "." not in callee and base not in local_types and base in pou_by_lower:
-                yield pou, callee, pou_by_lower[base].name, False
+                yield pou, callee, pou_by_lower[base].name, None
             elif callee.lower() in pou_by_lower:
-                yield pou, callee, pou_by_lower[callee.lower()].name, False
+                yield pou, callee, pou_by_lower[callee.lower()].name, None
             else:
-                yield pou, callee, callee, False
+                yield pou, callee, callee, None
 
 
 def brute_force_call_edges(project: Project) -> dict[tuple[str, str], int]:
@@ -170,16 +177,16 @@ def brute_force_call_edges(project: Project) -> dict[tuple[str, str], int]:
 def brute_force_instance_edges(project: Project) -> dict[tuple[str, str], int]:
     """(caller, callee) multiplicities of the per-instance call graph.
 
-    An instance call goes to the node ``<caller>.<instance>``; each such node
-    then makes every call its FB type makes, counted as in the
-    type-collapsed graph.
+    An instance call goes to the node ``<caller>.<instance>``, the instance
+    spelled as declared; each such node then makes every call its FB type
+    makes, counted as in the type-collapsed graph.
     """
     type_edges = brute_force_call_edges(project)
     counts: dict[tuple[str, str], int] = {}
     instance_types: dict[str, str] = {}
-    for pou, callee, target, is_instance in _resolved_calls(project):
-        if is_instance:
-            target_node = f"{pou.name}.{callee.split('.')[0]}"
+    for pou, _, target, instance in _resolved_calls(project):
+        if instance is not None:
+            target_node = f"{pou.name}.{instance}"
             instance_types.setdefault(target_node, target)
         else:
             target_node = target
@@ -262,6 +269,78 @@ def brute_force_global_edges(project: Project) -> set[tuple[str, str, str]]:
                 if reader != writer:
                     edges.add((writer, reader, g))
     return edges
+
+
+def _reference_option_score(question, answer: str) -> Fraction:
+    """The score of the option an answer names: the option whose key is the
+    answer as written, else whose key, else whose label, equals it ignoring
+    case; the first such option in the question's order."""
+    folded = answer.lower()
+    for matches in (
+        lambda option: option.key == answer,
+        lambda option: option.key.lower() == folded,
+        lambda option: option.label.lower() == folded,
+    ):
+        for option in question.options:
+            if matches(option):
+                return option.score
+    raise KeyError(answer)
+
+
+def reference_report(schema, answers, strict: bool = False) -> dict:
+    """One company's scores from the definitions, with plain Fraction sums.
+
+    Each single-choice question of a scored category gets the 0..5 score
+    ``score * 5 / weight`` (None unanswered).  A category gains its answered
+    scores over the weights of its answered questions (of all its questions
+    when strict); the overall adds up gains and weights across categories.
+    """
+    scored = (Category.MOD, Category.TEST, Category.OP)
+    normalized: dict[int, Fraction | None] = {}
+    points = {category: (Fraction(0), Fraction(0)) for category in scored}
+    for question in schema.questions:
+        if question.mode is not AnswerMode.SINGLE_CHOICE or question.category not in scored:
+            continue
+        gained, reachable = points[question.category]
+        answer = answers.answers.get(question.id)
+        if answer is None:
+            normalized[question.id] = None
+            if strict:
+                reachable += question.weight
+        else:
+            score = _reference_option_score(question, answer)
+            normalized[question.id] = score * 5 / question.weight
+            gained += score
+            reachable += question.weight
+        points[question.category] = (gained, reachable)
+    gained = sum((g for g, _ in points.values()), Fraction(0))
+    reachable = sum((r for _, r in points.values()), Fraction(0))
+    return {
+        "normalized": normalized,
+        "points": points,
+        "maturity": {c: (g / r if r else None) for c, (g, r) in points.items()},
+        "overall": gained / reachable if reachable else None,
+        "unanswered": tuple(q.id for q in schema.questions if q.id not in answers.answers),
+    }
+
+
+def reference_cohort(reports: list[dict]) -> dict:
+    """Per-question and per-category means of ``reference_report`` results."""
+
+    def mean(values):
+        present = [v for v in values if v is not None]
+        return sum(present, Fraction(0)) / len(present) if present else None
+
+    qids = reports[0]["normalized"]
+    return {
+        "question_means": {q: mean(r["normalized"][q] for r in reports) for q in qids},
+        "question_counts": {
+            q: sum(r["normalized"][q] is not None for r in reports) for q in qids
+        },
+        "category_means": {
+            c: mean(r["maturity"][c] for r in reports) for c in reports[0]["maturity"]
+        },
+    }
 
 
 def pearson_reference(xs: list[float], ys: list[float]) -> float:

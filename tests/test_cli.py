@@ -57,7 +57,7 @@ def test_score_unknown_option_exit_3(tmp_path, capsys):
     answers = _write_answers(tmp_path / "answers.json", bad)
     code = run(["score", "--answers", str(answers)])
     assert code == 3
-    assert "36" in capsys.readouterr().err
+    assert f"error: {answers}: question 36: unknown option 'whenever'" in capsys.readouterr().err
 
 
 def test_score_missing_file_exit_2(tmp_path):
@@ -243,6 +243,23 @@ def test_cohort_radar_file_collision_exit_3(tmp_path, capsys, first, second, rad
     assert run(["cohort", "--answers-dir", str(answers_dir), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert f"error: companies {first!r} and {second!r} both map to radar file {radar}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["cohort", "correlate"])
+def test_unknown_option_names_its_answer_file_exit_3(tmp_path, capsys, command):
+    answers_dir = tmp_path / "answers"
+    answers_dir.mkdir()
+    for index in range(5):
+        _write_answers(answers_dir / f"co{index}.json", dict(OP_EXAMPLE, company=f"co{index}"))
+    bad = _write_answers(
+        answers_dir / "co3.json", dict(OP_EXAMPLE, company="co3", answers={"15": "nope"})
+    )
+    out = tmp_path / ("reports" if command == "cohort" else "corr.csv")
+    assert run([command, "--answers-dir", str(answers_dir), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: question 15: unknown option 'nope' (valid keys: ")
+    assert "Traceback" not in err
     assert not out.exists()
 
 

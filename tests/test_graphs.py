@@ -95,6 +95,25 @@ def test_per_instance_expansion(plant_project):
     assert ("main.FllRB", "Valve") in edges
 
 
+def test_per_instance_node_spelled_as_declared(tmp_path):
+    write_project(
+        tmp_path,
+        {
+            "main.st": "VAR_GLOBAL\n  gMotor : Motor;\nEND_VAR\n"
+            "PROGRAM Main\nVAR\n  fb1 : Motor;\nEND_VAR\n"
+            "fb1();\nFB1();\nGMOTOR();\ngmotor();\nEND_PROGRAM\n"
+            "FUNCTION_BLOCK Motor\nEND_FUNCTION_BLOCK\n"
+        },
+    )
+    project, diags = parse_project(tmp_path)
+    assert not [d for d in diags if d.severity == "error"]
+    graph = build_call_graph(project, per_instance=True)
+    edges = {(e.caller, e.callee): e.multiplicity for e in graph.edges}
+    assert edges == {("Main", "Main.fb1"): 2, ("Main", "Main.gMotor"): 2}
+    assert edges == brute_force_instance_edges(project)
+    assert {n.name for n in graph.nodes} == {"Main", "Motor", "Main.fb1", "Main.gMotor"}
+
+
 def test_entries_fall_back_to_zero_in_degree(tmp_path):
     write_project(
         tmp_path,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
-from oracles import pearson_reference
+from oracles import pearson_reference, reference_cohort, reference_report
 from swmat.maturity import (
     CategoryScore,
     DegenerateSampleError,
@@ -31,7 +32,15 @@ from swmat.maturity import (
     score_answer,
     format_ratio,
 )
-from swmat.model import AnswerSet, Category, CompanyCategory
+from swmat.model import (
+    AnswerMode,
+    AnswerSet,
+    Category,
+    CompanyCategory,
+    Option,
+    Question,
+    QuestionnaireSchema,
+)
 
 F = Fraction
 
@@ -399,6 +408,97 @@ def test_upgrading_an_answer_never_lowers_maturity(schema, data):
             assert new >= old or (new == old)
 
 
+# --- exact scoring against the reference scorer --------------------------------------
+
+# keys that collide when case is ignored, so an exact match must win over a
+# case-folded one, and labels that equal some key in another case
+_KEYS = ("a", "A", "b", "B", "ab", "Ab", "never")
+_LABELS = ("Never", "level ONE", "Level one", "b", "other")
+_DENOMINATORS = (1, 2, 3, 4, 6)  # weights and scores such as 5/3
+
+
+@st.composite
+def _scoring_cases(draw):
+    """Two schemas of one question structure with weights and scores drawn
+    independently, and answer sets for that structure."""
+    structure = []
+    # ids from 15 up: build_report reads 7, 9 and 14 as numbers for the complexity
+    for qid in draw(st.lists(st.integers(15, 70), min_size=1, max_size=8, unique=True)):
+        category = draw(st.sampled_from(list(Category)))
+        mode = draw(st.sampled_from(list(AnswerMode)))
+        keys = (
+            draw(st.lists(st.sampled_from(_KEYS), min_size=1, max_size=4, unique=True))
+            if mode is AnswerMode.SINGLE_CHOICE else []
+        )
+        labels = [draw(st.sampled_from(_LABELS)) for _ in keys]
+        structure.append((qid, category, mode, keys, labels))
+
+    def fraction(low):
+        return F(draw(st.integers(low, 12)), draw(st.sampled_from(_DENOMINATORS)))
+
+    def schema():
+        return QuestionnaireSchema(tuple(
+            Question(qid, f"question {qid}", category, weight=fraction(1), mode=mode,
+                     options=tuple(Option(k, label, fraction(0)) for k, label in zip(keys, labels)))
+            for qid, category, mode, keys, labels in structure
+        ))
+
+    schemas = [schema(), schema()]
+    answer_sets = []
+    for index in range(draw(st.integers(1, 4))):
+        answers = {}
+        for qid, _, mode, keys, labels in structure:
+            if draw(st.integers(0, 4)) == 0:
+                continue  # unanswered
+            if mode is AnswerMode.SINGLE_CHOICE:
+                pick = draw(st.integers(0, len(keys) - 1))
+                answers[qid] = draw(st.sampled_from(
+                    [keys[pick], keys[pick].swapcase(), labels[pick], labels[pick].upper()]
+                ))
+            elif mode is AnswerMode.NUMERIC:
+                answers[qid] = draw(st.sampled_from([F(3), F(7, 2), "2-6"]))
+            else:
+                answers[qid] = "free text"
+        answer_sets.append(AnswerSet(f"co{index}", CompanyCategory.MACHINE, answers))
+    return schemas, answer_sets
+
+
+def _exact(values):
+    return all(v is None or type(v) is F for v in values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_scoring_cases())
+def test_scoring_matches_reference_scorer(case):
+    schemas, answer_sets = case
+    # alternate the two schemas, so that a table kept for one and read for
+    # the other gives the other's scores
+    for schema in schemas + schemas:
+        for strict in (False, True):
+            reports = [build_report(schema, a, strict=strict) for a in answer_sets]
+            wanted = [reference_report(schema, a, strict) for a in answer_sets]
+            for answers, report, want in zip(answer_sets, reports, wanted):
+                assert report.per_question_normalized == want["normalized"]
+                assert normalized_answers(schema, answers) == want["normalized"]
+                assert report.category_points == want["points"]
+                assert (report.m_mod, report.m_test, report.m_op) == tuple(
+                    want["maturity"][c] for c in (Category.MOD, Category.TEST, Category.OP)
+                )
+                assert report.overall == want["overall"]
+                assert report.unanswered == want["unanswered"]
+                assert _exact(report.per_question_normalized.values())
+                assert _exact([report.m_mod, report.m_test, report.m_op, report.overall])
+                assert _exact([v for pair in report.category_points.values() for v in pair])
+            stats = cohort_stats(reports)
+            want = reference_cohort(wanted)
+            assert stats.question_means == want["question_means"]
+            assert stats.question_counts == want["question_counts"]
+            assert stats.category_means == want["category_means"]
+            assert stats.company_count == len(answer_sets)
+            assert _exact(stats.question_means.values())
+            assert _exact(stats.category_means.values())
+
+
 # --- normalization, files -----------------------------------------------------------
 
 
@@ -440,6 +540,14 @@ def test_format_ratio():
     assert format_ratio(F("96.15") / 125) == "0.7692"
     assert format_ratio(None) == ""
     assert format_ratio(F(1, 3)) == "0.3333"
+
+
+@given(value=st.fractions(), places=st.integers(1, 6))
+def test_format_ratio_rounds_half_away_from_zero(value, places):
+    scale = 10**places
+    digits = math.floor(abs(value) * scale + F(1, 2))
+    sign = "-" if value < 0 and digits else ""
+    assert format_ratio(value, places) == f"{sign}{digits // scale}.{digits % scale:0{places}d}"
 
 
 def test_validate_answers_rejects_unknown_question(schema):

@@ -2,12 +2,17 @@ from __future__ import annotations
 
 import csv
 import io
+import json
+import random
+import statistics
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from swmat import reporting
+from swmat import cli, reporting
+from swmat.maturity import build_report, cohort_stats, load_answers_file
 from swmat.model import Category, CompanyCategory, MaturityReport
 from swmat.reporting import (
     RadarSeries,
@@ -91,6 +96,68 @@ def test_radar_series_length_mismatch():
         emit_radar_svg(RadarSpec(_spokes(4), (_series([F(1)] * 3),)))
 
 
+def _fresh_svg(spec: RadarSpec) -> str:
+    """``emit_radar_svg`` with its caches emptied first, so it reuses nothing."""
+    reporting._frame.cache_clear()
+    reporting._directions.cache_clear()
+    return emit_radar_svg(spec)
+
+
+def test_radar_validates_on_every_call():
+    spokes = _spokes(3)
+    emit_radar_svg(RadarSpec(spokes, (_series([F(1)] * 3),)))  # caches the frame
+    with pytest.raises(ValueError, match="values"):
+        emit_radar_svg(RadarSpec(spokes, (_series([F(1)] * 2),)))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="3 spokes"):
+            emit_radar_svg(RadarSpec(_spokes(2), (_series([F(1), F(2)]),)))
+
+
+def test_two_spoke_sets_in_one_process():
+    four = RadarSpec(_spokes(4), (_series([F(1), F(2), None, F(4)]),))
+    six = RadarSpec(
+        tuple((i, f"other {i}") for i in range(1, 7)),
+        (_series([F(3)] * 6), _series([F(5, 3)] * 6, "mean", dashed=True)),
+    )
+    relabelled = RadarSpec(tuple((i, f"other {i}") for i in range(1, 5)), four.series)
+    wanted = [(spec, _fresh_svg(spec)) for spec in (four, six, relabelled)]
+    for spec, want in wanted + wanted:
+        assert emit_radar_svg(spec) == want
+    assert wanted[0][1].count("<line ") == 4 and "other" not in wanted[0][1]
+    assert wanted[1][1].count("<line ") == 6 and "#6 other 6" in wanted[1][1]
+    assert wanted[2][1].count("<line ") == 4 and "#4 other 4" in wanted[2][1]
+
+
+def test_cohort_radars_equal_fresh_renders(tmp_path, schema):
+    rng = random.Random(3)
+    answers_dir = tmp_path / "answers"
+    answers_dir.mkdir()
+    for index in range(6):
+        answers = {
+            str(qid): rng.choice(schema.question(qid).options).key
+            for qid in schema.scored_ids()
+            if rng.random() < 0.8
+        }
+        payload = {"company": f"co{index}", "category": "machine", "answers": answers}
+        (answers_dir / f"co{index}.json").write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "reports"
+    assert cli.run(["cohort", "--answers-dir", str(answers_dir), "--out", str(out)]) == 0
+
+    reports = [build_report(schema, load_answers_file(p)) for p in sorted(answers_dir.iterdir())]
+    mean = cohort_stats(reports).question_means
+    shared = []
+    for report in reports:
+        svg = (out / f"radar_{report.company}.svg").read_text(encoding="utf-8")
+        assert svg == _fresh_svg(cli._radar_for(report, mean))
+        # all but the company's own group is the same in every file
+        lines = svg.splitlines()
+        start = lines.index(f'  <g data-series="{report.company}">')
+        end = lines.index('  <g data-series="cohort mean">')
+        shared.append(lines[:start] + lines[end:])
+    assert all(lines == shared[0] for lines in shared)
+    assert len(shared[0]) == 4 + 2 * len(schema.scored_ids()) + 4  # frame, mean, </svg>
+
+
 def test_radius_affine_in_value():
     r0 = radius_for(F(0))
     r5 = radius_for(F(5))
@@ -137,9 +204,9 @@ def test_radar_svg_escapes_like_saxutils(monkeypatch):
         (_series([F(2)] * len(_AWKWARD), name="A&B <GmbH> \"Süd\" 'Nord'"),
          _series([F(1)] * len(_AWKWARD), name="Ünternehmen & Co", dashed=True)),
     )
-    svg = emit_radar_svg(spec).encode("utf-8")
+    svg = _fresh_svg(spec).encode("utf-8")
     monkeypatch.setattr(reporting, "escape", saxutils.escape)
-    assert svg == emit_radar_svg(spec).encode("utf-8")
+    assert svg == _fresh_svg(spec).encode("utf-8")
 
 
 # --- overview CSV ----------------------------------------------------------------
@@ -228,3 +295,12 @@ def test_scatter_rejects_mixed_axes():
 def test_scatter_header_names_axes():
     rows = list(csv.reader(io.StringIO(emit_scatter_csv([_point(1, 2)]))))
     assert rows[0] == ["company", "category", "complexity", "m_mod", "kind"]
+
+
+# values 10**-20 apart share a float, so only their exact order separates them
+_CLOSE = st.integers(-3, 3).map(lambda k: F(10**20 + k, 10**20))
+
+
+@given(st.lists(st.fractions() | _CLOSE, min_size=1, max_size=9))
+def test_median_matches_statistics_median(values):
+    assert reporting._median(values) == statistics.median(values)
