@@ -13,7 +13,6 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -64,71 +63,18 @@ def find_option(question: Question, answer: str) -> Option:
     )
 
 
-class _ScoringTable:
-    """What scoring needs of one schema, worked out once for all answer sets.
-
-    Every weight and option score is a whole number of steps of
-    ``1/denominator``, so category sums add integers and become one exact
-    Fraction at the end.  ``entries`` maps (question id, answer text) to the
-    option's score, its 0..5 normalization and its steps; ``entry`` fills it
-    by ``find_option``'s rules on the first use of each answer text.
-    """
-
-    def __init__(self, schema: QuestionnaireSchema):
-        self.schema = schema
-        self.known = frozenset(schema.ids())
-        self.denominator = math.lcm(*(
-            value.denominator
-            for q in schema.questions
-            for value in (q.weight, *(o.score for o in q.options))
-        ))
-        self.weight_steps = {
-            qid: self.steps(schema.question(qid).weight) for qid in schema.scored_ids()
-        }
-        self.entries: dict[tuple[int, str], tuple[Fraction, Fraction, int]] = {}
-
-    def steps(self, value: Fraction) -> int:
-        return value.numerator * (self.denominator // value.denominator)
-
-    def entry(self, qid: int, answer: AnswerValue) -> tuple[Fraction, Fraction, int]:
-        """(score, normalized score, score steps) of one answer.  An unknown
-        id raises KeyError; an unscored question, an answer that is not text
-        or names no option raises ScoringError."""
-        found = self.entries.get((qid, answer)) if isinstance(answer, str) else None
-        if found is None:
-            question = self.schema.question(qid)
-            if question.mode is not AnswerMode.SINGLE_CHOICE:
-                raise ScoringError(f"question {qid} is not scored ({question.mode.value})")
-            if not isinstance(answer, str):
-                raise ScoringError(f"question {qid}: expected an option key, got {answer!r}")
-            score = find_option(question, answer).score
-            found = (score, score / question.weight * 5, self.steps(score))
-            self.entries[qid, answer] = found
-        return found
-
-
-def _table(schema: QuestionnaireSchema) -> _ScoringTable:
-    """The scoring table of ``schema``, built on first use and kept in the
-    schema's instance dict, as ``cached_property`` keeps its ``_by_id``: it
-    lives exactly as long as the schema does."""
-    table = schema.__dict__.get("_scoring_table")
-    if table is None:
-        table = schema.__dict__["_scoring_table"] = _ScoringTable(schema)
-    return table
-
-
 def validate_answers(schema: QuestionnaireSchema, answers: AnswerSet) -> list[str]:
     """Check the answer-set invariants: known ids, known option keys."""
     problems: list[str] = []
-    table = _table(schema)
+    known = set(schema.ids())
     for qid, value in sorted(answers.answers.items()):
-        if qid not in table.known:
+        if qid not in known:
             problems.append(f"answer for unknown question {qid}")
             continue
         question = schema.question(qid)
         if question.mode is AnswerMode.SINGLE_CHOICE:
             try:
-                table.entry(qid, value)
+                score_answer(schema, qid, value)
             except ScoringError as exc:
                 problems.append(str(exc))
         elif question.mode is AnswerMode.NUMERIC:
@@ -161,9 +107,21 @@ def numeric_notes(schema: QuestionnaireSchema, answers: AnswerSet) -> list[str]:
 def score_answer(
     schema: QuestionnaireSchema, qid: int, answer: AnswerValue
 ) -> tuple[Fraction, Fraction]:
-    """Raw score (0..weight) and its 0..5 normalization for one answer."""
-    score, normalized, _ = _table(schema).entry(qid, answer)
-    return score, normalized
+    """Raw score (0..weight) and its 0..5 normalization for one answer.
+
+    Each (question, answer text) pair is looked up once per schema and kept
+    in ``schema.answer_scores``: a single-choice question has a few options,
+    so a cohort gives the same few answers to it over and over."""
+    found = schema.answer_scores.get((qid, answer)) if isinstance(answer, str) else None
+    if found is None:
+        question = schema.question(qid)
+        if question.mode is not AnswerMode.SINGLE_CHOICE:
+            raise ScoringError(f"question {qid} is not scored ({question.mode.value})")
+        if not isinstance(answer, str):
+            raise ScoringError(f"question {qid}: expected an option key, got {answer!r}")
+        score = find_option(question, answer).score
+        found = schema.answer_scores[qid, answer] = (score, score / question.weight * 5)
+    return found
 
 
 _RANGE_RE = re.compile(r"^\s*(-?\d+(?:\.\d+)?)\s*-\s*(-?\d+(?:\.\d+)?)\s*$")
@@ -176,12 +134,6 @@ def parse_numeric_answer(value: AnswerValue) -> tuple[Fraction, str | None]:
         return value, None
     if isinstance(value, int):
         return Fraction(value), None
-    return _parse_numeric_text(value)
-
-
-@lru_cache(maxsize=1024)
-def _parse_numeric_text(value: AnswerValue) -> tuple[Fraction, str | None]:
-    # cohorts repeat the same few range texts, and parsing one is costly
     text = str(value).strip()
     match = _RANGE_RE.match(text)
     if match:
@@ -224,25 +176,28 @@ def category_maturity(
     """
     if category not in SCORED_CATEGORIES:
         raise ValueError(f"{category} is not a scored category")
-    table = _table(schema)
-    gained = reachable = 0  # in steps of 1/table.denominator
+    denominator = schema.denominator
+    gained = reachable = 0  # in steps of 1/denominator
     answered: list[int] = []
     unanswered: list[int] = []
     for qid in schema.scored_ids(category):
+        weight = schema.question(qid).weight
+        weight_steps = weight.numerator * (denominator // weight.denominator)
         raw = answers.answers.get(qid)
         if raw is None:
             unanswered.append(qid)
             if strict:
-                reachable += table.weight_steps[qid]
+                reachable += weight_steps
             continue
-        gained += table.entry(qid, raw)[2]
-        reachable += table.weight_steps[qid]
+        score, _ = score_answer(schema, qid, raw)
+        gained += score.numerator * (denominator // score.denominator)
+        reachable += weight_steps
         answered.append(qid)
     return CategoryScore(
         category,
         Fraction(gained, reachable) if reachable else None,
-        Fraction(gained, table.denominator),
-        Fraction(reachable, table.denominator),
+        Fraction(gained, denominator),
+        Fraction(reachable, denominator),
         tuple(answered),
         tuple(unanswered),
     )
@@ -271,11 +226,13 @@ def normalized_answers(
     schema: QuestionnaireSchema, answers: AnswerSet
 ) -> dict[int, Fraction | None]:
     """Normalized 0..5 score per scored question; None where unanswered."""
-    table = _table(schema)
     out: dict[int, Fraction | None] = {}
     for qid in schema.scored_ids():
         raw = answers.answers.get(qid)
-        out[qid] = None if raw is None else table.entry(qid, raw)[1]
+        if raw is None:
+            out[qid] = None
+        else:
+            out[qid] = score_answer(schema, qid, raw)[1]
     return out
 
 
@@ -443,7 +400,10 @@ def cohort_stats(
             if value is not None:
                 values.append(value)
 
-    question_means = {qid: _mean(values) for qid, values in question_values.items()}
+    question_means = {
+        qid: (sum(values, Fraction(0)) / len(values) if values else None)
+        for qid, values in question_values.items()
+    }
     question_counts = {qid: len(values) for qid, values in question_values.items()}
 
     category_values = {
@@ -451,20 +411,13 @@ def cohort_stats(
         Category.TEST: [r.m_test for r in cohort],
         Category.OP: [r.m_op for r in cohort],
     }
-    category_means = {
-        cat: _mean([m for m in values if m is not None])
-        for cat, values in category_values.items()
-    }
+    category_means: dict[Category, Fraction | None] = {}
+    for cat, values in category_values.items():
+        maturities = [m for m in values if m is not None]
+        category_means[cat] = (
+            sum(maturities, Fraction(0)) / len(maturities) if maturities else None
+        )
     return CohortStats(question_means, question_counts, category_means, len(cohort))
-
-
-def _mean(values: Sequence[Fraction]) -> Fraction | None:
-    """The exact mean, summed as integers over one common denominator."""
-    if not values:
-        return None
-    denominator = math.lcm(*{v.denominator for v in values})
-    total = sum(v.numerator * (denominator // v.denominator) for v in values)
-    return Fraction(total, denominator * len(values))
 
 
 # --- schema / answers file formats ----------------------------------------------
@@ -555,14 +508,9 @@ def answers_from_dict(data: dict) -> AnswerSet:
     )
 
 
-def _whole(text: str) -> Fraction:
-    # Fraction's fast path for an int, not its parser for any number text
-    return Fraction(int(text))
-
-
 def load_answers_file(path: str | Path) -> AnswerSet:
     """An answer file; every JSON number in it reads as an exact Fraction."""
-    data = load_json(path, ANSWERS_SHAPE, parse_float=Fraction, parse_int=_whole)
+    data = load_json(path, ANSWERS_SHAPE, parse_float=Fraction, parse_int=Fraction)
     try:
         return answers_from_dict(data)
     except ValueError as exc:
@@ -574,12 +522,12 @@ def format_ratio(value: Fraction | None, places: int = 4) -> str:
     if value is None:
         return ""
     scale = 10**places
-    # value * scale rounded half away from zero, in integers
-    numerator, denominator = value.numerator * scale, value.denominator
+    scaled = value * scale
     quotient = (
-        (numerator * 2 + denominator) // (2 * denominator)
-        if numerator >= 0
-        else -((-numerator * 2 + denominator) // (2 * denominator))
+        (scaled.numerator * 2 + scaled.denominator)
+        // (2 * scaled.denominator)
+        if scaled >= 0
+        else -((-scaled.numerator * 2 + scaled.denominator) // (2 * scaled.denominator))
     )
     sign = "-" if quotient < 0 else ""
     quotient = abs(quotient)

@@ -8,6 +8,7 @@ quarter-point scores (3.25, 3.75, 1.25) stay exact under addition.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -335,6 +336,22 @@ class QuestionnaireSchema:
         }
         by_category[None] = tuple(q.id for q in scored)
         return by_category
+
+    @cached_property
+    def denominator(self) -> int:
+        """The least common denominator of every weight and option score:
+        sums of them can be taken as integer counts of its steps."""
+        return math.lcm(*(
+            value.denominator
+            for q in self.questions
+            for value in (q.weight, *(o.score for o in q.options))
+        ))
+
+    @cached_property
+    def answer_scores(self) -> dict[tuple[int, str], tuple[Fraction, Fraction]]:
+        """Memo of ``maturity.score_answer``: (question id, answer text) to the
+        option's score and its 0..5 normalization, filled on first use."""
+        return {}
 
     def validate(self) -> list[str]:
         problems: list[str] = []
@@ -696,42 +713,22 @@ _ABSENT = object()
 _EXPECTED = {dict: "an object", list: "a list", str: "a string", SCALAR: SCALAR}
 
 
-def check_json(value, shape, path: str | Path) -> None:
+def check_json(value, shape, path: str | Path, key: str = "") -> None:
     """Raise a ValueError naming the file ``path`` and the key path where
-    ``value`` first differs from ``shape``: ``str``, ``SCALAR``, ``[item]``
-    (a list of ``item``) or ``{name: shape}`` (an object; a listed key is
-    required unless its name ends in ``?``, and ``"*"`` checks every value)."""
-    misfit = _misfit(value, shape)
-    if misfit is None:
-        return
-    keys, kind, found = misfit
-    key = ""
-    for part in reversed(keys):
-        if isinstance(part, int):
-            key = f"{key}[{part}]"
-        else:
-            key = f"{key}.{part}" if key else part
-    got = "nothing" if found is _ABSENT else type(found).__name__
-    where = f"key {key!r}" if key else "top level"
-    raise ValueError(f"{path}: {where}: expected {_EXPECTED[kind]}, got {got}")
-
-
-def _misfit(value, shape) -> tuple[list, object, object] | None:
-    """None if ``value`` fits ``shape``, else the first misfit: its key path
-    as list indexes and object keys, innermost first, the kind of shape
-    expected there and the value found.  Most files fit, so the key path is
-    built only on the way out of a misfit."""
+    ``value``, found at ``key``, first differs from ``shape``: ``str``,
+    ``SCALAR``, ``[item]`` (a list of ``item``) or ``{name: shape}`` (an
+    object; a listed key is required unless its name ends in ``?``, and
+    ``"*"`` checks every value)."""
     kind = type(shape) if isinstance(shape, (list, dict)) else shape
     ok = (isinstance(value, (str, int, float, Fraction)) and not isinstance(value, bool)
           if kind is SCALAR else isinstance(value, kind))
     if not ok:
-        return [], kind, value
+        got = "nothing" if value is _ABSENT else type(value).__name__
+        where = f"key {key!r}" if key else "top level"
+        raise ValueError(f"{path}: {where}: expected {_EXPECTED[kind]}, got {got}")
     if kind is list:
         for index, item in enumerate(value):
-            misfit = _misfit(item, shape[0])
-            if misfit is not None:
-                misfit[0].append(index)
-                return misfit
+            check_json(item, shape[0], path, f"{key}[{index}]")
     elif kind is dict:
         for name, item_shape in shape.items():
             if name == "*":
@@ -742,11 +739,7 @@ def _misfit(value, shape) -> tuple[list, object, object] | None:
             else:
                 items = [(name, value.get(name, _ABSENT))]
             for child, item in items:
-                misfit = _misfit(item, item_shape)
-                if misfit is not None:
-                    misfit[0].append(child)
-                    return misfit
-    return None
+                check_json(item, item_shape, path, f"{key}.{child}" if key else child)
 
 
 def _no_constant(name: str):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -56,26 +57,15 @@ _OUTER = 220.0  # radius drawn for value 5
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
 
-_MAX = float(RADAR_MAX)
-
-
 def radius_for(value: Fraction) -> float:
     """Affine map from a 0..5 value onto the ring radii."""
-    # numerator / denominator is float(value) without the numbers.Rational detour
-    return _INNER + (_OUTER - _INNER) * (value.numerator / value.denominator) / _MAX
-
-
-@lru_cache(maxsize=16)
-def _directions(count: int) -> tuple[tuple[float, float], ...]:
-    """(cos, sin) of each of ``count`` spokes, clockwise from 12 o'clock."""
-    angles = [-math.pi / 2 + 2 * math.pi * index / count for index in range(count)]
-    return tuple((math.cos(angle), math.sin(angle)) for angle in angles)
+    return _INNER + (_OUTER - _INNER) * float(value) / float(RADAR_MAX)
 
 
 def _point(index: int, count: int, value: Fraction) -> tuple[float, float]:
-    cos, sin = _directions(count)[index]
+    angle = -math.pi / 2 + 2 * math.pi * index / count
     r = radius_for(value)
-    return (_CENTER + r * cos, _CENTER + r * sin)
+    return (_CENTER + r * math.cos(angle), _CENTER + r * math.sin(angle))
 
 
 def _fmt(x: float) -> str:
@@ -220,20 +210,9 @@ def emit_scatter_csv(points: list[ScatterPoint]) -> str:
             (
                 "",
                 category,
-                format_ratio(_median([p.x for p in group])),
-                format_ratio(_median([p.y for p in group])),
+                format_ratio(statistics.median(p.x for p in group)),
+                format_ratio(statistics.median(p.y for p in group)),
                 "median",
             )
         )
     return buffer.getvalue()
-
-
-def _median(values: list[Fraction]) -> Fraction:
-    """``statistics.median`` of exact values, sorted by their floats first:
-    rounding keeps the order of unequal floats, and the exact value breaks
-    a tie between equal ones, so the order is exact at float speed."""
-    ordered = sorted(values, key=lambda v: (v.numerator / v.denominator, v))
-    middle = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[middle]
-    return (ordered[middle - 1] + ordered[middle]) / 2

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-import math
 import random
 from fractions import Fraction
 
@@ -540,14 +539,6 @@ def test_format_ratio():
     assert format_ratio(F("96.15") / 125) == "0.7692"
     assert format_ratio(None) == ""
     assert format_ratio(F(1, 3)) == "0.3333"
-
-
-@given(value=st.fractions(), places=st.integers(1, 6))
-def test_format_ratio_rounds_half_away_from_zero(value, places):
-    scale = 10**places
-    digits = math.floor(abs(value) * scale + F(1, 2))
-    sign = "-" if value < 0 and digits else ""
-    assert format_ratio(value, places) == f"{sign}{digits // scale}.{digits % scale:0{places}d}"
 
 
 def test_validate_answers_rejects_unknown_question(schema):

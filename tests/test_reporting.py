@@ -4,12 +4,10 @@ import csv
 import io
 import json
 import random
-import statistics
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
 from swmat import cli, reporting
 from swmat.maturity import build_report, cohort_stats, load_answers_file
@@ -99,7 +97,6 @@ def test_radar_series_length_mismatch():
 def _fresh_svg(spec: RadarSpec) -> str:
     """``emit_radar_svg`` with its caches emptied first, so it reuses nothing."""
     reporting._frame.cache_clear()
-    reporting._directions.cache_clear()
     return emit_radar_svg(spec)
 
 
@@ -296,11 +293,3 @@ def test_scatter_header_names_axes():
     rows = list(csv.reader(io.StringIO(emit_scatter_csv([_point(1, 2)]))))
     assert rows[0] == ["company", "category", "complexity", "m_mod", "kind"]
 
-
-# values 10**-20 apart share a float, so only their exact order separates them
-_CLOSE = st.integers(-3, 3).map(lambda k: F(10**20 + k, 10**20))
-
-
-@given(st.lists(st.fractions() | _CLOSE, min_size=1, max_size=9))
-def test_median_matches_statistics_median(values):
-    assert reporting._median(values) == statistics.median(values)
