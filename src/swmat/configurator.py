@@ -56,8 +56,8 @@ class ConfigError(Exception):
 
 def _check_name(name: str, what: str) -> None:
     """A generated name must read back as exactly one ST identifier."""
-    tokens, diags = tokenize(name)
-    if diags or [(t.kind, t.text) for t in tokens] != [(TokenKind.IDENT, name)]:
+    store, diags = tokenize(name)
+    if diags or store.kinds != [TokenKind.IDENT] or store.texts != [name]:
         raise ConfigError(f"{what} {name!r} is not an ST identifier")
 
 

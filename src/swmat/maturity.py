@@ -81,7 +81,7 @@ def validate_answers(schema: QuestionnaireSchema, answers: AnswerSet) -> list[st
             try:
                 parse_numeric_answer(value)
             except ScoringError as exc:
-                problems.append(str(exc))
+                problems.append(f"question {qid}: {exc}")
     return problems
 
 
@@ -118,7 +118,8 @@ def score_answer(
         if question.mode is not AnswerMode.SINGLE_CHOICE:
             raise ScoringError(f"question {qid} is not scored ({question.mode.value})")
         if not isinstance(answer, str):
-            raise ScoringError(f"question {qid}: expected an option key, got {answer!r}")
+            # not a string, so a number from the JSON: print it as a number
+            raise ScoringError(f"question {qid}: expected an option key, got {answer}")
         score = find_option(question, answer).score
         found = schema.answer_scores[qid, answer] = (score, score / question.weight * 5)
     return found

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -40,6 +42,9 @@ class CallResolution(Enum):
 
 
 class TokenKind(Enum):
+    """The kind of a token; a ``TokenStore`` keeps one per token in its
+    ``kinds`` column."""
+
     IDENT = "ident"
     NUMBER = "number"
     STRING = "string"
@@ -47,15 +52,82 @@ class TokenKind(Enum):
     OP = "op"
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: TokenKind
-    text: str
-    line: int = 0
-    col: int = 0
+class TokenStore:
+    """The tokens of one source file, kept as parallel columns.
+
+    Token ``i`` has kind ``kinds[i]``, text ``texts[i]`` and starts at offset
+    ``starts[i]`` of the text.  ``words[i]`` is its upper-cased text if it is
+    a keyword and ``ops[i]`` its text if it is an operator, else None: the
+    two questions the parser asks of every token.  Line and col are not
+    stored; ``locate`` computes them on demand by bisecting ``line_starts``,
+    the offsets where lines start.
+    """
+
+    __slots__ = ("kinds", "starts", "texts", "words", "ops", "line_starts")
+
+    def __init__(self, line_starts: list[int]) -> None:
+        self.kinds: list[TokenKind] = []
+        self.starts = array("q")
+        self.texts: list[str] = []
+        self.words: list[str | None] = []
+        self.ops: list[str | None] = []
+        self.line_starts = line_starts
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+    def add(self, kind: TokenKind, text: str, start: int) -> None:
+        """Append one token starting at offset ``start``."""
+        self.kinds.append(kind)
+        self.starts.append(start)
+        self.texts.append(text)
+        self.words.append(text.upper() if kind is TokenKind.KEYWORD else None)
+        self.ops.append(text if kind is TokenKind.OP else None)
+
+    def locate(self, offset: int) -> tuple[int, int]:
+        """The 1-based line and col of a text offset."""
+        line_starts = self.line_starts
+        line = bisect_right(line_starts, offset)
+        return line, offset - line_starts[line - 1] + 1
+
+    def position(self, i: int) -> tuple[int, int]:
+        """The 1-based line and col of token ``i``."""
+        return self.locate(self.starts[i])
 
 
-TokenSeq = tuple[Token, ...]
+class TokenSeq:
+    """An expression as parsed: tokens ``start`` up to ``end`` of ``store``.
+
+    Readers index the store's columns over ``range(start, end)``.  Two
+    sequences are equal when their tokens agree in kind, text, line and col,
+    whichever stores hold them.
+    """
+
+    __slots__ = ("store", "start", "end")
+
+    def __init__(self, store: TokenStore, start: int, end: int) -> None:
+        self.store = store
+        self.start = start
+        self.end = end
+
+    def __len__(self) -> int:
+        return self.end - self.start
+
+    def _content(self) -> tuple:
+        store, start, end = self.store, self.start, self.end
+        return (store.kinds[start:end], store.texts[start:end],
+                [store.position(i) for i in range(start, end)])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TokenSeq):
+            return NotImplemented
+        return self._content() == other._content()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.store.texts[self.start:self.end]))
+
+    def __repr__(self) -> str:
+        return f"TokenSeq({' '.join(self.store.texts[self.start:self.end])!r})"
 
 
 @dataclass(frozen=True)
@@ -516,7 +588,7 @@ def walk(statements: Sequence[Statement]) -> Iterator[Node]:
 
 
 def expressions(node: Node) -> tuple[TokenSeq, ...]:
-    """The expression token sequences a node holds directly, in source order."""
+    """The expressions a node holds directly, in source order."""
     if isinstance(node, Assignment):
         return (node.target, node.value)
     if isinstance(node, CallStatement):
@@ -530,28 +602,24 @@ def expressions(node: Node) -> tuple[TokenSeq, ...]:
     return ()
 
 
-def dotted_paths(tokens: TokenSeq) -> Iterator[tuple[int, int, bool]]:
-    """Each dotted identifier path ``a.b.c`` as (start, end, is_call).
+def dotted_paths(seq: TokenSeq) -> Iterator[tuple[int, int, bool]]:
+    """Each dotted identifier path ``a.b.c`` in ``seq`` as (start, end, is_call).
 
-    ``tokens[start:end:2]`` are the path's identifiers; is_call tells whether
-    '(' follows the path.
+    ``start`` and ``end`` index the store: ``seq.store.texts[start:end:2]``
+    are the path's identifiers; is_call tells whether '(' follows the path.
     """
-    ident, op = TokenKind.IDENT, TokenKind.OP  # locals: enum lookups cost per token
-    n = len(tokens)
-    i = 0
+    store = seq.store
+    kinds, ops = store.kinds, store.ops
+    ident = TokenKind.IDENT  # a local: enum lookups cost per token
+    i, n = seq.start, seq.end
     while i < n:
-        if tokens[i].kind is not ident:
+        if kinds[i] is not ident:
             i += 1
             continue
         j = i + 1
-        while (
-            j + 1 < n
-            and tokens[j].kind is op
-            and tokens[j].text == "."
-            and tokens[j + 1].kind is ident
-        ):
+        while j + 1 < n and ops[j] == "." and kinds[j + 1] is ident:
             j += 2
-        yield i, j, j < n and tokens[j].kind is op and tokens[j].text == "("
+        yield i, j, j < n and ops[j] == "("
         i = j
 
 
@@ -593,19 +661,20 @@ def body_facts(statements: Sequence[Statement]) -> BodyFacts:
         is_assignment = isinstance(node, Assignment)
         if isinstance(node, CallStatement):
             calls.append((node.callee, node.line, node.col))
-        elif is_assignment and node.target and node.target[0].kind is TokenKind.IDENT:
-            writes.add(node.target[0].text)
+        elif is_assignment:
+            target = node.target
+            if target and target.store.kinds[target.start] is TokenKind.IDENT:
+                writes.add(target.store.texts[target.start])
         elif isinstance(node, ForStatement):
             writes.add(node.var)
-        for k, tokens in enumerate(expressions(node)):
-            for start, end, is_call in dotted_paths(tokens):
+        for k, seq in enumerate(expressions(node)):
+            texts = seq.store.texts
+            for start, end, is_call in dotted_paths(seq):
                 if is_call:
-                    head = tokens[start]
-                    path = ".".join(t.text for t in tokens[start:end:2])
-                    calls.append((path, head.line, head.col))
+                    calls.append((".".join(texts[start:end:2]), *seq.store.position(start)))
                 # the target's base is the write; its index expressions are reads
-                elif not (is_assignment and k == 0 and start == 0):
-                    reads.add(tokens[start].text)
+                elif not (is_assignment and k == 0 and start == seq.start):
+                    reads.add(texts[start])
     return BodyFacts(calls, reads, writes, complexity)
 
 

@@ -10,6 +10,7 @@ point rather than dogma.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -27,6 +28,7 @@ from .model import (
     StructureStyle,
     TokenKind,
     TokenSeq,
+    TokenStore,
     read_text,
 )
 from .stparse import flatten_statements
@@ -189,21 +191,40 @@ def _fingerprint_atom(kind: TokenKind, text: str) -> str:
     return text.upper()
 
 
-def _fingerprint_seq(tokens: TokenSeq) -> list[str]:
-    """``_fingerprint_atom`` of each token, inlined: one call per expression."""
+def _store_atoms(store: TokenStore) -> list[str]:
+    """``_fingerprint_atom`` of every token of a store, inlined."""
     ident, number, string = TokenKind.IDENT, TokenKind.NUMBER, TokenKind.STRING
     return [
-        "i" if (kind := t.kind) is ident
+        "i" if kind is ident
         else "n" if kind is number
         else "s" if kind is string
-        else t.text.upper()
-        for t in tokens
+        else text.upper()
+        for kind, text in zip(store.kinds, store.texts)
     ]
 
 
-def clone_fingerprint(pou: Pou) -> tuple[str, ...]:
-    """The POU's body and actions as one token stream, names and literals erased."""
-    return tuple(flatten_statements(pou.all_statements(), _fingerprint_atom, _fingerprint_seq))
+def _fingerprint_seq(atoms: dict[TokenStore, list[str]]) -> Callable[[TokenSeq], list[str]]:
+    """``_fingerprint_atom`` of each token of an expression, as a slice of
+    its store's atoms; ``atoms`` keeps them once computed."""
+    def fingerprint(seq: TokenSeq) -> list[str]:
+        store_atoms = atoms.get(seq.store)
+        if store_atoms is None:
+            store_atoms = atoms[seq.store] = _store_atoms(seq.store)
+        return store_atoms[seq.start : seq.end]
+
+    return fingerprint
+
+
+def clone_fingerprint(
+    pou: Pou, atoms: dict[TokenStore, list[str]] | None = None
+) -> tuple[str, ...]:
+    """The POU's body and actions as one token stream, names and literals erased.
+
+    Pass one ``atoms`` dict to all calls on a project: the POUs of one source
+    file then share their file's erased tokens.
+    """
+    seq = _fingerprint_seq({} if atoms is None else atoms)
+    return tuple(flatten_statements(pou.all_statements(), _fingerprint_atom, seq))
 
 
 @dataclass(frozen=True)
@@ -216,8 +237,9 @@ class CloneReport:
 def detect_clones(project: Project, min_tokens: int = 20) -> CloneReport:
     """Group POUs whose normalized body token streams are identical."""
     by_stream: dict[tuple[str, ...], list[str]] = {}
+    atoms: dict[TokenStore, list[str]] = {}
     for pou in project.pous:
-        stream = clone_fingerprint(pou)
+        stream = clone_fingerprint(pou, atoms)
         if len(stream) < min_tokens:
             continue
         by_stream.setdefault(stream, []).append(pou.name)

@@ -5,11 +5,17 @@ sections, VAR_GLOBAL blocks, ACTION blocks, and the statement forms needed
 for call-graph and data-flow extraction: assignments, call statements,
 IF/ELSIF/ELSE, CASE ... OF with literal labels, FOR and WHILE loops.
 
-Expressions are not built into operator trees; they are kept as token
-sequences (identifiers carry positions), which is all the downstream
-analyses need.  On a syntax error the parser records a diagnostic and
-resynchronizes at the next END_* or POU keyword, so one broken POU does not
-hide the rest of a file.
+``tokenize`` keeps a file's tokens as columns of one ``TokenStore``:
+parallel lists of kinds, start offsets and texts, which the parser reads
+directly.  Line and col are not stored per token; they are computed on
+demand, by bisecting the offsets where lines start, for what carries a
+position: diagnostics, statement heads, call sites and POU spans.
+
+Expressions are not built into operator trees; each is kept as a
+``TokenSeq``, a span of the store, which is all the downstream analyses
+need.  On a syntax error the parser records a diagnostic and resynchronizes
+at the next END_* or POU keyword, so one broken POU does not hide the rest
+of a file.
 """
 
 from __future__ import annotations
@@ -17,6 +23,8 @@ from __future__ import annotations
 import re
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import add
 from typing import TypeVar
 
 from .model import (
@@ -35,9 +43,9 @@ from .model import (
     PouKind,
     SectionKind,
     Statement,
-    Token,
     TokenKind,
     TokenSeq,
+    TokenStore,
     VarDecl,
     VarSection,
     WhileStatement,
@@ -85,21 +93,19 @@ class ParseResult:
         return not any(d.severity == "error" for d in self.diagnostics)
 
 
-# One match per token, after the blanks and ``//`` comments ahead of it; a
-# newline is a match of its own, so lines are counted exactly.  Words and
-# numbers are ASCII, as IEC 61131-3 identifiers are (``re.ASCII`` makes ``\w``
-# ``[A-Za-z0-9_]``).  What the pattern leaves at a token start goes to
-# ``_scan_special``: ``(* *)`` comments, ``{}`` pragmas, strings, and any
-# other character, which is an error.  A typed literal's tail (``T#5s``,
-# ``TOD#12:30:00``) takes a ``:`` only before a digit, so the colon after a
-# typed CASE label such as ``INT#1:`` stays an operator.
+# One match per token, after the blanks, newlines and ``//`` comments ahead
+# of it.  Words and numbers are ASCII, as IEC 61131-3 identifiers are
+# (``re.ASCII`` makes ``\w`` ``[A-Za-z0-9_]``).  What the pattern leaves at a
+# token start goes to ``_scan_special``: ``(* *)`` comments, ``{}`` pragmas,
+# strings, and any other character, which is an error.  A typed literal's
+# tail (``T#5s``, ``TOD#12:30:00``) takes a ``:`` only before a digit, so the
+# colon after a typed CASE label such as ``INT#1:`` stays an operator.
 _TOKEN_RE = re.compile(
     r"""
-    (?:[ \t\r]+ | //[^\n]*)*
+    (?:[ \t\r\n]+ | //[^\n]*)*
     (?:
         (?P<word>[A-Za-z_]\w*)(?P<typed>\#(?:[\w.+\-]|:(?=[0-9]))*)?
       | (?P<op>:=|<=|>=|<>|\.\.|=>|\*\*|\((?!\*)|[-+*/)\[\]<>=.,;:&\#%])
-      | (?P<nl>\n)
       | (?P<number>[0-9][\w\#]*(?:\.[0-9]\w*)?)
     )?
     """,
@@ -108,49 +114,69 @@ _TOKEN_RE = re.compile(
 _COMMENT_DELIMITER = re.compile(r"\(\*|\*\)")
 
 
-def tokenize(text: str, path: str = "<string>") -> tuple[list[Token], list[Diagnostic]]:
-    """Split source text into tokens; comments are skipped, positions 1-based."""
-    tokens: list[Token] = []
+def _line_starts(text: str) -> list[int]:
+    """The offset where each line of ``text`` starts; lines end at ``\n``."""
+    starts = list(accumulate(map(add, map(len, text.split("\n")), repeat(1)), initial=0))
+    starts.pop()  # the start of the line after the last one
+    return starts
+
+
+def tokenize(text: str, path: str = "<string>") -> tuple[TokenStore, list[Diagnostic]]:
+    """Split source text into a store of tokens; comments are skipped."""
+    store = TokenStore(_line_starts(text))
+    kinds, starts, texts = store.kinds, store.starts, store.texts
+    words, ops = store.words, store.ops
+    keyword, ident, op, number = TokenKind.KEYWORD, TokenKind.IDENT, TokenKind.OP, TokenKind.NUMBER
+    # each distinct word is classified once, and every repeat of a token text
+    # shares the first one's string object
+    seen: dict[str, tuple[TokenKind, str, str | None]] = {}
+    shared: dict[str, str] = {}
     diags: list[Diagnostic] = []
-    append = tokens.append
     n = len(text)
-    line = 1
-    line_start = 0  # index of the first character of the current line
     pos = 0
     while pos < n:
         for m in _TOKEN_RE.finditer(text, pos):
-            kind = m.lastgroup
-            if kind == "word":
-                word = m.group(kind)
-                word_kind = TokenKind.KEYWORD if word.upper() in KEYWORDS else TokenKind.IDENT
-                append(Token(word_kind, word, line, m.start(kind) - line_start + 1))
-            elif kind == "op":
-                append(Token(TokenKind.OP, m.group(kind), line,
-                             m.start(kind) - line_start + 1))
-            elif kind == "nl":
-                line += 1
-                line_start = m.end()
-            elif kind == "number" or kind == "typed":
-                start = m.start("word" if kind == "typed" else kind)
-                append(Token(TokenKind.NUMBER, text[start : m.end()], line,
-                             start - line_start + 1))
+            group = m.lastgroup
+            if group == "word":
+                entry = seen.get(word := m.group(group))
+                if entry is None:
+                    upper = word.upper()
+                    entry = seen[word] = (
+                        (keyword, word, upper) if upper in KEYWORDS else (ident, word, None)
+                    )
+                kind, word, upper = entry
+                kinds.append(kind)
+                starts.append(m.start(group))
+                texts.append(word)
+                words.append(upper)
+                ops.append(None)
+            elif group == "op":
+                token = m.group(group)
+                token = shared.setdefault(token, token)
+                kinds.append(op)
+                starts.append(m.start(group))
+                texts.append(token)
+                words.append(None)
+                ops.append(token)
+            elif group == "number" or group == "typed":
+                start = m.start("word" if group == "typed" else group)
+                token = text[start : m.end()]
+                kinds.append(number)
+                starts.append(start)
+                texts.append(shared.setdefault(token, token))
+                words.append(None)
+                ops.append(None)
             else:  # end of text, or a token for _scan_special
                 pos = m.end()
                 break
         if pos >= n:
             break
-        end = _scan_special(text, pos, line, pos - line_start + 1, path, tokens, diags)
-        newlines = text.count("\n", pos, end)
-        if newlines:
-            line += newlines
-            line_start = text.rfind("\n", pos, end) + 1
-        pos = end
-    return tokens, diags
+        pos = _scan_special(text, pos, path, store, diags)
+    return store, diags
 
 
 def _scan_special(
-    text: str, i: int, line: int, col: int, path: str,
-    tokens: list[Token], diags: list[Diagnostic],
+    text: str, i: int, path: str, store: TokenStore, diags: list[Diagnostic],
 ) -> int:
     """Scan the comment, pragma or string at ``text[i]``; any other character
     here, a non-ASCII one included, is an error, since ``_TOKEN_RE`` takes
@@ -163,18 +189,14 @@ def _scan_special(
             depth += 1 if m.group() == "(*" else -1
             if depth == 0:
                 return m.end()
-        diags.append(
-            Diagnostic("warning", "unterminated comment", path=path, line=line, col=col)
-        )
+        diags.append(_positioned("warning", "unterminated comment", path, store, i))
         return n
     if ch == "{":
         # vendor pragma; skip to closing brace
         j = text.find("}", i)
         if j >= 0:
             return j + 1
-        diags.append(
-            Diagnostic("warning", "unterminated pragma", path=path, line=line, col=col)
-        )
+        diags.append(_positioned("warning", "unterminated pragma", path, store, i))
         return n
     if ch in "'\"":
         j = i + 1
@@ -183,25 +205,28 @@ def _scan_special(
                 break
             j += 2 if text[j] == "$" else 1
         if j >= n or text[j] != ch:
-            diags.append(
-                Diagnostic("error", "unterminated string literal", path=path,
-                           line=line, col=col)
-            )
-            tokens.append(Token(TokenKind.STRING, text[i:j], line, col))
+            diags.append(_positioned("error", "unterminated string literal", path, store, i))
+            store.add(TokenKind.STRING, text[i:j], i)
             return j
-        tokens.append(Token(TokenKind.STRING, text[i : j + 1], line, col))
+        store.add(TokenKind.STRING, text[i : j + 1], i)
         return j + 1
-    diags.append(
-        Diagnostic("error", f"unexpected character {ch!r}", path=path, line=line, col=col)
-    )
+    diags.append(_positioned("error", f"unexpected character {ch!r}", path, store, i))
     return i + 1
 
 
+def _positioned(
+    severity: str, message: str, path: str, store: TokenStore, offset: int
+) -> Diagnostic:
+    """A diagnostic at the line and col of the text offset ``offset``."""
+    line, col = store.locate(offset)
+    return Diagnostic(severity, message, path=path, line=line, col=col)
+
+
 class _ParseFailure(Exception):
-    def __init__(self, message: str, token: Token | None):
+    def __init__(self, message: str, at: int | None):
         super().__init__(message)
         self.message = message
-        self.token = token
+        self.at = at  # index of the offending token; None at end of input
 
 
 class _NestingTooDeep(_ParseFailure):
@@ -215,29 +240,25 @@ MAX_NESTING = 200
 
 
 class Parser:
-    def __init__(self, tokens: list[Token], path: str):
-        self.tokens = tokens
+    def __init__(self, store: TokenStore, path: str):
+        self.store = store
         self.path = path
         self.pos = 0
+        self.end = len(store)
         self.depth = 0  # IF/CASE/FOR/WHILE blocks open around the current token
         self.diagnostics: list[Diagnostic] = []
         self.partial: list[str] = []
-        # one lane per question the parser asks of a token, each with an
-        # end-of-input slot: the token (None at the end), its upper-cased text
-        # if it is a keyword, its text if it is an operator
-        keyword, op = TokenKind.KEYWORD, TokenKind.OP
-        self._lane: list[Token | None] = [*tokens, None]
-        self._words: list[str | None] = [
-            t.text.upper() if t.kind is keyword else None for t in tokens
-        ]
-        self._words.append(None)
-        self._ops: list[str | None] = [t.text if t.kind is op else None for t in tokens]
-        self._ops.append(None)
+        self.texts = store.texts
+        # the columns the parser asks about at ``pos``, each with a None slot
+        # for the end of input
+        self._kinds: list[TokenKind | None] = [*store.kinds, None]
+        self._words: list[str | None] = [*store.words, None]
+        self._ops: list[str | None] = [*store.ops, None]
 
     # -- token helpers
 
-    def peek(self) -> Token | None:
-        return self._lane[self.pos]
+    def at_end(self) -> bool:
+        return self.pos >= self.end
 
     def at_keyword(self, *words: str) -> bool:
         return self._words[self.pos] in words
@@ -245,33 +266,46 @@ class Parser:
     def at_op(self, text: str) -> bool:
         return self._ops[self.pos] == text
 
-    def take(self) -> Token:
+    def take(self) -> int:
+        """Consume the current token and return its index."""
         pos = self.pos
-        tok = self._lane[pos]
-        if tok is None:
+        if pos >= self.end:
             raise _ParseFailure("unexpected end of file", None)
         self.pos = pos + 1
-        return tok
+        return pos
+
+    def here(self) -> int | None:
+        """The index of the current token; None at the end of input."""
+        return self.pos if self.pos < self.end else None
+
+    def line(self, i: int) -> int:
+        return self.store.position(i)[0]
 
     def expected(self, what: str) -> _ParseFailure:
-        got = self.peek()
-        return _ParseFailure(f"expected {what}, got {got.text if got else 'end of file'}", got)
+        got = self.texts[self.pos] if self.pos < self.end else "end of file"
+        return _ParseFailure(f"expected {what}, got {got}", self.here())
 
-    def expect_keyword(self, *words: str) -> Token:
-        if not self.at_keyword(*words):
+    # the end-of-input slots hold None, so each ``expect_*`` fails there
+    def expect_keyword(self, *words: str) -> int:
+        pos = self.pos
+        if self._words[pos] not in words:
             raise self.expected(" or ".join(words))
-        return self.take()
+        self.pos = pos + 1
+        return pos
 
-    def expect_op(self, text: str) -> Token:
-        if not self.at_op(text):
+    def expect_op(self, text: str) -> int:
+        pos = self.pos
+        if self._ops[pos] != text:
             raise self.expected(repr(text))
-        return self.take()
+        self.pos = pos + 1
+        return pos
 
-    def expect_ident(self) -> Token:
-        tok = self.peek()
-        if tok is None or tok.kind is not TokenKind.IDENT:
+    def expect_ident(self) -> int:
+        pos = self.pos
+        if self._kinds[pos] is not TokenKind.IDENT:
             raise self.expected("identifier")
-        return self.take()
+        self.pos = pos + 1
+        return pos
 
     def match_bracket(self, close: str, nest: str = "") -> int | None:
         """Move to the first operator in ``close`` that does not close a
@@ -279,7 +313,7 @@ class Parser:
         ``nest``: nothing nests) and return its index.  At end of input
         return None, with ``pos`` at the end."""
         ops = self._ops
-        end = len(self.tokens)
+        end = self.end
         depth = 0
         for pos in range(self.pos, end):
             op = ops[pos]
@@ -296,8 +330,9 @@ class Parser:
         return None
 
     def error(self, failure: _ParseFailure) -> None:
-        line = failure.token.line if failure.token else None
-        col = failure.token.col if failure.token else None
+        line = col = None
+        if failure.at is not None:
+            line, col = self.store.position(failure.at)
         self.diagnostics.append(
             Diagnostic("error", failure.message, path=self.path, line=line, col=col)
         )
@@ -311,7 +346,7 @@ class Parser:
         """Advance to the next END_* keyword (with ``block_ends``) or POU
         boundary so parsing can resume."""
         words = self._words
-        end = len(self.tokens)
+        end = self.end
         pos = self.pos
         while pos < end:
             word = words[pos]
@@ -327,7 +362,7 @@ class Parser:
     def parse_file(self) -> ParseResult:
         pous: list[Pou] = []
         globals_: list[GlobalVar] = []
-        while self.peek() is not None:
+        while not self.at_end():
             loop_start = self.pos
             try:
                 if self.at_keyword("VAR_GLOBAL"):
@@ -335,15 +370,15 @@ class Parser:
                 elif self.at_keyword("FUNCTION_BLOCK", "PROGRAM", "FUNCTION"):
                     pous.append(self.parse_pou())
                 else:
-                    tok = self.peek()
                     raise _ParseFailure(
-                        f"expected a POU or VAR_GLOBAL block, got {tok.text!r}", tok
+                        f"expected a POU or VAR_GLOBAL block, got {self.texts[self.pos]!r}",
+                        self.pos,
                     )
             except _ParseFailure as failure:
                 self.error(failure)
                 self.skip_to_recovery_point()
                 # a recovery point we cannot use must still be consumed
-                if self.pos == loop_start and self.peek() is not None:
+                if self.pos == loop_start and not self.at_end():
                     self.take()
         return ParseResult(pous, globals_, self.diagnostics, self.partial)
 
@@ -357,7 +392,7 @@ class Parser:
         head = self.take()
         kind = PouKind[kind_word]
         end_word = "END_" + kind_word
-        name_tok = self.expect_ident()
+        name = self.expect_ident()
         return_type: str | None = None
         if kind is PouKind.FUNCTION:
             self.expect_op(":")
@@ -369,16 +404,16 @@ class Parser:
         partial = False
 
         while True:
-            tok = self.peek()
             word = self._words[self.pos]
-            if tok is None:
-                self.warn(f"missing {end_word} at end of file", name_tok.line)
+            if self.at_end():
+                self.warn(f"missing {end_word} at end of file", self.line(name))
                 break
             if word == end_word:
                 self.take()
                 break
             if word in POU_START:
-                self.warn(f"missing {end_word} before {tok.text}", tok.line)
+                self.warn(f"missing {end_word} before {self.texts[self.pos]}",
+                          self.line(self.pos))
                 break
             loop_start = self.pos
             try:
@@ -400,30 +435,29 @@ class Parser:
                 if self.at_keyword(*POU_START):
                     break
                 # a foreign END_* marker: swallow it so recovery advances
-                if self.pos == loop_start and self.peek() is not None:
+                if self.pos == loop_start and not self.at_end():
                     self.take()
 
         if partial:
-            self.partial.append(name_tok.text)
-        last = self.tokens[self.pos - 1] if self.pos else name_tok
+            self.partial.append(self.texts[name])
         return Pou(
-            name=name_tok.text,
+            name=self.texts[name],
             kind=kind,
             return_type=return_type,
             var_sections=tuple(sections),
             statements=tuple(statements),
             actions=tuple(actions),
-            span=LineSpan(head.line, last.line),
+            span=LineSpan(self.line(head), self.line(self.pos - 1)),
         )
 
     def parse_action(self) -> ActionDef:
         head = self.expect_keyword("ACTION")
-        name_tok = self.expect_ident()
+        name = self.expect_ident()
         if self.at_op(":"):
             self.take()
         body = self.parse_statements_until("END_ACTION")
         self.take()
-        return ActionDef(name_tok.text, tuple(body), head.line)
+        return ActionDef(self.texts[name], tuple(body), self.line(head))
 
     # -- declarations
 
@@ -442,22 +476,22 @@ class Parser:
         return constant
 
     def parse_decl_list(self) -> list[VarDecl]:
+        texts = self.texts
         decls: list[VarDecl] = []
         while True:
             if self.at_keyword("END_VAR"):
                 self.take()
                 return decls
-            tok = self.peek()
-            if tok is None:
+            if self.at_end():
                 self.warn("missing END_VAR at end of file")
                 return decls
             if self._words[self.pos] in _POU_BOUNDARY:
-                self.warn(f"missing END_VAR before {tok.text}", tok.line)
+                self.warn(f"missing END_VAR before {texts[self.pos]}", self.line(self.pos))
                 return decls
-            names = [self.expect_ident().text]
+            names = [texts[self.expect_ident()]]
             while self.at_op(","):
                 self.take()
-                names.append(self.expect_ident().text)
+                names.append(texts[self.expect_ident()])
             if self.at_keyword("AT"):
                 self.take()
                 self.match_bracket(":")  # hardware address: %IX0.0 and friends
@@ -481,19 +515,17 @@ class Parser:
                 self.take()
             self.expect_keyword("OF")
             prefix += "ARRAY OF "
-        tok = self.peek()
-        if tok is None:
+        if self.at_end():
             raise _ParseFailure("expected a type name", None)
-        if tok.kind is not TokenKind.IDENT and self._words[self.pos] is None:
-            raise _ParseFailure(f"expected a type name, got {tok.text!r}", tok)
-        self.take()
-        text = tok.text
+        if self._kinds[self.pos] is not TokenKind.IDENT and self._words[self.pos] is None:
+            raise _ParseFailure(f"expected a type name, got {self.texts[self.pos]!r}", self.pos)
+        text = self.texts[self.take()]
         for open_, close in ("()", "[]"):  # size arguments: STRING(80), STRING[80]
             if self.at_op(open_):
                 self.take()
                 start = self.pos
                 self.match_bracket(close)
-                text += open_ + " ".join(t.text for t in self.tokens[start : self.pos]) + close
+                text += open_ + " ".join(self.texts[start : self.pos]) + close
                 self.expect_op(close)
         return prefix + text
 
@@ -502,7 +534,7 @@ class Parser:
         does not hold up the ';')."""
         words, ops = self._words, self._ops
         start = pos = self.pos
-        end = len(self.tokens)
+        end = self.end
         depth = 0
         while pos < end:
             op = ops[pos]
@@ -517,7 +549,7 @@ class Parser:
                 break
             pos += 1
         self.pos = pos
-        return " ".join(t.text for t in self.tokens[start:pos])
+        return " ".join(self.texts[start:pos])
 
     # -- statements
 
@@ -531,7 +563,7 @@ class Parser:
         stops = stop_keywords or self._EXPR_STOP_KEYWORDS
         words, ops = self._words, self._ops
         start = pos = self.pos
-        end = len(self.tokens)
+        end = self.end
         depth = 0
         while pos < end:
             op = ops[pos]
@@ -548,72 +580,69 @@ class Parser:
                 break
             pos += 1
         self.pos = pos
-        return tuple(self.tokens[start:pos])
+        return TokenSeq(self.store, start, pos)
 
     def require_expression(self, stop_keywords: set[str] | None = None) -> TokenSeq:
         tokens = self.capture_expression(stop_keywords)
         if not tokens:
-            raise _ParseFailure("expected an expression", self.peek())
+            raise _ParseFailure("expected an expression", self.here())
         return tokens
 
     def skip_empty_statements(self) -> None:
         # every caller of parse_statement skips these next, so a block or call
         # statement leaves its optional closing ';' to them
-        while self.at_op(";"):
-            self.take()
+        ops, pos = self._ops, self.pos
+        while ops[pos] == ";":
+            pos += 1
+        self.pos = pos
 
     def parse_statement(self) -> Statement:
-        tok = self.peek()
-        if tok is None:
+        if self.pos >= self.end:
             raise _ParseFailure("expected a statement", None)
         parse_block = _BLOCK_PARSERS.get(self._words[self.pos])
         if parse_block is not None:
             if self.depth >= MAX_NESTING:
                 raise _NestingTooDeep(
-                    f"{tok.text} nested more than {MAX_NESTING} blocks deep", tok
+                    f"{self.texts[self.pos]} nested more than {MAX_NESTING} blocks deep",
+                    self.pos,
                 )
             self.depth += 1
             try:
                 return parse_block(self)
             finally:
                 self.depth -= 1
-        if tok.kind is TokenKind.IDENT:
+        if self._kinds[self.pos] is TokenKind.IDENT:
             return self.parse_simple_statement()
-        raise _ParseFailure(f"unexpected token {tok.text!r}", tok)
+        raise _ParseFailure(f"unexpected token {self.texts[self.pos]!r}", self.pos)
 
     def parse_simple_statement(self) -> Statement:
         first = self.expect_ident()
-        path_tokens: list[Token] = [first]
-        path_parts = [first.text]
         while self.at_op("."):
-            path_tokens.append(self.take())
-            member = self.expect_ident()
-            path_tokens.append(member)
-            path_parts.append(member.text)
+            self.pos += 1
+            self.expect_ident()
         if self.at_op("("):
             # a plain call statement: name(...) ;
-            self.take()
-            start = self.pos
+            callee = "".join(self.texts[first : self.pos])
+            start = self.pos = self.pos + 1
             if self.match_bracket(")]", "([") is None:
                 raise _ParseFailure("unterminated call argument list", first)
-            args = tuple(self.tokens[start : self.pos])
-            self.take()
-            return CallStatement(".".join(path_parts), args, first.line, first.col)
+            args = TokenSeq(self.store, start, self.pos)
+            self.pos += 1
+            return CallStatement(callee, args, *self.store.position(first))
         # otherwise an assignment; indexes may appear on the target path
         while self.at_op("["):
-            start = self.pos
-            self.take()
+            self.pos += 1
             if self.match_bracket("]", "[") is None:
                 raise _ParseFailure("unterminated index expression", first)
-            self.take()
-            path_tokens.extend(self.tokens[start : self.pos])
+            self.pos += 1
             while self.at_op("."):
-                path_tokens.append(self.take())
-                path_tokens.append(self.expect_ident())
+                self.pos += 1
+                self.expect_ident()
+        target = TokenSeq(self.store, first, self.pos)
         self.expect_op(":=")
         value = self.require_expression()
         self.expect_op(";")
-        return Assignment(tuple(path_tokens), value, first.line, first.col)
+        return Assignment(target, value, *self.store.position(first))
 
     def parse_if(self) -> IfStatement:
         head = self.expect_keyword("IF")
@@ -633,7 +662,7 @@ class Parser:
             self.take()
             else_body = self.parse_statements_until("END_IF")
         self.expect_keyword("END_IF")
-        return IfStatement(tuple(branches), tuple(else_body), head.line, head.col)
+        return IfStatement(tuple(branches), tuple(else_body), *self.store.position(head))
 
     def parse_case(self) -> CaseStatement:
         head = self.expect_keyword("CASE")
@@ -650,7 +679,7 @@ class Parser:
                 else_body = self.parse_statements_until("END_CASE")
                 self.expect_keyword("END_CASE")
                 break
-            if self.peek() is None:
+            if self.at_end():
                 raise _ParseFailure("missing END_CASE", head)
             labels = self.parse_case_labels()
             body: list[Statement] = []
@@ -658,22 +687,23 @@ class Parser:
             while not (
                 self.at_keyword("END_CASE", "ELSE")
                 or self.at_case_label()
-                or self.peek() is None
+                or self.at_end()
             ):
                 body.append(self.parse_statement())
                 self.skip_empty_statements()
             branches.append(CaseBranch(tuple(labels), tuple(body)))
-        return CaseStatement(selector, tuple(branches), tuple(else_body), head.line, head.col)
+        return CaseStatement(
+            selector, tuple(branches), tuple(else_body), *self.store.position(head)
+        )
 
     def at_case_label(self) -> bool:
         """Lookahead: label (',' label)* ':', where a label is an atom or
         atom '..' atom, and an atom a NUMBER or an identifier."""
-        lane, ops = self._lane, self._ops
+        kinds, ops = self._kinds, self._ops
         pos = self.pos
         ranged = False  # the atom at pos ends a '..' range
         while True:
-            tok = lane[pos]
-            if tok is None or tok.kind not in _LABEL_KINDS:
+            if kinds[pos] not in _LABEL_KINDS:
                 return False
             after = ops[pos + 1]
             if after == ".." and not ranged:
@@ -684,19 +714,18 @@ class Parser:
                 return after == ":"
             pos += 2
 
+    def take_case_label(self, message: str) -> str:
+        if self._kinds[self.pos] not in _LABEL_KINDS:
+            raise _ParseFailure(message, self.here())
+        return self.texts[self.take()]
+
     def parse_case_labels(self) -> list[str]:
         labels: list[str] = []
         while True:
-            tok = self.peek()
-            if tok is None or tok.kind not in _LABEL_KINDS:
-                raise _ParseFailure("expected a case label", tok)
-            label = self.take().text
+            label = self.take_case_label("expected a case label")
             if self.at_op(".."):
                 self.take()
-                hi = self.peek()
-                if hi is None or hi.kind not in _LABEL_KINDS:
-                    raise _ParseFailure("expected a case label after '..'", hi)
-                label += ".." + self.take().text
+                label += ".." + self.take_case_label("expected a case label after '..'")
             labels.append(label)
             if self.at_op(","):
                 self.take()
@@ -706,19 +735,20 @@ class Parser:
 
     def parse_for(self) -> ForStatement:
         head = self.expect_keyword("FOR")
-        var = self.expect_ident().text
+        var = self.texts[self.expect_ident()]
         self.expect_op(":=")
         start = self.require_expression()
         self.expect_keyword("TO")
         stop = self.require_expression()
-        step: TokenSeq = ()
         if self.at_keyword("BY"):
             self.take()
             step = self.require_expression()
+        else:
+            step = TokenSeq(self.store, self.pos, self.pos)
         self.expect_keyword("DO")
         body = self.parse_statements_until("END_FOR")
         self.expect_keyword("END_FOR")
-        return ForStatement(var, start, stop, step, tuple(body), head.line, head.col)
+        return ForStatement(var, start, stop, step, tuple(body), *self.store.position(head))
 
     def parse_while(self) -> WhileStatement:
         head = self.expect_keyword("WHILE")
@@ -726,13 +756,14 @@ class Parser:
         self.expect_keyword("DO")
         body = self.parse_statements_until("END_WHILE")
         self.expect_keyword("END_WHILE")
-        return WhileStatement(condition, tuple(body), head.line, head.col)
+        return WhileStatement(condition, tuple(body), *self.store.position(head))
 
     def parse_statements_until(self, *stop_words: str) -> list[Statement]:
         body: list[Statement] = []
+        words = self._words
         self.skip_empty_statements()
-        while not self.at_keyword(*stop_words):
-            if self.peek() is None:
+        while words[self.pos] not in stop_words:
+            if self.at_end():
                 raise _ParseFailure(f"expected {' or '.join(stop_words)}", None)
             body.append(self.parse_statement())
             self.skip_empty_statements()
@@ -749,8 +780,8 @@ _BLOCK_PARSERS = {
 
 def parse_file(source: SourceFile) -> ParseResult:
     """Parse one ST source file into POUs and global variable declarations."""
-    tokens, lex_diags = tokenize(source.text, source.path)
-    parser = Parser(tokens, source.path)
+    store, lex_diags = tokenize(source.text, source.path)
+    parser = Parser(store, source.path)
     result = parser.parse_file()
     result.diagnostics[:0] = lex_diags
     return result

@@ -23,6 +23,7 @@ from swmat.model import (
     TokenKind,
     WhileStatement,
 )
+from token_view import expand
 
 NormToken = tuple[TokenKind, str]
 
@@ -44,18 +45,20 @@ def _walk_statements(statements):
 
 def _token_streams(stmt):
     if isinstance(stmt, Assignment):
-        return [stmt.target, stmt.value]
-    if isinstance(stmt, CallStatement):
-        return [stmt.args]
-    if isinstance(stmt, IfStatement):
-        return [b.condition for b in stmt.branches]
-    if isinstance(stmt, CaseStatement):
-        return [stmt.selector]
-    if isinstance(stmt, ForStatement):
-        return [stmt.start, stmt.stop, stmt.step]
-    if isinstance(stmt, WhileStatement):
-        return [stmt.condition]
-    return []
+        streams = [stmt.target, stmt.value]
+    elif isinstance(stmt, CallStatement):
+        streams = [stmt.args]
+    elif isinstance(stmt, IfStatement):
+        streams = [b.condition for b in stmt.branches]
+    elif isinstance(stmt, CaseStatement):
+        streams = [stmt.selector]
+    elif isinstance(stmt, ForStatement):
+        streams = [stmt.start, stmt.stop, stmt.step]
+    elif isinstance(stmt, WhileStatement):
+        streams = [stmt.condition]
+    else:
+        streams = []
+    return [expand(seq) for seq in streams]
 
 
 def _paths(tokens):
@@ -212,8 +215,8 @@ def reference_global_accesses(project: Project) -> dict[str, tuple[set[str], set
         reads: set[str] = set()
         writes: set[str] = set()
 
-        def add_reads(tokens, skip_first=False):
-            for idx, (parts, called) in enumerate(_paths(tokens)):
+        def add_reads(seq, skip_first=False):
+            for idx, (parts, called) in enumerate(_paths(expand(seq))):
                 if called:
                     continue
                 if skip_first and idx == 0:
@@ -230,8 +233,9 @@ def reference_global_accesses(project: Project) -> dict[str, tuple[set[str], set
         for body in _pou_bodies(pou):
             for stmt in _walk_statements(body):
                 if isinstance(stmt, Assignment):
-                    if stmt.target and stmt.target[0].kind is TokenKind.IDENT:
-                        add_write(stmt.target[0].text)
+                    target = expand(stmt.target)
+                    if target and target[0].kind is TokenKind.IDENT:
+                        add_write(target[0].text)
                     add_reads(stmt.target, skip_first=True)
                     add_reads(stmt.value)
                 elif isinstance(stmt, CallStatement):
@@ -376,9 +380,9 @@ def reference_statement_stream(statements) -> list[NormToken]:
     def walk(stmts):
         for stmt in stmts:
             if isinstance(stmt, Assignment):
-                out.extend((t.kind, t.text) for t in stmt.target)
+                out.extend((t.kind, t.text) for t in expand(stmt.target))
                 out.append((TokenKind.OP, ":="))
-                out.extend((t.kind, t.text) for t in stmt.value)
+                out.extend((t.kind, t.text) for t in expand(stmt.value))
                 out.append((TokenKind.OP, ";"))
             elif isinstance(stmt, CallStatement):
                 for k, part in enumerate(stmt.callee.split(".")):
@@ -386,13 +390,13 @@ def reference_statement_stream(statements) -> list[NormToken]:
                         out.append((TokenKind.OP, "."))
                     out.append((TokenKind.IDENT, part))
                 out.append((TokenKind.OP, "("))
-                out.extend((t.kind, t.text) for t in stmt.args)
+                out.extend((t.kind, t.text) for t in expand(stmt.args))
                 out.append((TokenKind.OP, ")"))
                 out.append((TokenKind.OP, ";"))
             elif isinstance(stmt, IfStatement):
                 for k, branch in enumerate(stmt.branches):
                     out.append((TokenKind.KEYWORD, "IF" if k == 0 else "ELSIF"))
-                    out.extend((t.kind, t.text) for t in branch.condition)
+                    out.extend((t.kind, t.text) for t in expand(branch.condition))
                     out.append((TokenKind.KEYWORD, "THEN"))
                     walk(branch.body)
                 if stmt.else_body:
@@ -402,7 +406,7 @@ def reference_statement_stream(statements) -> list[NormToken]:
                 out.append((TokenKind.OP, ";"))
             elif isinstance(stmt, CaseStatement):
                 out.append((TokenKind.KEYWORD, "CASE"))
-                out.extend((t.kind, t.text) for t in stmt.selector)
+                out.extend((t.kind, t.text) for t in expand(stmt.selector))
                 out.append((TokenKind.KEYWORD, "OF"))
                 for branch in stmt.branches:
                     for k, label in enumerate(branch.labels):
@@ -424,19 +428,19 @@ def reference_statement_stream(statements) -> list[NormToken]:
                 out.append((TokenKind.KEYWORD, "FOR"))
                 out.append((TokenKind.IDENT, stmt.var))
                 out.append((TokenKind.OP, ":="))
-                out.extend((t.kind, t.text) for t in stmt.start)
+                out.extend((t.kind, t.text) for t in expand(stmt.start))
                 out.append((TokenKind.KEYWORD, "TO"))
-                out.extend((t.kind, t.text) for t in stmt.stop)
+                out.extend((t.kind, t.text) for t in expand(stmt.stop))
                 if stmt.step:
                     out.append((TokenKind.KEYWORD, "BY"))
-                    out.extend((t.kind, t.text) for t in stmt.step)
+                    out.extend((t.kind, t.text) for t in expand(stmt.step))
                 out.append((TokenKind.KEYWORD, "DO"))
                 walk(stmt.body)
                 out.append((TokenKind.KEYWORD, "END_FOR"))
                 out.append((TokenKind.OP, ";"))
             elif isinstance(stmt, WhileStatement):
                 out.append((TokenKind.KEYWORD, "WHILE"))
-                out.extend((t.kind, t.text) for t in stmt.condition)
+                out.extend((t.kind, t.text) for t in expand(stmt.condition))
                 out.append((TokenKind.KEYWORD, "DO"))
                 walk(stmt.body)
                 out.append((TokenKind.KEYWORD, "END_WHILE"))

@@ -13,14 +13,15 @@ from collections.abc import Sequence
 
 from swmat.model import Pou, Statement, TokenKind, TokenSeq
 from swmat.stparse import flatten_statements
+from token_view import Token, expand
 
 
 def _pair(kind: TokenKind, text: str) -> tuple[TokenKind, str]:
     return (kind, text)
 
 
-def _pairs(tokens: TokenSeq) -> list[tuple[TokenKind, str]]:
-    return [(t.kind, t.text) for t in tokens]
+def _pairs(tokens: TokenSeq | tuple[Token, ...]) -> list[tuple[TokenKind, str]]:
+    return [(t.kind, t.text) for t in expand(tokens)]
 
 
 def statement_stream(statements: Sequence[Statement]) -> list[tuple[TokenKind, str]]:

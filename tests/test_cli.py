@@ -60,6 +60,19 @@ def test_score_unknown_option_exit_3(tmp_path, capsys):
     assert f"error: {answers}: question 36: unknown option 'whenever'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "answer, message",
+    [
+        ({"7": "many"}, "question 7: cannot read 'many' as a number"),
+        ({"15": 3}, "question 15: expected an option key, got 3"),
+    ],
+)
+def test_score_unreadable_answer_names_question_exit_3(tmp_path, capsys, answer, message):
+    answers = _write_answers(tmp_path / "answers.json", dict(OP_EXAMPLE, answers=answer))
+    assert run(["score", "--answers", str(answers)]) == 3
+    assert capsys.readouterr().err == f"error: {answers}: {message}\n"
+
+
 def test_score_missing_file_exit_2(tmp_path):
     assert run(["score", "--answers", str(tmp_path / "none.json")]) == 2
 

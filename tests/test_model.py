@@ -21,6 +21,7 @@ from swmat.model import (
 )
 from swmat.stparse import parse_source
 from model_codec import from_jsonable, to_jsonable
+from token_view import seq_of
 
 
 def _project(source: str, tasks=()) -> Project:
@@ -71,7 +72,7 @@ def test_duplicate_declarations_flagged():
 
 
 def test_call_site_absent_from_body_flagged():
-    body = (CallStatement("present", (), 1, 1),)
+    body = (CallStatement("present", seq_of(), 1, 1),)
     sites = (CallSite("p", "absent", CallResolution.EXTERNAL, None, 1, 1),)
     pou = Pou("p", PouKind.PROGRAM, statements=body, call_sites=sites)
     diags = validate_project(Project("p", (pou,)))

@@ -1,13 +1,15 @@
 """Differential tests: the parser against a frozen copy of an earlier one.
 
 ``_ReferenceParser`` keeps the parser as it was before it read every token
-through its keyword and operator lanes: each helper reads the token's kind
-and text per call, brackets are matched by one hand-written loop per
-construct, and keywords map to ``PouKind``/``SectionKind`` through tables.
-Every method ``stparse.Parser`` has rewritten since is copied here
-unchanged; the rest are inherited.  ``_reference_format_pou`` is the
-matching printer.  On every input both must give equal POUs, globals,
-diagnostics (line and col included), partial POUs and printed POUs.
+through its keyword and operator lanes, and before tokens became columns of
+a store: it walks a list of ``token_view.Token``, each helper reads the
+token's kind and text per call, brackets are matched by one hand-written
+loop per construct, and keywords map to ``PouKind``/``SectionKind`` through
+tables.  Its expressions are tuples of tokens; ``token_view.expanded``
+turns the spans of ``stparse``'s result into the same.
+``_reference_format_pou`` is the matching printer.  On every input both
+must give equal POUs, globals, diagnostics (line and col included), partial
+POUs and printed POUs.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from swmat.model import (
     CallStatement,
     CaseBranch,
     CaseStatement,
+    Diagnostic,
     ForStatement,
     GlobalVar,
     IfBranch,
@@ -32,25 +35,16 @@ from swmat.model import (
     PouKind,
     SectionKind,
     Statement,
-    Token,
     TokenKind,
-    TokenSeq,
     VarDecl,
     VarSection,
     WhileStatement,
 )
-from swmat.stparse import (
-    POU_END,
-    POU_START,
-    Parser,
-    _NestingTooDeep,
-    _ParseFailure,
-    parse_source,
-    tokenize,
-)
+from swmat.stparse import POU_END, POU_START, ParseResult, parse_source, tokenize
 from st_printer import format_pou, pou_signature, statement_stream
 from synth import random_project
 from test_golden import MIXED_ST
+from token_view import Token, expanded, tokens_of
 
 _PLANT = Path(__file__).parent / "fixtures" / "filling_plant"
 
@@ -62,12 +56,23 @@ SECTION_KINDS = {
     "VAR_TEMP": SectionKind.VAR_TEMP,
 }
 
+TokenSeq = tuple[Token, ...]
 
-class _ReferenceParser(Parser):
-    _EXPR_STOP_KEYWORDS = {
-        "THEN", "DO", "OF", "TO", "BY", "END_IF", "END_CASE", "END_FOR",
-        "END_WHILE", "ELSE", "ELSIF", "END_ACTION",
-    } | POU_END | POU_START | set(SECTION_KINDS) | {"END_VAR", "ACTION"}
+
+class _ParseFailure(Exception):
+    def __init__(self, message: str, token: Token | None):
+        super().__init__(message)
+        self.message = message
+        self.token = token
+
+
+class _ReferenceParser:
+    def __init__(self, tokens: list[Token], path: str):
+        self.tokens = tokens
+        self.path = path
+        self.pos = 0
+        self.diagnostics: list[Diagnostic] = []
+        self.partial: list[str] = []
 
     def peek(self, offset: int = 0) -> Token | None:
         idx = self.pos + offset
@@ -110,6 +115,26 @@ class _ReferenceParser(Parser):
             out.append(self.take())
         return tuple(out)
 
+    def require_expression(self, stop_keywords: set[str] | None = None) -> TokenSeq:
+        tokens = self.capture_expression(stop_keywords)
+        if not tokens:
+            raise _ParseFailure("expected an expression", self.peek())
+        return tokens
+
+    def skip_empty_statements(self) -> None:
+        while self.at_op(";"):
+            self.take()
+
+    def parse_statements_until(self, *stop_words: str) -> list[Statement]:
+        body: list[Statement] = []
+        self.skip_empty_statements()
+        while not self.at_keyword(*stop_words):
+            if self.peek() is None:
+                raise _ParseFailure(f"expected {' or '.join(stop_words)}", None)
+            body.append(self.parse_statement())
+            self.skip_empty_statements()
+        return body
+
     def parse_statement(self):
         tok = self.peek()
         if tok is None:
@@ -151,6 +176,18 @@ class _ReferenceParser(Parser):
             )
         return self.take()
 
+    def error(self, failure: _ParseFailure) -> None:
+        line = failure.token.line if failure.token else None
+        col = failure.token.col if failure.token else None
+        self.diagnostics.append(
+            Diagnostic("error", failure.message, path=self.path, line=line, col=col)
+        )
+
+    def warn(self, message: str, line: int | None = None) -> None:
+        self.diagnostics.append(
+            Diagnostic("warning", message, path=self.path, line=line)
+        )
+
     def skip_to_recovery_point(self, block_ends: bool = True) -> None:
         """Advance to the next END_* keyword (with ``block_ends``) or POU
         boundary so parsing can resume."""
@@ -168,6 +205,29 @@ class _ReferenceParser(Parser):
             self.take()
 
     # -- file level
+
+    def parse_file(self) -> ParseResult:
+        pous: list[Pou] = []
+        globals_: list[GlobalVar] = []
+        while self.peek() is not None:
+            loop_start = self.pos
+            try:
+                if self.at_keyword("VAR_GLOBAL"):
+                    globals_.extend(self.parse_global_block())
+                elif self.at_keyword("FUNCTION_BLOCK", "PROGRAM", "FUNCTION"):
+                    pous.append(self.parse_pou())
+                else:
+                    tok = self.peek()
+                    raise _ParseFailure(
+                        f"expected a POU or VAR_GLOBAL block, got {tok.text!r}", tok
+                    )
+            except _ParseFailure as failure:
+                self.error(failure)
+                self.skip_to_recovery_point()
+                # a recovery point we cannot use must still be consumed
+                if self.pos == loop_start and self.peek() is not None:
+                    self.take()
+        return ParseResult(pous, globals_, self.diagnostics, self.partial)
 
     def parse_global_block(self) -> list[GlobalVar]:
         self.expect_keyword("VAR_GLOBAL")
@@ -222,7 +282,7 @@ class _ReferenceParser(Parser):
             except _ParseFailure as failure:
                 self.error(failure)
                 partial = True
-                self.skip_to_recovery_point(not isinstance(failure, _NestingTooDeep))
+                self.skip_to_recovery_point()
                 if self.at_keyword(end_word):
                     self.take()
                     break
@@ -244,6 +304,15 @@ class _ReferenceParser(Parser):
             actions=tuple(actions),
             span=LineSpan(head.line, last.line),
         )
+
+    def parse_action(self) -> ActionDef:
+        head = self.expect_keyword("ACTION")
+        name_tok = self.expect_ident()
+        if self.at_op(":"):
+            self.take()
+        body = self.parse_statements_until("END_ACTION")
+        self.take()
+        return ActionDef(name_tok.text, tuple(body), head.line)
 
     def parse_var_section(self) -> VarSection:
         kind = SECTION_KINDS[self.take().text.upper()]
@@ -586,10 +655,10 @@ def _reference_format_pou(pou: Pou) -> str:
 
 def _assert_same(text: str) -> None:
     result = parse_source(text, "t.st")
-    tokens, lex_diags = tokenize(text, "t.st")
-    reference = _ReferenceParser(tokens, "t.st").parse_file()
+    store, lex_diags = tokenize(text, "t.st")
+    reference = _ReferenceParser(tokens_of(store), "t.st").parse_file()
     assert [pou_signature(p) for p in result.pous] == [pou_signature(p) for p in reference.pous]
-    assert result.pous == reference.pous  # positions included
+    assert expanded(result.pous) == reference.pous  # positions included
     assert result.globals == reference.globals
     assert result.diagnostics == lex_diags + reference.diagnostics
     assert result.partial == reference.partial
@@ -687,7 +756,7 @@ _INSERTS = ["(", ")", "[", "]", "..", ",", ":", ":=", ";", "OF", "ARRAY", "END_V
 def _mutated_source(draw) -> str:
     """A source file with some tokens deleted, duplicated, lower-cased or
     inserted from ``_INSERTS``, maybe cut short."""
-    tokens = tokenize(draw(st.sampled_from(_SOURCES)))[0]
+    tokens = tokens_of(tokenize(draw(st.sampled_from(_SOURCES)))[0])
     pieces = [(t.line, t.text) for t in tokens]
     for _ in range(draw(st.integers(1, 8))):
         if not pieces:

@@ -12,8 +12,7 @@ from swmat.model import (
     Pou,
     PouKind,
     Project,
-    Token,
-    TokenKind,
+    TokenSeq,
     body_facts,
     validate_project,
 )
@@ -22,6 +21,7 @@ from swmat.project import (
     extract_global_accesses,
     parse_project,
 )
+from swmat.stparse import tokenize
 from synth import write_project
 
 
@@ -129,21 +129,13 @@ def test_concurrent_file_parsing_matches_sequential(plant_dir):
         assert a.globals == b.globals
 
 
-def _tok(kind, text):
-    return Token(kind, text, 1, 1)
-
-
 def test_walkers_handle_deep_nesting():
     """5000 nested IFs: the analyses walk iteratively, not by recursion."""
-    ident, op = TokenKind.IDENT, TokenKind.OP
     depth = 5000
-    stmt = Assignment(
-        (_tok(ident, "gOut"),),
-        (_tok(ident, "Check"), _tok(op, "("), _tok(ident, "gIn"), _tok(op, ")")),
-        1, 1,
-    )
+    store, _ = tokenize("gOut Check(gIn) Ready()")
+    stmt = Assignment(TokenSeq(store, 0, 1), TokenSeq(store, 1, 5), 1, 1)
+    condition = TokenSeq(store, 5, 8)
     for _ in range(depth):
-        condition = (_tok(ident, "Ready"), _tok(op, "("), _tok(op, ")"))
         stmt = IfStatement((IfBranch(condition, (stmt,)),), (), 1, 1)
     sites = tuple(
         CallSite("p", name, CallResolution.EXTERNAL, None) for name in ("Ready", "Check")

@@ -27,6 +27,7 @@ from swmat.stparse import (
     tokenize,
 )
 from st_printer import format_pou, pou_signature
+from token_view import Token, tokens_of
 
 MAIN_INSTANCE_DECLS = """PROGRAM main
 VAR
@@ -331,7 +332,9 @@ def test_typed_literal_case_label_keeps_its_colon():
 @pytest.mark.parametrize("literal", ["TOD#12:30:00", "DT#2024-01-01-12:30:00",
                                      "TIME_OF_DAY#12:30:15.5"])
 def test_typed_literal_keeps_colons_before_digits(literal):
-    assert [(t.kind, t.text) for t in tokenize(literal)[0]] == [(TokenKind.NUMBER, literal)]
+    assert [(t.kind, t.text) for t in tokens_of(tokenize(literal)[0])] == [
+        (TokenKind.NUMBER, literal)
+    ]
 
 
 @pytest.mark.parametrize(
@@ -396,8 +399,12 @@ def test_deeply_nested_array_type():
 
 
 def test_positions_are_one_based():
-    tokens, _ = tokenize("x := 1;")
-    assert tokens[0].line == 1 and tokens[0].col == 1
+    store, _ = tokenize("x := 1;\n  y")
+    assert tokens_of(store) == [
+        Token(TokenKind.IDENT, "x", 1, 1), Token(TokenKind.OP, ":=", 1, 3),
+        Token(TokenKind.NUMBER, "1", 1, 6), Token(TokenKind.OP, ";", 1, 7),
+        Token(TokenKind.IDENT, "y", 2, 3),
+    ]
 
 
 def test_round_trip_fixture_pous(plant_project):

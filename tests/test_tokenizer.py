@@ -2,10 +2,12 @@
 
 ``_reference_tokenize`` is the tokenizer ``stparse.tokenize`` replaced, kept
 here as the reference: tokens (kind, text, line, col) and diagnostics must
-be identical on every input.  Its changes since are the typed-literal
-colon rule, made in both, and ASCII character classes: identifiers and
-numbers are ASCII, so any other character outside a comment, pragma or
-string is an ``unexpected character`` error in both.
+be identical on every input.  The store ``tokenize`` returns is compared
+through ``token_view``, which computes each token's line and col.  The
+reference's changes since are the typed-literal colon rule, made in both,
+and ASCII character classes: identifiers and numbers are ASCII, so any
+other character outside a comment, pragma or string is an ``unexpected
+character`` error in both.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ import string
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from swmat.model import Diagnostic, Token, TokenKind
+from swmat.model import Diagnostic, TokenKind
+from swmat import stparse
 from swmat.stparse import KEYWORDS, tokenize
+from token_view import Token, tokens_of
 
 _TWO_CHAR_OPS = (":=", "<=", ">=", "<>", "..", "=>", "**")
 _ONE_CHAR_OPS = "+-*/()[]<>=.,;:&#%"
@@ -156,11 +160,10 @@ def _reference_tokenize(text: str, path: str = "<string>") -> tuple[list[Token],
 
 
 def _assert_same(text: str) -> None:
-    tokens, diags = tokenize(text, "t.st")
+    store, diags = tokenize(text, "t.st")
     ref_tokens, ref_diags = _reference_tokenize(text, "t.st")
-    assert [(t.kind, t.text, t.line, t.col) for t in tokens] == [
-        (t.kind, t.text, t.line, t.col) for t in ref_tokens
-    ]
+    assert len(store) == len(ref_tokens)
+    assert tokens_of(store) == ref_tokens
     assert diags == ref_diags
 
 
@@ -221,3 +224,21 @@ def test_tokenize_matches_reference(text):
 )
 def test_tokenize_matches_reference_on_edge_cases(text):
     _assert_same(text)
+
+
+def test_parse_file_calls_tokenize_through_the_module(monkeypatch):
+    """Tracing replaces ``stparse.tokenize`` in the module namespace and
+    counts tokens as ``len`` of the store it returns, so ``parse_file`` must
+    look the module-level function up there on every call."""
+    assert tokenize.__module__ == "swmat.stparse" and tokenize.__qualname__ == "tokenize"
+    counts = []
+
+    def traced(text, path):
+        result = tokenize(text, path)
+        counts.append(len(result[0]))
+        return result
+
+    text = "PROGRAM p\nx := f(1);\nEND_PROGRAM\n"
+    monkeypatch.setattr(stparse, "tokenize", traced)
+    stparse.parse_file(stparse.SourceFile("t.st", text))
+    assert counts == [len(_reference_tokenize(text)[0])] == [10]
