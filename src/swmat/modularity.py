@@ -10,7 +10,6 @@ point rather than dogma.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -192,38 +191,38 @@ def _fingerprint_atom(kind: TokenKind, text: str) -> str:
 
 
 def _store_atoms(store: TokenStore) -> list[str]:
-    """``_fingerprint_atom`` of every token of a store, inlined."""
-    ident, number, string = TokenKind.IDENT, TokenKind.NUMBER, TokenKind.STRING
+    """``_fingerprint_atom`` of every token of a store, inlined: the
+    ``words`` and ``ops`` columns already hold a keyword's and an operator's
+    upper-cased text."""
+    ident, number = TokenKind.IDENT, TokenKind.NUMBER
     return [
-        "i" if kind is ident
-        else "n" if kind is number
-        else "s" if kind is string
-        else text.upper()
-        for kind, text in zip(store.kinds, store.texts)
+        word or op or ("i" if kind is ident else "n" if kind is number else "s")
+        for kind, word, op in zip(store.kinds, store.words, store.ops)
     ]
 
 
-def _fingerprint_seq(atoms: dict[TokenStore, list[str]]) -> Callable[[TokenSeq], list[str]]:
+class _FingerprintSeq:
     """``_fingerprint_atom`` of each token of an expression, as a slice of
-    its store's atoms; ``atoms`` keeps them once computed."""
-    def fingerprint(seq: TokenSeq) -> list[str]:
-        store_atoms = atoms.get(seq.store)
-        if store_atoms is None:
-            store_atoms = atoms[seq.store] = _store_atoms(seq.store)
-        return store_atoms[seq.start : seq.end]
+    its store's atoms.  It keeps the atoms of the last store it saw: the
+    POUs of one source file follow each other in a project."""
 
-    return fingerprint
+    def __init__(self) -> None:
+        self.store: TokenStore | None = None
+        self.atoms: list[str] = []
+
+    def __call__(self, seq: TokenSeq) -> list[str]:
+        if seq.store is not self.store:
+            self.store, self.atoms = seq.store, _store_atoms(seq.store)
+        return self.atoms[seq.start : seq.end]
 
 
-def clone_fingerprint(
-    pou: Pou, atoms: dict[TokenStore, list[str]] | None = None
-) -> tuple[str, ...]:
+def clone_fingerprint(pou: Pou, seq: _FingerprintSeq | None = None) -> tuple[str, ...]:
     """The POU's body and actions as one token stream, names and literals erased.
 
-    Pass one ``atoms`` dict to all calls on a project: the POUs of one source
-    file then share their file's erased tokens.
+    Pass one ``seq`` to the calls on the POUs of a project, so that POUs from
+    one source file share their file's atoms.
     """
-    seq = _fingerprint_seq({} if atoms is None else atoms)
+    seq = seq or _FingerprintSeq()
     return tuple(flatten_statements(pou.all_statements(), _fingerprint_atom, seq))
 
 
@@ -237,9 +236,9 @@ class CloneReport:
 def detect_clones(project: Project, min_tokens: int = 20) -> CloneReport:
     """Group POUs whose normalized body token streams are identical."""
     by_stream: dict[tuple[str, ...], list[str]] = {}
-    atoms: dict[TokenStore, list[str]] = {}
+    seq = _FingerprintSeq()
     for pou in project.pous:
-        stream = clone_fingerprint(pou, atoms)
+        stream = clone_fingerprint(pou, seq)
         if len(stream) < min_tokens:
             continue
         by_stream.setdefault(stream, []).append(pou.name)
