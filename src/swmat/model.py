@@ -55,22 +55,18 @@ class TokenKind(Enum):
 class TokenStore:
     """The tokens of one source file, kept as parallel columns.
 
-    Token ``i`` has kind ``kinds[i]``, text ``texts[i]`` and starts at offset
-    ``starts[i]`` of the text.  ``words[i]`` is its upper-cased text if it is
-    a keyword and ``ops[i]`` its text if it is an operator, else None: the
-    two questions the parser asks of every token.  Line and col are not
-    stored; ``locate`` computes them on demand by bisecting ``line_starts``,
-    the offsets where lines start.
+    Token ``i`` has kind ``kinds[i]`` and text ``texts[i]``, and starts at
+    offset ``starts[i]`` of the source text.  Line and col are not stored;
+    ``locate`` computes them on demand by bisecting ``line_starts``, the
+    offsets where lines start.
     """
 
-    __slots__ = ("kinds", "starts", "texts", "words", "ops", "line_starts")
+    __slots__ = ("kinds", "starts", "texts", "line_starts")
 
     def __init__(self, line_starts: list[int]) -> None:
         self.kinds: list[TokenKind] = []
-        self.starts = array("q")
+        self.starts = array("q")  # machine integers: no int object per token
         self.texts: list[str] = []
-        self.words: list[str | None] = []
-        self.ops: list[str | None] = []
         self.line_starts = line_starts
 
     def __len__(self) -> int:
@@ -81,8 +77,6 @@ class TokenStore:
         self.kinds.append(kind)
         self.starts.append(start)
         self.texts.append(text)
-        self.words.append(text.upper() if kind is TokenKind.KEYWORD else None)
-        self.ops.append(text if kind is TokenKind.OP else None)
 
     def locate(self, offset: int) -> tuple[int, int]:
         """The 1-based line and col of a text offset."""
@@ -609,7 +603,7 @@ def dotted_paths(seq: TokenSeq) -> Iterator[tuple[int, int, bool]]:
     are the path's identifiers; is_call tells whether '(' follows the path.
     """
     store = seq.store
-    kinds, ops = store.kinds, store.ops
+    kinds, texts = store.kinds, store.texts  # only an operator's text is "." or "("
     ident = TokenKind.IDENT  # a local: enum lookups cost per token
     i, n = seq.start, seq.end
     while i < n:
@@ -617,9 +611,9 @@ def dotted_paths(seq: TokenSeq) -> Iterator[tuple[int, int, bool]]:
             i += 1
             continue
         j = i + 1
-        while j + 1 < n and ops[j] == "." and kinds[j + 1] is ident:
+        while j + 1 < n and texts[j] == "." and kinds[j + 1] is ident:
             j += 2
-        yield i, j, j < n and ops[j] == "("
+        yield i, j, j < n and texts[j] == "("
         i = j
 
 

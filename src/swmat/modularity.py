@@ -191,13 +191,14 @@ def _fingerprint_atom(kind: TokenKind, text: str) -> str:
 
 
 def _store_atoms(store: TokenStore) -> list[str]:
-    """``_fingerprint_atom`` of every token of a store, inlined: the
-    ``words`` and ``ops`` columns already hold a keyword's and an operator's
-    upper-cased text."""
-    ident, number = TokenKind.IDENT, TokenKind.NUMBER
+    """``_fingerprint_atom`` of every token of a store, inlined."""
+    ident, number, string = TokenKind.IDENT, TokenKind.NUMBER, TokenKind.STRING
     return [
-        word or op or ("i" if kind is ident else "n" if kind is number else "s")
-        for kind, word, op in zip(store.kinds, store.words, store.ops)
+        "i" if kind is ident
+        else "n" if kind is number
+        else "s" if kind is string
+        else text.upper()
+        for kind, text in zip(store.kinds, store.texts)
     ]
 
 

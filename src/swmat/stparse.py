@@ -25,6 +25,7 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import add
+from sys import intern
 from typing import TypeVar
 
 from .model import (
@@ -115,7 +116,7 @@ _COMMENT_DELIMITER = re.compile(r"\(\*|\*\)")
 
 
 def _line_starts(text: str) -> list[int]:
-    """The offset where each line of ``text`` starts; lines end at ``\n``."""
+    """The offset where each line of ``text`` starts; lines end at ``\\n``."""
     starts = list(accumulate(map(add, map(len, text.split("\n")), repeat(1)), initial=0))
     starts.pop()  # the start of the line after the last one
     return starts
@@ -125,12 +126,11 @@ def tokenize(text: str, path: str = "<string>") -> tuple[TokenStore, list[Diagno
     """Split source text into a store of tokens; comments are skipped."""
     store = TokenStore(_line_starts(text))
     kinds, starts, texts = store.kinds, store.starts, store.texts
-    words, ops = store.words, store.ops
     keyword, ident, op, number = TokenKind.KEYWORD, TokenKind.IDENT, TokenKind.OP, TokenKind.NUMBER
-    # each distinct word is classified once, and every repeat of a token text
-    # shares the first one's string object
-    seen: dict[str, tuple[TokenKind, str, str | None]] = {}
-    shared: dict[str, str] = {}
+    # each distinct word is classified once.  Texts are interned: the spans
+    # of a parsed project keep every file's store alive, and the files repeat
+    # the same names, keywords, operators and literals
+    seen: dict[str, tuple[TokenKind, str]] = {}
     diags: list[Diagnostic] = []
     n = len(text)
     pos = 0
@@ -140,32 +140,23 @@ def tokenize(text: str, path: str = "<string>") -> tuple[TokenStore, list[Diagno
             if group == "word":
                 entry = seen.get(word := m.group(group))
                 if entry is None:
-                    upper = word.upper()
-                    entry = seen[word] = (
-                        (keyword, word, upper) if upper in KEYWORDS else (ident, word, None)
-                    )
-                kind, word, upper = entry
+                    word = intern(word)
+                    entry = seen[word] = (keyword if word.upper() in KEYWORDS else ident, word)
+                kind, word = entry
                 kinds.append(kind)
                 starts.append(m.start(group))
                 texts.append(word)
-                words.append(upper)
-                ops.append(None)
             elif group == "op":
                 token = m.group(group)
-                token = shared.setdefault(token, token)
                 kinds.append(op)
                 starts.append(m.start(group))
-                texts.append(token)
-                words.append(None)
-                ops.append(token)
+                texts.append(intern(token))
             elif group == "number" or group == "typed":
                 start = m.start("word" if group == "typed" else group)
                 token = text[start : m.end()]
                 kinds.append(number)
                 starts.append(start)
-                texts.append(shared.setdefault(token, token))
-                words.append(None)
-                ops.append(None)
+                texts.append(intern(token))
             else:  # end of text, or a token for _scan_special
                 pos = m.end()
                 break
@@ -248,12 +239,21 @@ class Parser:
         self.depth = 0  # IF/CASE/FOR/WHILE blocks open around the current token
         self.diagnostics: list[Diagnostic] = []
         self.partial: list[str] = []
-        self.texts = store.texts
-        # the columns the parser asks about at ``pos``, each with a None slot
-        # for the end of input
-        self._kinds: list[TokenKind | None] = [*store.kinds, None]
-        self._words: list[str | None] = [*store.words, None]
-        self._ops: list[str | None] = [*store.ops, None]
+        self.texts = texts = store.texts
+        # one lane per question the parser asks of a token, each with a None
+        # slot for the end of input: its kind, its upper-cased text if it is
+        # a keyword, its text if it is an operator
+        kinds = store.kinds
+        keyword, op = TokenKind.KEYWORD, TokenKind.OP
+        self._kinds: list[TokenKind | None] = [*kinds, None]
+        self._words: list[str | None] = [
+            text.upper() if kind is keyword else None for kind, text in zip(kinds, texts)
+        ]
+        self._words.append(None)
+        self._ops: list[str | None] = [
+            text if kind is op else None for kind, text in zip(kinds, texts)
+        ]
+        self._ops.append(None)
 
     # -- token helpers
 
