@@ -163,7 +163,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     _print_diagnostics(diagnostics)
-    # parse errors carry a file position; validation errors carry only a POU
+    # errors at a file position (parse errors, task entries) are bad input;
+    # the other validation errors carry only a POU
     if any(d.severity == "error" and d.path is not None for d in diagnostics):
         return EXIT_INPUT
     if any(d.severity == "error" for d in diagnostics):
@@ -181,10 +182,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         parsed, call_graph, global_graph, thresholds, evidence, plant=args.plant
     )
 
-    if args.dot:
-        Path(args.dot).write_text(graphs.emit_dot(call_graph), encoding="utf-8")
-    if args.globals_dot:
-        Path(args.globals_dot).write_text(graphs.emit_dot(global_graph), encoding="utf-8")
+    # written as the chunks come, so memory does not grow with the DOT text
+    for path, graph in ((args.dot, call_graph), (args.globals_dot, global_graph)):
+        if path:
+            with open(path, "w", encoding="utf-8") as out:
+                out.writelines(graphs.dot_chunks(graph))
 
     assessment = analysis.assessment
     summary = {

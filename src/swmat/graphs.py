@@ -7,6 +7,7 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 
 from .model import CallResolution, CallSite, Pou, PouKind, Project, body_facts
 
@@ -253,7 +254,28 @@ def _node_line(node: CallGraphNode, indent: str) -> str:
 
 
 def emit_dot(graph: CallGraph | GlobalCommGraph) -> str:
-    """Render either graph type as deterministic Graphviz DOT text.
+    """Render either graph type as deterministic Graphviz DOT text: the
+    chunks of ``dot_chunks`` joined."""
+    return "".join(dot_chunks(graph))
+
+
+def dot_chunks(graph: CallGraph | GlobalCommGraph) -> Iterator[str]:
+    """Graphviz DOT text for either graph type, in chunks that each end in a
+    newline: the header with the node lines, then one block of edges per
+    caller or per writer of a global, then the closing brace.  Code that
+    writes each chunk as it comes holds one block's edges at a time, not the
+    whole text.
+    """
+    yield _dot_head(graph)
+    if isinstance(graph, CallGraph):
+        yield from _call_edge_blocks(graph)
+    else:
+        yield from _global_edge_blocks(graph)
+    yield "}\n"
+
+
+def _dot_head(graph: CallGraph | GlobalCommGraph) -> str:
+    """The header and node lines, newline-ended.
 
     Call-graph nodes are filled by POU kind and sized by sqrt(complexity).
     """
@@ -277,36 +299,45 @@ def emit_dot(graph: CallGraph | GlobalCommGraph) -> str:
             lines.append("  }")
         for entry in sorted(graph.entries, key=str.lower):
             lines.append(f"  {_quote(entry)} [penwidth=2];")
-        for edge in sorted(graph.edges, key=lambda e: (e.caller.lower(), e.callee.lower())):
-            lines.append(
-                f"  {_quote(edge.caller)} -> {_quote(edge.callee)} "
-                f"[label={_quote(str(edge.multiplicity))}];"
-            )
     else:
         for name in sorted(graph.nodes, key=str.lower):
             lines.append(f"  {_quote(name)};")
-        lines.extend(_global_edge_blocks(graph))
-    lines.append("}\n")
+    lines.append("")  # ends the text in a newline without copying it
     return "\n".join(lines)
+
+
+def _call_edge_blocks(graph: CallGraph) -> Iterator[str]:
+    """Edge lines in (caller, callee) ``str.lower`` order, one block of
+    newline-ended lines per caller."""
+    edges = sorted(graph.edges, key=lambda e: (e.caller.lower(), e.callee.lower()))
+    for _, block in groupby(edges, key=lambda e: e.caller.lower()):
+        yield "".join(
+            f"  {_quote(e.caller)} -> {_quote(e.callee)} "
+            f"[label={_quote(str(e.multiplicity))}];\n"
+            for e in block
+        )
 
 
 def _global_edge_blocks(graph: GlobalCommGraph) -> Iterator[str]:
     """Edge lines in (writer, reader, global) ``str.lower`` order, one block
-    of lines per writer.
+    of newline-ended lines per writer that has edges.
 
     Each global's reader ends (`` -> "R" [label="g"];``) are rendered once
-    and shared by its writers; each writer then sorts only its own ends.
+    and shared by its writers.  Only an index from each writer to the globals
+    it writes is kept, so each writer gathers and sorts its own ends just
+    before its block is produced.
     """
-    ends: dict[str, list[tuple[str, str, str]]] = {}
+    ends: list[list[tuple[str, str, str]]] = []
+    written: dict[str, list[int]] = {}
     for users in graph.globals:
         key = users.name.lower()
         label = f" [label={_quote(users.name)}];"
-        shared = [(r.lower(), key, f" -> {_quote(r)}{label}") for r in users.readers]
         for writer in users.writers:
-            ends.setdefault(writer, []).extend(shared)
-    for writer in sorted(ends, key=str.lower):
+            written.setdefault(writer, []).append(len(ends))
+        ends.append([(r.lower(), key, f" -> {_quote(r)}{label}") for r in users.readers])
+    for writer in sorted(written, key=str.lower):
         own = writer.lower()
-        mine = [end for reader, _, end in sorted(ends[writer]) if reader != own]
+        mine = sorted(end for g in written[writer] for end in ends[g] if end[0] != own)
         if mine:
             head = "  " + _quote(writer)
-            yield head + ("\n" + head).join(mine)
+            yield head + ("\n" + head).join(end for _, _, end in mine) + "\n"

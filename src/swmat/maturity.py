@@ -269,17 +269,19 @@ def build_report(
         (s.gained, s.reachable) for s in scores.values()
     )
 
-    complexity: Fraction | None = None
-    raw14 = answers.answers.get(14)
-    if raw14 is not None:
-        complexity = parse_numeric_answer(raw14)[0]
-    else:
-        cpus = answers.answers.get(9)
-        programmers = answers.answers.get(7)
+    def numeric(qid: int) -> Fraction | None:
+        """The answer to ``qid`` as a number, if the schema asks it numerically
+        (an answered id is known: ``validate_answers`` has checked it)."""
+        value = answers.answers.get(qid)
+        if value is None or schema.question(qid).mode is not AnswerMode.NUMERIC:
+            return None
+        return parse_numeric_answer(value)[0]
+
+    complexity = numeric(14)
+    if complexity is None:
+        cpus, programmers = numeric(9), numeric(7)
         if cpus is not None and programmers is not None:
-            complexity = complexity_measure(
-                parse_numeric_answer(cpus)[0], parse_numeric_answer(programmers)[0]
-            )
+            complexity = complexity_measure(cpus, programmers)
 
     return MaturityReport(
         company=answers.company,

@@ -278,6 +278,9 @@ class TaskDef:
     name: str
     cycle_ms: int
     entry: str
+    # where the task was declared; a hand-built task has none
+    path: str | None = field(default=None, compare=False)
+    line: int | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -698,6 +701,8 @@ def validate_project(project: Project) -> list[Diagnostic]:
                     "error",
                     f"unresolved task entry: {task.entry!r} names no POU",
                     pou=task.entry,
+                    path=task.path,
+                    line=task.line,
                 )
             )
         elif entry.kind is PouKind.FUNCTION:
@@ -707,6 +712,8 @@ def validate_project(project: Project) -> list[Diagnostic]:
                     f"task entry {task.entry!r} is a function; "
                     "tasks must enter a program or function block",
                     pou=entry.name,
+                    path=task.path,
+                    line=task.line,
                 )
             )
 

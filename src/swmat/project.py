@@ -151,7 +151,7 @@ def parse_task_file(text: str, path: str) -> tuple[list[TaskDef], list[Diagnosti
                 Diagnostic("error", f"bad cycle time {parts[3]!r}", path=path, line=lineno)
             )
             continue
-        tasks.append(TaskDef(parts[1], cycle, parts[5]))
+        tasks.append(TaskDef(parts[1], cycle, parts[5], path=path, line=lineno))
     return tasks, diags
 
 

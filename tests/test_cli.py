@@ -60,6 +60,25 @@ def test_score_unknown_option_exit_3(tmp_path, capsys):
     assert f"error: {answers}: question 36: unknown option 'whenever'" in capsys.readouterr().err
 
 
+def test_score_free_text_question_is_not_read_as_a_number(tmp_path, schema):
+    from swmat.maturity import schema_to_dict
+
+    payload = schema_to_dict(schema)
+    (question,) = [q for q in payload["questions"] if q["id"] == 14]
+    question["mode"] = "free-text"
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(json.dumps(payload), encoding="utf-8")
+    answers = _write_answers(
+        tmp_path / "answers.json", dict(OP_EXAMPLE, answers={"14": "lots", "9": 4, "7": 2})
+    )
+    out = tmp_path / "report.json"
+    code = run(["score", "--schema", str(schema_path), "--answers", str(answers),
+                "--out", str(out)])
+    assert code == 0
+    # question 14 is free text, so the measure falls back to 0.5 (CPUs + programmers)
+    assert json.loads(out.read_text(encoding="utf-8"))["complexity"] == "3"
+
+
 @pytest.mark.parametrize(
     "answer, message",
     [
@@ -572,13 +591,35 @@ def test_analyze_undecodable_file_exit_2(tmp_path, capsys):
     assert f"{tmp_path / 'b.st'}:2: error: not UTF-8: byte 0xff" in capsys.readouterr().err
 
 
-def test_analyze_invariant_violation_exit_3(tmp_path, capsys):
-    bad = tmp_path / "proj"
-    bad.mkdir()
-    (bad / "a.st").write_text("PROGRAM p\nx := 1;\nEND_PROGRAM\n", encoding="utf-8")
-    (bad / "tasks.txt").write_text("task t cycle 10 entry ghost\n", encoding="utf-8")
-    assert run(["analyze", str(bad)]) == 3
-    assert "unresolved task entry" in capsys.readouterr().err
+def _plant_with_task(directory: Path, entry: str) -> Path:
+    """The fixture plant with a second task, on line 3 of tasks.txt, entering ``entry``."""
+    shutil.copytree(FIXTURES / "filling_plant", directory)
+    (directory / "calc.st").write_text(
+        "FUNCTION Calc : INT\nCalc := 1;\nEND_FUNCTION\n", encoding="utf-8"
+    )
+    (directory / "tasks.txt").write_text(
+        f"task main cycle 10 entry main\n# spare\ntask aux cycle 10 entry {entry}\n",
+        encoding="utf-8",
+    )
+    return directory
+
+
+def test_analyze_unresolved_task_entry_exit_2(tmp_path, capsys):
+    proj = _plant_with_task(tmp_path / "proj", "Nope")
+    assert run(["analyze", str(proj)]) == 2
+    err = capsys.readouterr().err
+    assert (f"{proj / 'tasks.txt'}:3: error [Nope]: "
+            "unresolved task entry: 'Nope' names no POU") in err
+    assert "Traceback" not in err
+
+
+def test_analyze_function_task_entry_exit_2(tmp_path, capsys):
+    proj = _plant_with_task(tmp_path / "proj", "calc")
+    assert run(["analyze", str(proj)]) == 2
+    err = capsys.readouterr().err
+    assert (f"{proj / 'tasks.txt'}:3: error [Calc]: task entry 'calc' is a function; "
+            "tasks must enter a program or function block") in err
+    assert "Traceback" not in err
 
 
 def test_analyze_refuses_outputs_inside_project(tmp_path):

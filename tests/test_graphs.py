@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -13,9 +14,12 @@ from oracles import (
 from swmat import graphs
 from swmat.cli import run
 from swmat.graphs import (
+    GlobalCommGraph,
+    GlobalUsers,
     build_call_graph,
     build_global_comm_graph,
     complexity,
+    dot_chunks,
     emit_dot,
     node_width,
 )
@@ -364,3 +368,72 @@ def test_dot_global_graph_labels(tmp_path):
     project, _ = parse_project(tmp_path)
     dot = emit_dot(build_global_comm_graph(project))
     assert '"A" -> "B" [label="g"];' in dot
+
+
+# --- streamed DOT ---------------------------------------------------------------
+
+
+def _cluster_call_graph(tmp_path):
+    write_project(
+        tmp_path,
+        {"a.st": "PROGRAM a\nVAR\n  m : M;\nEND_VAR\nm();\nDrive_lib();\nEND_PROGRAM\n",
+         "m.st": "FUNCTION_BLOCK M\nDrive_lib();\nEND_FUNCTION_BLOCK\n"},
+        tasks="task t cycle 10 entry a\n",
+    )
+    (tmp_path / "externals.txt").write_text("Drive_lib vendor\n", encoding="utf-8")
+    project, _ = parse_project(tmp_path)
+    return build_call_graph(project, per_instance=True)
+
+
+def _streamed_graphs(tmp_path):
+    wide, *_ = _wide_project(tmp_path / "wide")
+    empty, _ = parse_project(chain_project(tmp_path / "chain", length=3))
+    return {
+        "global": build_global_comm_graph(wide),
+        "empty global": build_global_comm_graph(empty),
+        "per-instance calls": _cluster_call_graph(tmp_path / "cluster"),
+    }
+
+
+def test_dot_chunks_join_to_emit_dot(tmp_path):
+    for name, graph in _streamed_graphs(tmp_path).items():
+        chunks = list(dot_chunks(graph))
+        assert "".join(chunks) == emit_dot(graph), name
+        assert all(chunk.endswith("\n") for chunk in chunks), name
+        assert chunks[-1] == "}\n", name
+
+
+def test_dot_chunks_one_block_per_writer_or_caller(tmp_path):
+    streamed = _streamed_graphs(tmp_path)
+    for name, source_of in (
+        ("global", lambda e: e.writer),
+        ("per-instance calls", lambda e: e.caller),
+    ):
+        graph = streamed[name]
+        sources = {source_of(e) for e in graph.edges}
+        chunks = list(dot_chunks(graph))
+        assert len(chunks) == len(sources) + 2, name
+        for chunk, source in zip(chunks[1:-1], sorted(sources, key=str.lower)):
+            assert {line.split(" -> ")[0] for line in chunk.splitlines()} == {f'  "{source}"'}
+        assert " -> " not in chunks[0], name
+    assert list(dot_chunks(streamed["empty global"]))[1:] == ["}\n"]
+
+
+def test_dot_chunks_hold_one_writer_at_a_time():
+    # 5 globals x 200 writers x 200 readers: 200k edges, several MB of text
+    writers = tuple(f"W{i:03}" for i in range(200))
+    readers = tuple(f"R{i:03}" for i in range(200))
+    graph = GlobalCommGraph(
+        writers + readers, tuple(GlobalUsers(f"g{i}", writers, readers) for i in range(5))
+    )
+    assert graph.edge_count == 200_000
+    size = 0
+    tracemalloc.start()
+    try:
+        for chunk in dot_chunks(graph):
+            size += len(chunk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size > 5_000_000
+    assert peak < 1_000_000
