@@ -163,12 +163,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     _print_diagnostics(diagnostics)
-    # errors at a file position (parse errors, task entries) are bad input;
-    # the other validation errors carry only a POU
-    if any(d.severity == "error" and d.path is not None for d in diagnostics):
-        return EXIT_INPUT
     if any(d.severity == "error" for d in diagnostics):
-        return EXIT_INVARIANT
+        return EXIT_INPUT
 
     thresholds = _load_thresholds(args.thresholds)
     evidence = modularity.GovernanceEvidence(

@@ -676,7 +676,15 @@ def body_facts(statements: Sequence[Statement]) -> BodyFacts:
 
 
 def validate_project(project: Project) -> list[Diagnostic]:
-    """Check Project/Pou invariants; returns an empty list iff all hold."""
+    """Check what the author of a Project controls; an empty list iff it holds.
+
+    The checks: POU names are unique in any case, each task enters a POU that
+    is not a function, and a POU has a return type iff it is a function.
+    Duplicate declarations are reported by the parser, where it reads them.
+    How call sites were resolved is not re-checked here: that would only
+    restate ``project.extract_call_sites``, and ``tests/oracles.py`` checks it
+    independently.
+    """
     diags: list[Diagnostic] = []
 
     by_lower: dict[str, Pou] = {}
@@ -692,6 +700,14 @@ def validate_project(project: Project) -> list[Diagnostic]:
             )
         else:
             by_lower[key] = pou
+        if (pou.kind is PouKind.FUNCTION) != (pou.return_type is not None):
+            diags.append(
+                Diagnostic(
+                    "error",
+                    "return type present iff the POU is a function",
+                    pou=pou.name,
+                )
+            )
 
     for task in project.tasks:
         entry = by_lower.get(task.entry.lower())
@@ -716,62 +732,6 @@ def validate_project(project: Project) -> list[Diagnostic]:
                     line=task.line,
                 )
             )
-
-    fb_names = {p.name.lower() for p in project.pous if p.kind is PouKind.FUNCTION_BLOCK}
-    global_names = project.global_names()
-
-    for pou in project.pous:
-        if (pou.kind is PouKind.FUNCTION) != (pou.return_type is not None):
-            diags.append(
-                Diagnostic(
-                    "error",
-                    "return type present iff the POU is a function",
-                    pou=pou.name,
-                )
-            )
-        seen_decls: set[str] = set()
-        for section in pou.var_sections:
-            for decl in section.decls:
-                key = decl.name.lower()
-                if key in seen_decls:
-                    diags.append(
-                        Diagnostic(
-                            "error",
-                            f"duplicate declaration {decl.name!r}",
-                            pou=pou.name,
-                        )
-                    )
-                seen_decls.add(key)
-
-        body_calls = {
-            text.lower() for text, _, _ in body_facts(pou.all_statements()).calls
-        }
-        decls = pou.declared_names()
-        for site in pou.call_sites:
-            if site.callee_text.lower() not in body_calls:
-                diags.append(
-                    Diagnostic(
-                        "error",
-                        f"call site {site.callee_text!r} does not occur in the body",
-                        pou=pou.name,
-                    )
-                )
-            if site.resolution is CallResolution.INSTANCE_OF_FB:
-                base = site.callee_text.split(".")[0].lower()
-                decl = decls.get(base)
-                declared_type = decl.type_name.lower() if decl else None
-                if declared_type is None:
-                    g = global_names.get(base)
-                    declared_type = g.type_name.lower() if g else None
-                if declared_type is None or declared_type not in fb_names:
-                    diags.append(
-                        Diagnostic(
-                            "error",
-                            f"call to {site.callee_text!r} marked as an instance call "
-                            "but no matching FB instance is declared",
-                            pou=pou.name,
-                        )
-                    )
     return diags
 
 

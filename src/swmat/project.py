@@ -155,15 +155,16 @@ def parse_task_file(text: str, path: str) -> tuple[list[TaskDef], list[Diagnosti
     return tasks, diags
 
 
-def parse_externals_file(text: str) -> list[tuple[str, str | None]]:
-    """Stub declarations: ``<name>`` or ``<name> <group>`` per line."""
-    stubs: list[tuple[str, str | None]] = []
-    for raw in text.splitlines():
+def parse_externals_file(text: str) -> list[tuple[int, str, str | None]]:
+    """Stub declarations: ``<name>`` or ``<name> <group>`` per line, as
+    (line number, name, group)."""
+    stubs: list[tuple[int, str, str | None]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split(None, 1)
-        stubs.append((parts[0], parts[1].strip() if len(parts) > 1 else None))
+        stubs.append((lineno, parts[0], parts[1].strip() if len(parts) > 1 else None))
     return stubs
 
 
@@ -233,26 +234,32 @@ def parse_project(directory: str | Path, name: str | None = None) -> tuple[Proje
     externals_path = root / EXTERNALS_FILE
     externals_text = _read_text(externals_path, diagnostics) if externals_path.exists() else None
     if externals_text is not None:
-        for stub_name, group in parse_externals_file(externals_text):
+        stub_lines: dict[str, int] = {}
+        for lineno, stub_name, group in parse_externals_file(externals_text):
             key = stub_name.lower()
             if key in origin:
-                diagnostics.append(
-                    Diagnostic(
-                        "warning",
-                        f"external stub {stub_name!r} shadows a parsed POU; ignored",
-                        path=str(externals_path),
-                    )
+                taken = f"shadows the POU parsed from {origin[key]}"
+            elif key in stub_lines:
+                taken = f"repeats the stub on line {stub_lines[key]}"
+            else:
+                stub_lines[key] = lineno
+                stub = Pou(
+                    name=stub_name,
+                    kind=PouKind.FUNCTION_BLOCK,
+                    stub=True,
+                    group=group,
                 )
+                source_index[stub_name] = SourceRef(str(externals_path), LineSpan(1, 1))
+                pous.append(stub)
                 continue
-            origin[key] = str(externals_path)
-            stub = Pou(
-                name=stub_name,
-                kind=PouKind.FUNCTION_BLOCK,
-                stub=True,
-                group=group,
+            diagnostics.append(
+                Diagnostic(
+                    "warning",
+                    f"external stub {stub_name!r} {taken}; ignored",
+                    path=str(externals_path),
+                    line=lineno,
+                )
             )
-            source_index[stub_name] = SourceRef(str(externals_path), LineSpan(1, 1))
-            pous.append(stub)
 
     tasks: list[TaskDef] = []
     task_path = root / TASK_FILE

@@ -401,6 +401,7 @@ class Parser:
         sections: list[VarSection] = []
         statements: list[Statement] = []
         actions: list[ActionDef] = []
+        declared: set[str] = set()  # lower-cased names of all sections so far
         partial = False
 
         while True:
@@ -420,7 +421,7 @@ class Parser:
                 if self.at_op(";"):
                     self.skip_empty_statements()
                 elif word in SectionKind.__members__:  # VAR_GLOBAL ended the POU above
-                    sections.append(self.parse_var_section())
+                    sections.append(self.parse_var_section(self.texts[name], declared))
                 elif word == "ACTION":
                     actions.append(self.parse_action())
                 else:
@@ -461,11 +462,11 @@ class Parser:
 
     # -- declarations
 
-    def parse_var_section(self) -> VarSection:
+    def parse_var_section(self, pou: str, declared: set[str]) -> VarSection:
         kind = SectionKind[self._words[self.pos]]
         self.pos += 1
         constant = self.parse_qualifiers()
-        return VarSection(kind, tuple(self.parse_decl_list()), constant)
+        return VarSection(kind, tuple(self.parse_decl_list(pou, declared)), constant)
 
     def parse_qualifiers(self) -> bool:
         """Skip CONSTANT/RETAIN/PERSISTENT; True if CONSTANT was among them."""
@@ -475,7 +476,12 @@ class Parser:
             self.pos += 1
         return constant
 
-    def parse_decl_list(self) -> list[VarDecl]:
+    def parse_decl_list(
+        self, pou: str | None = None, declared: set[str] | None = None
+    ) -> list[VarDecl]:
+        """The declarations up to END_VAR.  In a POU's sections, ``declared``
+        holds the lower-cased names the POU has declared so far, and a name
+        read a second time is an error at its position."""
         texts = self.texts
         decls: list[VarDecl] = []
         while True:
@@ -488,10 +494,10 @@ class Parser:
             if self._words[self.pos] in _POU_BOUNDARY:
                 self.warn(f"missing END_VAR before {texts[self.pos]}", self.line(self.pos))
                 return decls
-            names = [texts[self.expect_ident()]]
+            names = [self.declared_name(pou, declared)]
             while self.at_op(","):
                 self.take()
-                names.append(texts[self.expect_ident()])
+                names.append(self.declared_name(pou, declared))
             if self.at_keyword("AT"):
                 self.take()
                 self.match_bracket(":")  # hardware address: %IX0.0 and friends
@@ -504,6 +510,21 @@ class Parser:
             self.expect_op(";")
             for name in names:
                 decls.append(VarDecl(name, type_name, init))
+
+    def declared_name(self, pou: str | None, declared: set[str] | None) -> str:
+        """Read one declared identifier (see ``parse_decl_list``)."""
+        at = self.expect_ident()
+        name = self.texts[at]
+        if declared is not None:
+            key = name.lower()
+            if key in declared:
+                line, col = self.store.position(at)
+                message = f"duplicate declaration {name!r}"
+                self.diagnostics.append(
+                    Diagnostic("error", message, pou=pou, path=self.path, line=line, col=col)
+                )
+            declared.add(key)
+        return name
 
     def parse_type_text(self) -> str:
         """Type as written; ARRAY [..] OF T collapses to its element type prefix."""

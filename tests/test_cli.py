@@ -622,6 +622,21 @@ def test_analyze_function_task_entry_exit_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_analyze_duplicate_declaration_exit_2(tmp_path, capsys):
+    proj = tmp_path / "proj"
+    proj.mkdir()
+    (proj / "main.st").write_text(
+        "FUNCTION_BLOCK Motor\nEND_FUNCTION_BLOCK\n\nPROGRAM Main\n"
+        "VAR_INPUT m : INT; END_VAR\nVAR M : Motor; END_VAR\nM();\nEND_PROGRAM\n",
+        encoding="utf-8",
+    )
+    (proj / "tasks.txt").write_text("task t cycle 10 entry Main\n", encoding="utf-8")
+    assert run(["analyze", str(proj)]) == 2
+    err = capsys.readouterr().err
+    assert f"{proj / 'main.st'}:6:5: error [Main]: duplicate declaration 'M'" in err
+    assert "Traceback" not in err
+
+
 def test_analyze_refuses_outputs_inside_project(tmp_path):
     proj = tmp_path / "proj"
     proj.mkdir()

@@ -6,9 +6,6 @@ import pytest
 
 from swmat.model import (
     AnswerSet,
-    CallResolution,
-    CallSite,
-    CallStatement,
     CompanyCategory,
     GlobalVar,
     LineSpan,
@@ -21,7 +18,6 @@ from swmat.model import (
 )
 from swmat.stparse import parse_source
 from model_codec import from_jsonable, to_jsonable
-from token_view import seq_of
 
 
 def _project(source: str, tasks=()) -> Project:
@@ -64,19 +60,18 @@ def test_function_requires_return_type():
 
 
 def test_duplicate_declarations_flagged():
-    project = _project(
-        "PROGRAM p\nVAR\n  a : INT;\nEND_VAR\nVAR_INPUT\n  A : BOOL;\nEND_VAR\nEND_PROGRAM\n"
-    )
-    diags = validate_project(project)
-    assert any("duplicate declaration" in d.message for d in diags)
-
-
-def test_call_site_absent_from_body_flagged():
-    body = (CallStatement("present", seq_of(), 1, 1),)
-    sites = (CallSite("p", "absent", CallResolution.EXTERNAL, None, 1, 1),)
-    pou = Pou("p", PouKind.PROGRAM, statements=body, call_sites=sites)
-    diags = validate_project(Project("p", (pou,)))
-    assert [d.message for d in diags] == ["call site 'absent' does not occur in the body"]
+    # across sections, and within one list: the parser reports the second name
+    cases = [
+        ("VAR\n  a : INT;\nEND_VAR\nVAR_INPUT\n  b, A : BOOL;\nEND_VAR\n",
+         ["p.st:6:6: error [p]: duplicate declaration 'A'"]),
+        ("VAR\n  a, A : INT;\nEND_VAR\n", ["p.st:3:6: error [p]: duplicate declaration 'A'"]),
+        ("VAR\n  a : INT;\n  b : INT;\nEND_VAR\n", []),
+    ]
+    for declarations, expected in cases:
+        result = parse_source(f"PROGRAM p\n{declarations}END_PROGRAM\n", "p.st")
+        assert [d.render() for d in result.diagnostics] == expected
+        assert result.partial == []
+        assert validate_project(Project("p", tuple(result.pous))) == []
 
 
 def test_plant_fixture_validates_clean(plant_project):

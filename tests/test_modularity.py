@@ -16,7 +16,15 @@ from swmat.graphs import (
     build_call_graph,
     build_global_comm_graph,
 )
-from swmat.model import ArchLevel, Grade, GovernanceLevel, PouKind, StructureStyle, TokenKind
+from swmat.model import (
+    ArchLevel,
+    CallResolution,
+    Grade,
+    GovernanceLevel,
+    PouKind,
+    StructureStyle,
+    TokenKind,
+)
 from swmat.modularity import (
     CloneReport,
     GovernanceEvidence,
@@ -34,6 +42,7 @@ from swmat.modularity import (
 )
 from swmat.project import parse_project
 from oracles import (
+    _resolved_calls,
     clone_body_reference,
     clone_groups_reference,
     normalize_tokens,
@@ -332,16 +341,50 @@ gArr[gIdx] := 1;
 END_PROGRAM
 """
 
+# instance calls through a global and a local, and a call through a local
+# that is no FB instance although its name spells an FB
+_INSTANCE_CALLS_ST = """\
+VAR_GLOBAL
+  gPump : Pump;
+END_VAR
+FUNCTION_BLOCK Pump
+END_FUNCTION_BLOCK
+FUNCTION_BLOCK Motor
+END_FUNCTION_BLOCK
+PROGRAM p
+VAR
+  motor : INT;
+  spare : Pump;
+END_VAR
+gPump();
+motor();
+Spare.run();
+END_PROGRAM
+"""
+
 
 def test_pou_facts_match_reference(tmp_path):
-    indexed = write_project(tmp_path / "indexed", {"indexed.st": _INDEXED_TARGET_ST})
-    for project in _reference_corpus(tmp_path) + [parse_project(indexed)[0]]:
+    extra = [
+        parse_project(write_project(tmp_path / name, {f"{name}.st": text}))[0]
+        for name, text in (("indexed", _INDEXED_TARGET_ST), ("instances", _INSTANCE_CALLS_ST))
+    ]
+    for project in _reference_corpus(tmp_path) + extra:
         accesses = reference_global_accesses(project)
+        instance_calls = {pou.name: Counter() for pou in project.pous}
+        for caller, callee, fb_type, instance in _resolved_calls(project):
+            if instance is not None:
+                instance_calls[caller.name][callee, fb_type] += 1
         for pou in project.pous:
             assert (pou.global_reads, pou.global_writes) == accesses[pou.name]
             assert pou.complexity == reference_complexity(pou)
             calls = Counter(site.callee_text for site in pou.call_sites)
             assert calls == Counter(reference_call_occurrences(pou))
+            # an instance call goes through a declared instance of its FB type
+            instances = Counter(
+                (site.callee_text, site.target) for site in pou.call_sites
+                if site.resolution is CallResolution.INSTANCE_OF_FB
+            )
+            assert instances == instance_calls[pou.name]
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,8 @@ a store: it walks a list of ``token_view.Token``, each helper reads the
 token's kind and text per call, brackets are matched by one hand-written
 loop per construct, and keywords map to ``PouKind``/``SectionKind`` through
 tables.  Its expressions are tuples of tokens; ``token_view.expanded``
-turns the spans of ``stparse``'s result into the same.
+turns the spans of ``stparse``'s result into the same.  Since then it has
+only learnt to report a POU's duplicate declaration at the second name.
 ``_reference_format_pou`` is the matching printer.  On every input both
 must give equal POUs, globals, diagnostics (line and col included), partial
 POUs and printed POUs.
@@ -73,6 +74,8 @@ class _ReferenceParser:
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
         self.partial: list[str] = []
+        self.pou_name: str | None = None
+        self.declared: set[str] | None = None  # None outside a POU
 
     def peek(self, offset: int = 0) -> Token | None:
         idx = self.pos + offset
@@ -257,6 +260,7 @@ class _ReferenceParser:
         statements: list[Statement] = []
         actions: list[ActionDef] = []
         partial = False
+        self.pou_name, self.declared = name_tok.text, set()
 
         while True:
             tok = self.peek()
@@ -292,6 +296,7 @@ class _ReferenceParser:
                 if self.pos == loop_start and self.peek() is not None:
                     self.take()
 
+        self.declared = None
         if partial:
             self.partial.append(name_tok.text)
         last = self.tokens[self.pos - 1] if self.pos else name_tok
@@ -338,10 +343,10 @@ class _ReferenceParser:
             ):
                 self.warn(f"missing END_VAR before {tok.text}", tok.line)
                 return decls
-            names = [self.expect_ident().text]
+            names = [self.declared_name()]
             while self.at_op(","):
                 self.take()
-                names.append(self.expect_ident().text)
+                names.append(self.declared_name())
             if self.at_keyword("AT"):
                 self.take()
                 # hardware address: %IX0.0 and friends
@@ -356,6 +361,17 @@ class _ReferenceParser:
             self.expect_op(";")
             for name in names:
                 decls.append(VarDecl(name, type_name, init))
+
+    def declared_name(self) -> str:
+        tok = self.expect_ident()
+        if self.declared is not None:
+            if tok.text.lower() in self.declared:
+                self.diagnostics.append(Diagnostic(
+                    "error", f"duplicate declaration {tok.text!r}", pou=self.pou_name,
+                    path=self.path, line=tok.line, col=tok.col,
+                ))
+            self.declared.add(tok.text.lower())
+        return tok.text
 
     def parse_type_text(self) -> str:
         """Type as written; ARRAY [..] OF T collapses to its element type prefix."""

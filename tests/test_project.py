@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import shutil
+
 import pytest
 
+from swmat import model
 from swmat.graphs import complexity
 from swmat.model import (
     Assignment,
@@ -70,6 +73,53 @@ def test_externals_become_stub_pous(tmp_path):
     assert stub is not None and stub.stub and stub.group == "vendor"
     main = project.pou("p")
     assert main.call_sites[0].resolution.value == "direct_pou"
+
+
+def test_repeated_external_stub_warns_at_its_line(tmp_path):
+    write_project(tmp_path, {"a.st": "PROGRAM p\nDrive_lib();\nEND_PROGRAM\n"})
+    (tmp_path / "externals.txt").write_text(
+        "Drive lib\n# vendor code\ndrive lib\nP\n", encoding="utf-8"
+    )
+    project, diags = parse_project(tmp_path)
+    externals = str(tmp_path / "externals.txt")
+    assert [d.render() for d in diags if d.path == externals] == [
+        f"{externals}:3: warning: external stub 'drive' repeats the stub on line 1; ignored",
+        f"{externals}:4: warning: external stub 'P' shadows the POU parsed from "
+        f"{tmp_path / 'a.st'}; ignored",
+    ]
+    assert [(p.name, p.stub) for p in project.pous] == [("p", False), ("Drive", True)]
+
+
+def test_duplicate_global_is_a_warning(tmp_path):
+    # unlike a POU's variables, a global declared twice is kept once and warned about
+    write_project(
+        tmp_path,
+        {"g.st": "VAR_GLOBAL\n  g : INT;\n  G : BOOL;\nEND_VAR\n"
+                 "PROGRAM p\nVAR\n  x : INT;\nEND_VAR\nEND_PROGRAM\n"},
+        tasks="task t cycle 10 entry p\n",
+    )
+    project, diags = parse_project(tmp_path)
+    assert [d.render() for d in diags] == [
+        f"{tmp_path / 'g.st'}: warning: global 'G' declared more than once"
+    ]
+    assert [(g.name, g.type_name) for g in project.globals] == [("g", "INT")]
+
+
+def test_parse_project_walks_each_body_once(plant_dir, tmp_path, monkeypatch):
+    project_dir = tmp_path / "plant"
+    shutil.copytree(plant_dir, project_dir)
+    (project_dir / "externals.txt").write_text("Drive_lib vendor\n", encoding="utf-8")
+    walked = []
+    walk = model.walk
+
+    def counting_walk(statements):
+        walked.append(statements)
+        return walk(statements)
+
+    monkeypatch.setattr(model, "walk", counting_walk)
+    project, _ = parse_project(project_dir)
+    assert any(pou.stub for pou in project.pous)
+    assert len(walked) == len(project.pous)
 
 
 @pytest.mark.parametrize("bad", ["b.st", "tasks.txt", "externals.txt"])
