@@ -157,11 +157,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     for output in (args.dot, args.globals_dot, args.assessment):
         if output and Path(output).resolve().parent == Path(args.project_dir).resolve():
             raise UsageError("output files must live outside the project directory")
-    try:
-        parsed, diagnostics = project.parse_project(args.project_dir)
-    except project.ProjectError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    parsed, diagnostics = project.parse_project(args.project_dir)
     _print_diagnostics(diagnostics)
     if any(d.severity == "error" for d in diagnostics):
         return EXIT_INPUT

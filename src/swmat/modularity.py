@@ -10,6 +10,7 @@ point rather than dogma.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -17,20 +18,26 @@ from pathlib import Path
 from .graphs import CallGraph, GlobalCommGraph
 from .model import (
     ArchLevel,
+    Assignment,
+    CallStatement,
+    CaseStatement,
+    ForStatement,
     Grade,
     GovernanceLevel,
+    IfStatement,
     MEYER_CRITERIA,
     ModularityAssessment,
     Pou,
     PouKind,
     Project,
+    Statement,
     StructureStyle,
     TokenKind,
     TokenSeq,
     TokenStore,
+    WhileStatement,
     read_text,
 )
-from .stparse import flatten_statements
 
 
 @dataclass(frozen=True)
@@ -139,7 +146,6 @@ def assign_levels(graph: CallGraph, plant: bool = False) -> LevelAssignment:
 class StyleResult:
     style: StructureStyle
     coupling_fraction: Fraction
-    levels_below_entry: int
     warning: str | None = None
 
 
@@ -158,7 +164,7 @@ def classify_structure_style(
     c = len(call_graph.edges)
     if g + c == 0:
         return StyleResult(
-            StructureStyle.MIXED, Fraction(0), 0, warning="no edges in either graph"
+            StructureStyle.MIXED, Fraction(0), warning="no edges in either graph"
         )
     f = Fraction(g, g + c)
     depth = (levels or assign_levels(call_graph)).levels_below_entry
@@ -168,7 +174,7 @@ def classify_structure_style(
         style = StructureStyle.HIERARCHICAL_CALLS
     else:
         style = StructureStyle.MIXED
-    return StyleResult(style, f, depth)
+    return StyleResult(style, f)
 
 
 # --- clone detection ------------------------------------------------------------
@@ -180,51 +186,103 @@ def classify_structure_style(
 # where (TokenKind, str) pairs would call Enum.__hash__ once per token.
 
 
-def _fingerprint_atom(kind: TokenKind, text: str) -> str:
-    if kind is TokenKind.IDENT:
-        return "i"
-    if kind is TokenKind.NUMBER:
-        return "n"
-    if kind is TokenKind.STRING:
-        return "s"
-    return text.upper()
-
-
-def _store_atoms(store: TokenStore) -> list[str]:
-    """``_fingerprint_atom`` of every token of a store, inlined."""
-    ident, number, string = TokenKind.IDENT, TokenKind.NUMBER, TokenKind.STRING
-    return [
-        "i" if kind is ident
-        else "n" if kind is number
-        else "s" if kind is string
-        else text.upper()
-        for kind, text in zip(store.kinds, store.texts)
-    ]
-
-
 class _FingerprintSeq:
-    """``_fingerprint_atom`` of each token of an expression, as a slice of
-    its store's atoms.  It keeps the atoms of the last store it saw: the
-    POUs of one source file follow each other in a project."""
+    """The codes of an expression's tokens, as a slice of its store's codes.
+    It keeps the codes of the last store it saw: the POUs of one source file
+    follow each other in a project."""
 
     def __init__(self) -> None:
         self.store: TokenStore | None = None
-        self.atoms: list[str] = []
+        self.codes: list[str] = []
 
     def __call__(self, seq: TokenSeq) -> list[str]:
         if seq.store is not self.store:
-            self.store, self.atoms = seq.store, _store_atoms(seq.store)
-        return self.atoms[seq.start : seq.end]
+            ident, number, string = TokenKind.IDENT, TokenKind.NUMBER, TokenKind.STRING
+            self.store = seq.store
+            self.codes = [
+                "i" if kind is ident
+                else "n" if kind is number
+                else "s" if kind is string
+                else text.upper()
+                for kind, text in zip(seq.store.kinds, seq.store.texts)
+            ]
+        return self.codes[seq.start : seq.end]
+
+
+def _flatten(stmts: Sequence[Statement], out: list[str], seq: _FingerprintSeq) -> None:
+    """Append the codes of a statement tree to ``out``, in source order.
+
+    Closing keywords follow their bodies, so this recurses once per block;
+    the parser keeps that within ``stparse.MAX_NESTING``.
+    """
+    for stmt in stmts:
+        if isinstance(stmt, Assignment):
+            out += seq(stmt.target)
+            out.append(":=")
+            out += seq(stmt.value)
+            out.append(";")
+        elif isinstance(stmt, CallStatement):
+            out.append("i")
+            out += [".", "i"] * stmt.callee.count(".")
+            out.append("(")
+            out += seq(stmt.args)
+            out += (")", ";")
+        elif isinstance(stmt, IfStatement):
+            for k, branch in enumerate(stmt.branches):
+                out.append("ELSIF" if k else "IF")
+                out += seq(branch.condition)
+                out.append("THEN")
+                _flatten(branch.body, out, seq)
+            if stmt.else_body:
+                out.append("ELSE")
+                _flatten(stmt.else_body, out, seq)
+            out += ("END_IF", ";")
+        elif isinstance(stmt, CaseStatement):
+            out.append("CASE")
+            out += seq(stmt.selector)
+            out.append("OF")
+            for branch in stmt.branches:
+                for k, label in enumerate(branch.labels):
+                    if k:
+                        out.append(",")
+                    for j, piece in enumerate(label.split("..")):
+                        if j:
+                            out.append("..")
+                        out.append("n" if piece[:1].isdigit() else "i")
+                out.append(":")
+                _flatten(branch.body, out, seq)
+            if stmt.else_body:
+                out.append("ELSE")
+                _flatten(stmt.else_body, out, seq)
+            out += ("END_CASE", ";")
+        elif isinstance(stmt, ForStatement):
+            out += ("FOR", "i", ":=")
+            out += seq(stmt.start)
+            out.append("TO")
+            out += seq(stmt.stop)
+            if stmt.step:
+                out.append("BY")
+                out += seq(stmt.step)
+            out.append("DO")
+            _flatten(stmt.body, out, seq)
+            out += ("END_FOR", ";")
+        elif isinstance(stmt, WhileStatement):
+            out.append("WHILE")
+            out += seq(stmt.condition)
+            out.append("DO")
+            _flatten(stmt.body, out, seq)
+            out += ("END_WHILE", ";")
 
 
 def clone_fingerprint(pou: Pou, seq: _FingerprintSeq | None = None) -> tuple[str, ...]:
     """The POU's body and actions as one token stream, names and literals erased.
 
     Pass one ``seq`` to the calls on the POUs of a project, so that POUs from
-    one source file share their file's atoms.
+    one source file share their file's codes.
     """
-    seq = seq or _FingerprintSeq()
-    return tuple(flatten_statements(pou.all_statements(), _fingerprint_atom, seq))
+    out: list[str] = []
+    _flatten(pou.all_statements(), out, seq or _FingerprintSeq())
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -337,17 +395,16 @@ def mean_fan_out(graph: CallGraph) -> Fraction:
 
 
 def grade_meyer(
-    project: Project,
     call_graph: CallGraph,
     levels: LevelAssignment,
     style: StyleResult,
-    clones: CloneReport,
+    reuse: Fraction,
     thresholds: Thresholds = Thresholds(),
 ) -> dict[str, Grade]:
     """Deterministic grades for the four modularity criteria.
 
-    clones are part of the measured context (and feed governance); the grades
-    themselves derive from coupling, tree shape, reuse, fan-out and depth.
+    They derive from coupling, tree shape, the FB reuse ratio ``reuse``,
+    fan-out and depth; clones feed only the governance estimate.
     """
     f = style.coupling_fraction
     depth = levels.levels_below_entry
@@ -366,7 +423,6 @@ def grade_meyer(
     else:
         protection = Grade.MINUS
 
-    reuse = reuse_ratio(project)
     if reuse >= thresholds.reuse_pp_min:
         composability = Grade.PLUS_PLUS
     elif reuse >= thresholds.reuse_p_min:
@@ -464,8 +520,9 @@ def assess_project(
     cross = detect_cross_cutting(
         call_graph, levels, thresholds.cross_cutting_k, thresholds.cross_cutting_strata
     )
-    grades = grade_meyer(project, call_graph, levels, style, clones, thresholds)
-    governance, rationale = estimate_governance(clones, reuse_ratio(project), evidence)
+    reuse = reuse_ratio(project)
+    grades = grade_meyer(call_graph, levels, style, reuse, thresholds)
+    governance, rationale = estimate_governance(clones, reuse, evidence)
     assessment = ModularityAssessment(
         grades=grades,
         governance=governance,

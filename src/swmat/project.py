@@ -36,8 +36,8 @@ TASK_FILE = "tasks.txt"
 EXTERNALS_FILE = "externals.txt"
 
 
-class ProjectError(Exception):
-    """Hard error while assembling a project (duplicate names, empty input)."""
+class ProjectError(ValueError):
+    """The project directory is missing or holds no source files."""
 
 
 @dataclasses.dataclass
@@ -186,8 +186,9 @@ def _read_text(path: Path, diagnostics: list[Diagnostic]) -> str | None:
 def parse_project(directory: str | Path, name: str | None = None) -> tuple[Project, list[Diagnostic]]:
     """Parse a project directory into a resolved, validated Project.
 
-    Raises ProjectError on hard errors (no sources, duplicate POU names);
-    recoverable problems come back as diagnostics next to the project.
+    Raises ProjectError when there is no directory or no source file in it.
+    Every other problem comes back as a diagnostic next to the project; a
+    POU declared a second time is an error there and is left out.
     """
     root = Path(directory)
     if not root.is_dir():
@@ -200,7 +201,7 @@ def parse_project(directory: str | Path, name: str | None = None) -> tuple[Proje
     pous: list[Pou] = []
     globals_: list[GlobalVar] = []
     global_keys: set[str] = set()
-    origin: dict[str, str] = {}
+    origin: dict[str, SourceRef] = {}  # lower-cased POU name -> where declared
     source_index: dict[str, SourceRef] = {}
 
     for path in st_files:
@@ -212,11 +213,17 @@ def parse_project(directory: str | Path, name: str | None = None) -> tuple[Proje
         for pou in result.pous:
             key = pou.name.lower()
             if key in origin:
-                raise ProjectError(
-                    f"duplicate POU {pou.name!r} declared in {origin[key]} and {path}"
+                first = origin[key]
+                diagnostics.append(
+                    Diagnostic(
+                        "error",
+                        f"duplicate POU {pou.name!r} (first in {first.path}:{first.span.start})",
+                        path=str(path),
+                        line=pou.span.start,
+                    )
                 )
-            origin[key] = str(path)
-            source_index[pou.name] = SourceRef(str(path), pou.span)
+                continue
+            origin[key] = source_index[pou.name] = SourceRef(str(path), pou.span)
             pous.append(pou)
         for g in result.globals:
             if g.name.lower() in global_keys:
@@ -238,7 +245,7 @@ def parse_project(directory: str | Path, name: str | None = None) -> tuple[Proje
         for lineno, stub_name, group in parse_externals_file(externals_text):
             key = stub_name.lower()
             if key in origin:
-                taken = f"shadows the POU parsed from {origin[key]}"
+                taken = f"shadows the POU parsed from {origin[key].path}"
             elif key in stub_lines:
                 taken = f"repeats the stub on line {stub_lines[key]}"
             else:

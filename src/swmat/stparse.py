@@ -21,12 +21,10 @@ of a file.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import add
 from sys import intern
-from typing import TypeVar
 
 from .model import (
     ActionDef,
@@ -51,8 +49,6 @@ from .model import (
     VarSection,
     WhileStatement,
 )
-
-_Item = TypeVar("_Item")
 
 KEYWORDS = {
     "FUNCTION_BLOCK", "END_FUNCTION_BLOCK",
@@ -225,7 +221,7 @@ class _NestingTooDeep(_ParseFailure):
 
 
 # At most this many IF/CASE/FOR/WHILE blocks may nest.  The parser and
-# ``flatten_statements`` recurse once per block, so this keeps them far from
+# ``modularity._flatten`` recurse once per block, so this keeps them far from
 # Python's recursion limit; deeper code is reported as a syntax error.
 MAX_NESTING = 200
 
@@ -810,106 +806,4 @@ def parse_file(source: SourceFile) -> ParseResult:
 
 def parse_source(text: str, path: str = "<string>") -> ParseResult:
     return parse_file(SourceFile(path, text))
-
-
-# --- token stream / pretty printing ------------------------------------------
-
-
-# the tokens a statement tree implies rather than holds
-_STRUCTURE = (
-    [(TokenKind.OP, text) for text in (":=", ";", ".", "(", ")", ",", "..", ":")]
-    + [(TokenKind.KEYWORD, word) for word in (
-        "IF", "ELSIF", "THEN", "ELSE", "END_IF", "CASE", "OF", "END_CASE",
-        "FOR", "TO", "BY", "DO", "END_FOR", "WHILE", "END_WHILE",
-    )]
-)
-
-
-def flatten_statements(
-    statements: Sequence[Statement],
-    atom: Callable[[TokenKind, str], _Item],
-    seq: Callable[[TokenSeq], Iterable[_Item]],
-) -> list[_Item]:
-    """A statement tree as the token stream it was parsed from.
-
-    ``seq`` turns each parsed expression into items, ``atom`` each token the
-    tree implies (keywords, operators, callee and case-label parts).  Closing
-    keywords follow their bodies, so this recurses once per block; the parser
-    keeps that within ``MAX_NESTING``.
-    """
-    out: list[_Item] = []
-    append, extend = out.append, out.extend
-    mark = {text: atom(kind, text) for kind, text in _STRUCTURE}
-
-    def walk(stmts: Sequence[Statement]) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, Assignment):
-                extend(seq(stmt.target))
-                append(mark[":="])
-                extend(seq(stmt.value))
-                append(mark[";"])
-            elif isinstance(stmt, CallStatement):
-                for k, part in enumerate(stmt.callee.split(".")):
-                    if k:
-                        append(mark["."])
-                    append(atom(TokenKind.IDENT, part))
-                append(mark["("])
-                extend(seq(stmt.args))
-                append(mark[")"])
-                append(mark[";"])
-            elif isinstance(stmt, IfStatement):
-                for k, branch in enumerate(stmt.branches):
-                    append(mark["ELSIF" if k else "IF"])
-                    extend(seq(branch.condition))
-                    append(mark["THEN"])
-                    walk(branch.body)
-                if stmt.else_body:
-                    append(mark["ELSE"])
-                    walk(stmt.else_body)
-                append(mark["END_IF"])
-                append(mark[";"])
-            elif isinstance(stmt, CaseStatement):
-                append(mark["CASE"])
-                extend(seq(stmt.selector))
-                append(mark["OF"])
-                for branch in stmt.branches:
-                    for k, label in enumerate(branch.labels):
-                        if k:
-                            append(mark[","])
-                        for j, piece in enumerate(label.split("..")):
-                            if j:
-                                append(mark[".."])
-                            kind = TokenKind.NUMBER if piece[:1].isdigit() else TokenKind.IDENT
-                            append(atom(kind, piece))
-                    append(mark[":"])
-                    walk(branch.body)
-                if stmt.else_body:
-                    append(mark["ELSE"])
-                    walk(stmt.else_body)
-                append(mark["END_CASE"])
-                append(mark[";"])
-            elif isinstance(stmt, ForStatement):
-                append(mark["FOR"])
-                append(atom(TokenKind.IDENT, stmt.var))
-                append(mark[":="])
-                extend(seq(stmt.start))
-                append(mark["TO"])
-                extend(seq(stmt.stop))
-                if stmt.step:
-                    append(mark["BY"])
-                    extend(seq(stmt.step))
-                append(mark["DO"])
-                walk(stmt.body)
-                append(mark["END_FOR"])
-                append(mark[";"])
-            elif isinstance(stmt, WhileStatement):
-                append(mark["WHILE"])
-                extend(seq(stmt.condition))
-                append(mark["DO"])
-                walk(stmt.body)
-                append(mark["END_WHILE"])
-                append(mark[";"])
-
-    walk(statements)
-    return out
 

@@ -2,26 +2,17 @@
 differential tests.
 
 ``statement_stream`` flattens a statement tree back into (kind, text)
-pairs with ``stparse.flatten_statements``; ``format_pou`` prints a POU from
-them, and ``pou_signature`` is the position-free projection that compares
-a POU with its reprint.
+pairs with ``oracles.reference_statement_stream``; ``format_pou`` prints
+a POU from them, and ``pou_signature`` is the position-free projection
+that compares a POU with its reprint.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from swmat.model import Pou, Statement, TokenKind, TokenSeq
-from swmat.stparse import flatten_statements
-from token_view import Token, expand
-
-
-def _pair(kind: TokenKind, text: str) -> tuple[TokenKind, str]:
-    return (kind, text)
-
-
-def _pairs(tokens: TokenSeq | tuple[Token, ...]) -> list[tuple[TokenKind, str]]:
-    return [(t.kind, t.text) for t in expand(tokens)]
+from oracles import reference_statement_stream
+from swmat.model import Pou, Statement, TokenKind
 
 
 def statement_stream(statements: Sequence[Statement]) -> list[tuple[TokenKind, str]]:
@@ -30,7 +21,7 @@ def statement_stream(statements: Sequence[Statement]) -> list[tuple[TokenKind, s
     The stream re-lexes to the same token sequence, which makes it usable
     for pretty printing and for structural comparison.
     """
-    return flatten_statements(statements, _pair, _pairs)
+    return reference_statement_stream(statements)
 
 
 _BREAK_AFTER = {";", "THEN", "ELSE", "DO", "OF"}

@@ -1,7 +1,8 @@
 """The exit-code contract on malformed input, driven through ``cli.run``.
 
 Every subcommand gets inputs that are almost right: the fixture project
-with one file cut, spliced or replaced by random bytes for ``analyze``, and
+with one file cut, spliced or replaced by random bytes for ``analyze``, or
+with whole lines of valid ST spliced in where lines start, and
 for the JSON inputs (answer files, schemas, both kinds of configure config)
 a valid document with one subtree replaced by a random JSON value or
 dropped.  Each run must end in an exit code 0-3 with no exception, and an
@@ -54,6 +55,17 @@ PARAMETER_CONFIGS = [
 ST_PIECES = [b"IF x THEN", b"END_IF;", b"(*", b"'", b"VAR", b"END_VAR", b":=", b"[", b"(",
              b"FUNCTION_BLOCK", b"END_PROGRAM", b"task t cycle 10 entry ghost\n",
              b"VAR x : INT; X : INT; END_VAR"]
+# whole lines of valid text for files matching a pattern: spliced where a
+# line starts, most of them parse, so the checks after parsing see them
+LINE_PIECES = [
+    ("*.st", "FUNCTION_BLOCK VALVE\nEND_FUNCTION_BLOCK\n"),
+    ("*.st", "x : INT; X : INT;\n"),
+    ("*.st", "FUNCTION Scale : INT\nScale := 1;\nEND_FUNCTION\n"),
+    ("*.st", "PROGRAM Line\nVAR\n  motor : INT;\nEND_VAR\nmotor();\nEND_PROGRAM\n"
+             "FUNCTION_BLOCK Motor\nEND_FUNCTION_BLOCK\n"),
+    ("tasks.txt", "task fast cycle 5 entry Scale\n"),
+    ("tasks.txt", "task slow cycle 50 entry ghost\n"),
+]
 
 
 def _subtrees(doc, path=()):
@@ -88,18 +100,32 @@ def _write_json(draw, docs: dict[Path, object]) -> Path:
     return bad
 
 
+def _splice_lines(project: Path, draw) -> None:
+    """Insert one to three ``LINE_PIECES`` where lines of their files start."""
+    for pattern, piece in draw(st.lists(st.sampled_from(LINE_PIECES), min_size=1, max_size=3)):
+        target = draw(st.sampled_from(sorted(project.glob(pattern))))
+        lines = target.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines.insert(draw(st.integers(0, len(lines))), piece)
+        target.write_text("".join(lines), encoding="utf-8")
+
+
 def _analyze(root: Path, draw):
     project = root / "project"
     shutil.copytree(FIXTURES / "filling_plant", project)
-    target = draw(st.sampled_from(sorted(project.iterdir())))
-    text = target.read_bytes()
-    if draw(st.booleans()):
-        text = draw(st.binary(max_size=64))
+    how = draw(st.sampled_from(("lines", "bytes", "splice")))
+    if how == "lines":
+        _splice_lines(project, draw)
     else:
-        start = draw(st.integers(0, len(text)))
-        end = draw(st.integers(start, min(len(text), start + 40)))
-        text = text[:start] + draw(st.sampled_from(ST_PIECES) | st.binary(max_size=8)) + text[end:]
-    target.write_bytes(text)
+        target = draw(st.sampled_from(sorted(project.iterdir())))
+        text = target.read_bytes()
+        if how == "bytes":
+            text = draw(st.binary(max_size=64))
+        else:
+            start = draw(st.integers(0, len(text)))
+            end = draw(st.integers(start, min(len(text), start + 40)))
+            text = (text[:start] + draw(st.sampled_from(ST_PIECES) | st.binary(max_size=8))
+                    + text[end:])
+        target.write_bytes(text)
     argv = ["analyze", str(project), "--per-instance", "--dot", str(root / "c.dot"),
             "--globals-dot", str(root / "g.dot"), "--assessment", str(root / "a.json")]
     return argv, project

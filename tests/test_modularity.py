@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+import types
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -51,7 +53,6 @@ from oracles import (
     reference_global_accesses,
     reference_statement_stream,
 )
-from st_printer import statement_stream
 from synth import chain_project, random_project, star_project, write_project
 from test_golden import MIXED_ST
 
@@ -320,15 +321,52 @@ def _reference_corpus(tmp_path):
     return projects
 
 
+def _code(kind, text):
+    """The fingerprint code of one (kind, text) pair of the reference stream."""
+    if kind is TokenKind.IDENT:
+        return "i"
+    if kind is TokenKind.NUMBER:
+        return "n"
+    if kind is TokenKind.STRING:
+        return "s"
+    return text.upper()
+
+
 @pytest.mark.parametrize("min_tokens", [1, 20])
 def test_clones_match_reference(tmp_path, min_tokens):
     for project in _reference_corpus(tmp_path):
         report = detect_clones(project, min_tokens)
         assert report.groups == clone_groups_reference(project, min_tokens)
         for pou in project.pous:
-            statements = pou.all_statements()
-            assert statement_stream(statements) == reference_statement_stream(statements)
+            reference = reference_statement_stream(pou.all_statements())
+            assert clone_fingerprint(pou) == tuple(_code(k, t) for k, t in reference)
             assert len(clone_fingerprint(pou)) == len(clone_body_reference(pou))
+
+
+def _from_swmat(obj) -> bool:
+    module = obj.__module__ if isinstance(obj, types.FunctionType) else type(obj).__module__
+    return (module or "").split(".")[0] == "swmat"
+
+
+def test_analysis_leaves_no_cyclic_garbage(tmp_path):
+    """Parsing and assessing a project builds no reference cycle, so
+    reference counting frees all of it without a full collection."""
+    plant = Path(__file__).parent / "fixtures" / "filling_plant"
+    synthetic = random_project(tmp_path / "random", 3)
+    flags = gc.get_debug()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for directory in (plant, synthetic):
+            project, _ = parse_project(directory)
+            assess_project(project, build_call_graph(project), build_global_comm_graph(project))
+        gc.collect()
+        leaked = [obj for obj in gc.garbage if _from_swmat(obj)]
+        assert not leaked, sorted({getattr(o, "__qualname__", type(o).__qualname__)
+                                   for o in leaked})
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
 
 
 _INDEXED_TARGET_ST = """\

@@ -5,6 +5,7 @@ import shutil
 import pytest
 
 from swmat import model
+from swmat.cli import run
 from swmat.graphs import complexity
 from swmat.model import (
     Assignment,
@@ -46,12 +47,33 @@ def test_duplicate_pou_across_files_names_both_paths(tmp_path):
         tmp_path,
         {
             "a.st": "FUNCTION_BLOCK Valve\nEND_FUNCTION_BLOCK\n",
-            "b.st": "FUNCTION_BLOCK Valve\nEND_FUNCTION_BLOCK\n",
+            "b.st": "\nFUNCTION_BLOCK VALVE\nEND_FUNCTION_BLOCK\n"
+                    "FUNCTION_BLOCK Pump\nEND_FUNCTION_BLOCK\n",
         },
     )
-    with pytest.raises(ProjectError) as info:
-        parse_project(tmp_path)
-    assert "a.st" in str(info.value) and "b.st" in str(info.value)
+    project, diags = parse_project(tmp_path)
+    errors = [d.render() for d in diags if d.severity == "error"]
+    a, b = tmp_path / "a.st", tmp_path / "b.st"
+    assert errors == [f"{b}:2: error: duplicate POU 'VALVE' (first in {a}:1)"]
+    # the second declaration is left out; the rest of its file is kept
+    assert [p.name for p in project.pous] == ["Valve", "Pump"]
+
+
+def test_duplicate_pou_in_one_file_is_reported_with_the_other_errors(tmp_path, capsys):
+    write_project(
+        tmp_path,
+        {
+            "a.st": "FUNCTION_BLOCK Valve\nEND_FUNCTION_BLOCK\n"
+                    "FUNCTION_BLOCK VALVE\nEND_FUNCTION_BLOCK\n",
+            "b.st": "PROGRAM p\nx := ;\nEND_PROGRAM\n",
+        },
+    )
+    assert run(["analyze", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    a, b = tmp_path / "a.st", tmp_path / "b.st"
+    assert f"{a}:3: error: duplicate POU 'VALVE' (first in {a}:1)\n" in err
+    assert f"{b}:2:" in err
+    assert "Traceback" not in err
 
 
 def test_missing_task_file_warns(tmp_path):
