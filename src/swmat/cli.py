@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import os
@@ -154,6 +155,19 @@ def _scored(path: str | Path, score, *args, **kwargs):
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    # the parsed project holds no reference cycle, so the cyclic collector
+    # would only rescan every statement node as the heap grows; a caller in
+    # the same process gets it back as it was
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _analyze(args)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _analyze(args: argparse.Namespace) -> int:
     for output in (args.dot, args.globals_dot, args.assessment):
         if output and Path(output).resolve().parent == Path(args.project_dir).resolve():
             raise UsageError("output files must live outside the project directory")

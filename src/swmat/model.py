@@ -63,7 +63,7 @@ class TokenStore:
 
     __slots__ = ("kinds", "starts", "texts", "line_starts")
 
-    def __init__(self, line_starts: list[int]) -> None:
+    def __init__(self, line_starts: array) -> None:
         self.kinds: list[TokenKind] = []
         self.starts = array("q")  # machine integers: no int object per token
         self.texts: list[str] = []
@@ -124,7 +124,7 @@ class TokenSeq:
         return f"TokenSeq({' '.join(self.store.texts[self.start:self.end])!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assignment:
     # target holds the full lvalue token sequence (base ident, member/index tokens)
     target: TokenSeq
@@ -133,7 +133,7 @@ class Assignment:
     col: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CallStatement:
     callee: str
     args: TokenSeq
@@ -141,13 +141,13 @@ class CallStatement:
     col: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IfBranch:
     condition: TokenSeq
     body: tuple["Statement", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IfStatement:
     branches: tuple[IfBranch, ...]
     else_body: tuple["Statement", ...]
@@ -155,13 +155,13 @@ class IfStatement:
     col: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CaseBranch:
     labels: tuple[str, ...]
     body: tuple["Statement", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CaseStatement:
     selector: TokenSeq
     branches: tuple[CaseBranch, ...]
@@ -170,7 +170,7 @@ class CaseStatement:
     col: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForStatement:
     var: str
     start: TokenSeq
@@ -181,7 +181,7 @@ class ForStatement:
     col: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WhileStatement:
     condition: TokenSeq
     body: tuple["Statement", ...]
@@ -194,28 +194,28 @@ Statement = Union[
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VarDecl:
     name: str
     type_name: str
     init: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VarSection:
     kind: SectionKind
     decls: tuple[VarDecl, ...]
     constant: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActionDef:
     name: str
     body: tuple[Statement, ...]
     line: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CallSite:
     caller: str
     callee_text: str
@@ -227,7 +227,7 @@ class CallSite:
     col: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LineSpan:
     start: int
     end: int
@@ -271,6 +271,8 @@ class GlobalVar:
     type_name: str
     init: str | None = None
     constant: bool = False
+    # the line of its name; a hand-built global has none
+    line: int | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)

@@ -294,13 +294,16 @@ class CloneReport:
 
 def detect_clones(project: Project, min_tokens: int = 20) -> CloneReport:
     """Group POUs whose normalized body token streams are identical."""
-    by_stream: dict[tuple[str, ...], list[str]] = {}
+    # keyed by the codes joined with a space, which no code holds, so two
+    # keys are equal exactly when the streams are: one string per POU costs
+    # far less than a tuple of its codes
+    by_stream: dict[str, list[str]] = {}
     seq = _FingerprintSeq()
     for pou in project.pous:
         stream = clone_fingerprint(pou, seq)
         if len(stream) < min_tokens:
             continue
-        by_stream.setdefault(stream, []).append(pou.name)
+        by_stream.setdefault(" ".join(stream), []).append(pou.name)
 
     groups = tuple(
         sorted(

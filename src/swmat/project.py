@@ -200,7 +200,7 @@ def parse_project(directory: str | Path, name: str | None = None) -> tuple[Proje
     diagnostics: list[Diagnostic] = []
     pous: list[Pou] = []
     globals_: list[GlobalVar] = []
-    global_keys: set[str] = set()
+    global_origin: dict[str, tuple[str, GlobalVar]] = {}  # lower-cased name -> (path, first)
     origin: dict[str, SourceRef] = {}  # lower-cased POU name -> where declared
     source_index: dict[str, SourceRef] = {}
 
@@ -226,16 +226,16 @@ def parse_project(directory: str | Path, name: str | None = None) -> tuple[Proje
             origin[key] = source_index[pou.name] = SourceRef(str(path), pou.span)
             pous.append(pou)
         for g in result.globals:
-            if g.name.lower() in global_keys:
-                diagnostics.append(
-                    Diagnostic(
-                        "warning",
-                        f"global {g.name!r} declared more than once",
-                        path=str(path),
-                    )
-                )
+            key = g.name.lower()
+            if key in global_origin:
+                first_path, first = global_origin[key]
+                message = (f"global {g.name!r} declared more than once "
+                           f"(first in {first_path}:{first.line})")
+                if g.type_name.lower() != first.type_name.lower():
+                    message += f"; type {g.type_name}, first {first.type_name}"
+                diagnostics.append(Diagnostic("warning", message, path=str(path), line=g.line))
                 continue
-            global_keys.add(g.name.lower())
+            global_origin[key] = (str(path), g)
             globals_.append(g)
 
     externals_path = root / EXTERNALS_FILE
@@ -298,7 +298,7 @@ def parse_project(directory: str | Path, name: str | None = None) -> tuple[Proje
         )
 
     project = Project(
-        name=name or root.name,
+        name=name or root.resolve().name,
         pous=tuple(resolved),
         globals=tuple(globals_),
         tasks=tuple(tasks),

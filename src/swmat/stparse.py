@@ -21,6 +21,7 @@ of a file.
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import add
@@ -111,9 +112,10 @@ _TOKEN_RE = re.compile(
 _COMMENT_DELIMITER = re.compile(r"\(\*|\*\)")
 
 
-def _line_starts(text: str) -> list[int]:
-    """The offset where each line of ``text`` starts; lines end at ``\\n``."""
-    starts = list(accumulate(map(add, map(len, text.split("\n")), repeat(1)), initial=0))
+def _line_starts(text: str) -> array:
+    """The offset where each line of ``text`` starts; lines end at ``\\n``.
+    Machine integers, as the store's ``starts`` column: no int object per line."""
+    starts = array("q", accumulate(map(add, map(len, text.split("\n")), repeat(1)), initial=0))
     starts.pop()  # the start of the line after the last one
     return starts
 
@@ -381,7 +383,12 @@ class Parser:
     def parse_global_block(self) -> list[GlobalVar]:
         self.expect_keyword("VAR_GLOBAL")
         constant = self.parse_qualifiers()
-        return [GlobalVar(d.name, d.type_name, d.init, constant) for d in self.parse_decl_list()]
+        lines: list[int] = []
+        decls = self.parse_decl_list(lines=lines)
+        return [
+            GlobalVar(d.name, d.type_name, d.init, constant, line)
+            for d, line in zip(decls, lines)
+        ]
 
     def parse_pou(self) -> Pou:
         kind_word = self._words[self.pos]
@@ -473,11 +480,15 @@ class Parser:
         return constant
 
     def parse_decl_list(
-        self, pou: str | None = None, declared: set[str] | None = None
+        self,
+        pou: str | None = None,
+        declared: set[str] | None = None,
+        lines: list[int] | None = None,
     ) -> list[VarDecl]:
         """The declarations up to END_VAR.  In a POU's sections, ``declared``
         holds the lower-cased names the POU has declared so far, and a name
-        read a second time is an error at its position."""
+        read a second time is an error at its position.  A ``lines`` list
+        gets the line of each declared name, in the order of the result."""
         texts = self.texts
         decls: list[VarDecl] = []
         while True:
@@ -504,11 +515,14 @@ class Parser:
                 self.take()
                 init = self.capture_until_semicolon_text()
             self.expect_op(";")
-            for name in names:
-                decls.append(VarDecl(name, type_name, init))
+            for at in names:
+                decls.append(VarDecl(texts[at], type_name, init))
+                if lines is not None:
+                    lines.append(self.line(at))
 
-    def declared_name(self, pou: str | None, declared: set[str] | None) -> str:
-        """Read one declared identifier (see ``parse_decl_list``)."""
+    def declared_name(self, pou: str | None, declared: set[str] | None) -> int:
+        """Read one declared identifier (see ``parse_decl_list``); return its
+        token index."""
         at = self.expect_ident()
         name = self.texts[at]
         if declared is not None:
@@ -520,7 +534,7 @@ class Parser:
                     Diagnostic("error", message, pou=pou, path=self.path, line=line, col=col)
                 )
             declared.add(key)
-        return name
+        return at
 
     def parse_type_text(self) -> str:
         """Type as written; ARRAY [..] OF T collapses to its element type prefix."""

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import shutil
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from swmat import project
 from swmat.cli import run
 from swmat.stparse import MAX_NESTING
 from synth import chain_project
@@ -127,6 +129,35 @@ def test_analyze_plant_outputs(tmp_path, capsys):
     }
     out = capsys.readouterr().out
     assert "POUs" in out and "governance" in out
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_analyze_runs_without_the_collector_and_restores_it(monkeypatch, enabled):
+    seen = []
+    parse = project.parse_project
+
+    def parse_and_look(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(project, "parse_project", parse_and_look)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert run(["analyze", str(FIXTURES / "filling_plant")]) == 0
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]
+
+
+def test_analyze_dot_names_the_directory(tmp_path, monkeypatch, capsys):
+    plant = tmp_path / "plant"
+    shutil.copytree(FIXTURES / "filling_plant", plant)
+    monkeypatch.chdir(plant)
+    assert run(["analyze", ".", "--assessment", str(tmp_path / "a.json")]) == 0
+    assert capsys.readouterr().out.startswith("project plant: ")
+    assert json.loads((tmp_path / "a.json").read_text(encoding="utf-8"))["project"] == "plant"
 
 
 def test_analyze_governance_flags(tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from array import array
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 import pytest
@@ -16,8 +18,11 @@ from swmat.model import (
     TaskDef,
     validate_project,
 )
+from swmat.project import parse_project
 from swmat.stparse import parse_source
 from model_codec import from_jsonable, to_jsonable
+from synth import write_project
+from test_golden import MIXED_ST
 
 
 def _project(source: str, tasks=()) -> Project:
@@ -118,3 +123,39 @@ def test_default_schema_is_valid(schema):
     assert schema.validate() == []
     assert len(schema.questions) == 45
     assert schema.scored_ids() == tuple(range(15, 40))
+
+
+# built once per statement or declaration, so they carry no ``__dict__``
+SLOTTED = (
+    "Assignment", "CallStatement", "IfBranch", "IfStatement", "CaseBranch",
+    "CaseStatement", "ForStatement", "WhileStatement",
+    "VarDecl", "VarSection", "ActionDef", "CallSite", "LineSpan",
+)
+
+
+def _model_values(value, found):
+    """Every model dataclass reachable from ``value``, by class name."""
+    if isinstance(value, (tuple, list, frozenset)):
+        for item in value:
+            _model_values(item, found)
+    elif is_dataclass(value):
+        found.setdefault(type(value).__name__, value)
+        for f in fields(value):
+            _model_values(getattr(value, f.name), found)
+
+
+def test_per_statement_nodes_have_no_dict(plant_dir, tmp_path):
+    # the fixture has no FOR, WHILE or ACTION; the golden mixed source has all three
+    mixed = write_project(tmp_path / "mixed", {"mixed.st": MIXED_ST})
+    found: dict[str, object] = {}
+    for directory in (plant_dir, mixed):
+        _model_values(parse_project(directory)[0].pous, found)
+    for name in SLOTTED:
+        assert name in found, name
+        assert not hasattr(found[name], "__dict__"), name
+
+
+def test_line_starts_are_machine_integers():
+    store = parse_source("PROGRAM p\nx := 1;\nEND_PROGRAM\n").pous[0].statements[0].value.store
+    assert isinstance(store.line_starts, array)
+    assert list(store.line_starts) == [0, 10, 18, 30]

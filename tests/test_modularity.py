@@ -438,6 +438,39 @@ def test_clone_pairs(tmp_path, name, clones):
     assert detect_clones(project, min_tokens=1).groups == ((("a", "b"),) if clones else ())
 
 
+def _fingerprint_corpus(plant_dir, tmp_path):
+    """The fixture and 20 random projects, parsed."""
+    projects = [parse_project(plant_dir)[0]]
+    projects += [
+        parse_project(random_project(tmp_path / f"random{seed}", seed))[0]
+        for seed in range(20)
+    ]
+    return projects
+
+
+def test_fingerprint_codes_hold_no_separator(plant_dir, tmp_path):
+    # detect_clones keys its groups by the codes joined with a space
+    for project in _fingerprint_corpus(plant_dir, tmp_path):
+        for pou in project.pous:
+            for code in clone_fingerprint(pou):
+                assert code and " " not in code, (pou.name, code)
+
+
+@pytest.mark.parametrize("min_tokens", [1, 20])
+def test_clone_groups_equal_tuple_keyed_groups(plant_dir, tmp_path, min_tokens):
+    for project in _fingerprint_corpus(plant_dir, tmp_path):
+        by_tuple: dict[tuple[str, ...], list[str]] = {}
+        for pou in project.pous:
+            fingerprint = clone_fingerprint(pou)
+            if len(fingerprint) >= min_tokens:
+                by_tuple.setdefault(fingerprint, []).append(pou.name)
+        groups = tuple(sorted(
+            (tuple(sorted(names, key=str.lower)) for names in by_tuple.values() if len(names) > 1),
+            key=lambda g: g[0].lower(),
+        ))
+        assert detect_clones(project, min_tokens).groups == groups
+
+
 def test_detect_clones_skips_printer_and_kind_hashing(tmp_path, monkeypatch):
     project, _ = parse_project(write_project(tmp_path, {"mixed.st": MIXED_ST}))
     expected = detect_clones(project, min_tokens=1)

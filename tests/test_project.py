@@ -121,10 +121,26 @@ def test_duplicate_global_is_a_warning(tmp_path):
         tasks="task t cycle 10 entry p\n",
     )
     project, diags = parse_project(tmp_path)
+    path = tmp_path / "g.st"
     assert [d.render() for d in diags] == [
-        f"{tmp_path / 'g.st'}: warning: global 'G' declared more than once"
+        f"{path}:3: warning: global 'G' declared more than once (first in {path}:2); "
+        "type BOOL, first INT"
     ]
     assert [(g.name, g.type_name) for g in project.globals] == [("g", "INT")]
+
+
+def test_duplicate_global_across_files_names_both_lines(tmp_path, capsys):
+    write_project(
+        tmp_path,
+        {"a.st": "VAR_GLOBAL\n  gA : INT;\nEND_VAR\n",
+         "b.st": "PROGRAM p\nEND_PROGRAM\nVAR_GLOBAL\n  GA : INT;\nEND_VAR\n"},
+        tasks="task t cycle 10 entry p\n",
+    )
+    assert run(["analyze", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == (
+        f"{tmp_path / 'b.st'}:4: warning: global 'GA' declared more than once "
+        f"(first in {tmp_path / 'a.st'}:2)\n"
+    )
 
 
 def test_parse_project_walks_each_body_once(plant_dir, tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ directly, and builds stores back from views for hand-made statements.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterable
 from dataclasses import fields, is_dataclass
 from typing import Any, NamedTuple
@@ -56,7 +57,7 @@ def store_of(tokens: Iterable[Token]) -> TokenStore:
     tokens = list(tokens)
     width = 1 + max((t.col + len(t.text) for t in tokens), default=0)
     lines = max((t.line for t in tokens), default=1)
-    store = TokenStore([n * width for n in range(lines)])
+    store = TokenStore(array("q", (n * width for n in range(lines))))
     for t in tokens:
         store.add(t.kind, t.text, (t.line - 1) * width + t.col - 1)
     return store
