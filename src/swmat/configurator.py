@@ -25,7 +25,7 @@ from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 
-from .model import SCALAR, TokenKind, load_json, read_text
+from .model import IDENT, SCALAR, load_json, read_text
 from .stparse import tokenize
 
 MODE_CONSTANTS = (
@@ -40,14 +40,6 @@ MODE_VARIABLE = "_plcMod"
 MANUAL_MARKER = "(* MANUAL:"
 
 PLACEHOLDER_RE = re.compile(r"@\{([A-Za-z_][A-Za-z0-9_]*)\}")
-_POU_HEADER_RE = re.compile(
-    r"^\s*(FUNCTION_BLOCK|PROGRAM|FUNCTION)\s+([A-Za-z_][A-Za-z0-9_]*)",
-    re.IGNORECASE | re.MULTILINE,
-)
-_PROGRAM_HEADER_RE = re.compile(
-    r"^\s*PROGRAM\s+([A-Za-z_][A-Za-z0-9_]*)", re.IGNORECASE | re.MULTILINE
-)
-_LAST_END_VAR_RE = re.compile(r"END_VAR", re.IGNORECASE)
 
 
 class ConfigError(Exception):
@@ -57,8 +49,20 @@ class ConfigError(Exception):
 def _check_name(name: str, what: str) -> None:
     """A generated name must read back as exactly one ST identifier."""
     store, diags = tokenize(name)
-    if diags or store.kinds != [TokenKind.IDENT] or store.texts != [name]:
+    if diags or store.codes != [IDENT] or store.texts != [name]:
         raise ConfigError(f"{what} {name!r} is not an ST identifier")
+
+
+def _pou_headers(text: str) -> list[tuple[str, str]]:
+    """(keyword, name) of each POU header in ST text, read through the
+    tokenizer: a header in a comment or a string does not count."""
+    store, _ = tokenize(text)
+    codes, texts = store.codes, store.texts
+    return [
+        (code, texts[i + 1])
+        for i, code in enumerate(codes[:-1])
+        if code in ("FUNCTION_BLOCK", "PROGRAM", "FUNCTION") and codes[i + 1] == IDENT
+    ]
 
 
 class Provenance(Enum):
@@ -135,8 +139,9 @@ class TemplateSet:
     def validate(self) -> None:
         """Reject placeholders in statement bodies; only declarations may vary."""
         for name, text in self.templates.items():
-            matches = list(_LAST_END_VAR_RE.finditer(text))
-            body_start = matches[-1].end() if matches else 0
+            store, _ = tokenize(text)
+            ends = [start for code, start in zip(store.codes, store.starts) if code == "END_VAR"]
+            body_start = ends[-1] + len("END_VAR") if ends else 0
             stray = PLACEHOLDER_RE.search(text, body_start)
             if stray:
                 raise ConfigError(
@@ -345,19 +350,14 @@ def load_parameter_project(path: str | Path, template_dir: str | Path) -> Parame
                             data.get("name_column", "name"))
 
 
-def _pou_names(text: str) -> set[str]:
-    return {m.group(2).lower() for m in _POU_HEADER_RE.finditer(text)}
-
-
 def generate_parameter_project(pp: ParameterProject) -> GeneratedProject:
     """Copy the invariable base, generate one component per table row, and
     expose every row parameter as a global variable."""
     if pp.name_column not in pp.columns:
         raise ConfigError(f"parameter table has no {pp.name_column!r} column")
 
-    base_names: set[str] = set()
-    for _, text in pp.invariable:
-        base_names |= _pou_names(text)
+    headers = [header for _, text in pp.invariable for header in _pou_headers(text)]
+    base_names = {name.lower() for _, name in headers}
 
     files: list[GeneratedFile] = []
     for fname, text in pp.invariable:
@@ -399,9 +399,7 @@ def generate_parameter_project(pp: ParameterProject) -> GeneratedProject:
         files.append(GeneratedFile("parameters_globals.st", tuple(globals_lines)))
 
     # with exactly one program in the base, the merged project gets its task
-    programs = [
-        name for _, text in pp.invariable for name in _PROGRAM_HEADER_RE.findall(text)
-    ]
+    programs = [name for keyword, name in headers if keyword == "PROGRAM"]
     if len(programs) == 1:
         files.append(
             GeneratedFile(

@@ -16,6 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
+from sys import intern
 from typing import Iterator, NamedTuple, Sequence, Union
 
 
@@ -42,8 +43,7 @@ class CallResolution(Enum):
 
 
 class TokenKind(Enum):
-    """The kind of a token; a ``TokenStore`` keeps one per token in its
-    ``kinds`` column."""
+    """The kind of a token, as ``TokenStore.kind`` reads it off its code."""
 
     IDENT = "ident"
     NUMBER = "number"
@@ -52,20 +52,30 @@ class TokenKind(Enum):
     OP = "op"
 
 
+# The code of an identifier, a number and a string literal.  A keyword's code
+# is its upper-cased text and an operator's its text, so a code tells its
+# token's kind: keyword codes are upper-case words, operators hold no letters.
+IDENT, NUMBER, STRING = "i", "n", "s"
+_LITERAL_CODES = {TokenKind.IDENT: IDENT, TokenKind.NUMBER: NUMBER, TokenKind.STRING: STRING}
+_LITERAL_KINDS = {code: kind for kind, code in _LITERAL_CODES.items()}
+
+
 class TokenStore:
     """The tokens of one source file, kept as parallel columns.
 
-    Token ``i`` has kind ``kinds[i]`` and text ``texts[i]``, and starts at
+    Token ``i`` has code ``codes[i]`` and text ``texts[i]``, and starts at
     offset ``starts[i]`` of the source text.  Line and col are not stored;
     ``locate`` computes them on demand by bisecting ``line_starts``, the
     offsets where lines start.
     """
 
-    __slots__ = ("kinds", "starts", "texts", "line_starts")
+    __slots__ = ("codes", "starts", "texts", "line_starts")
 
     def __init__(self, line_starts: array) -> None:
-        self.kinds: list[TokenKind] = []
-        self.starts = array("q")  # machine integers: no int object per token
+        self.codes: list[str] = []
+        # 32-bit machine integers: no int object per token.  A source of 4 GiB
+        # or more, whose offsets would not fit, needs tens of GB of columns
+        self.starts = array("I")
         self.texts: list[str] = []
         self.line_starts = line_starts
 
@@ -73,10 +83,18 @@ class TokenStore:
         return len(self.texts)
 
     def add(self, kind: TokenKind, text: str, start: int) -> None:
-        """Append one token starting at offset ``start``."""
-        self.kinds.append(kind)
+        """Append one token of kind ``kind`` starting at offset ``start``."""
+        code = _LITERAL_CODES.get(kind)
+        self.codes.append(code or (intern(text.upper()) if kind is TokenKind.KEYWORD else text))
         self.starts.append(start)
         self.texts.append(text)
+
+    def kind(self, i: int) -> TokenKind:
+        """The kind of token ``i``, read off its code."""
+        code = self.codes[i]
+        return _LITERAL_KINDS.get(code) or (
+            TokenKind.KEYWORD if code[0].isalpha() else TokenKind.OP
+        )
 
     def locate(self, offset: int) -> tuple[int, int]:
         """The 1-based line and col of a text offset."""
@@ -93,7 +111,7 @@ class TokenSeq:
     """An expression as parsed: tokens ``start`` up to ``end`` of ``store``.
 
     Readers index the store's columns over ``range(start, end)``.  Two
-    sequences are equal when their tokens agree in kind, text, line and col,
+    sequences are equal when their tokens agree in code, text, line and col,
     whichever stores hold them.
     """
 
@@ -109,7 +127,7 @@ class TokenSeq:
 
     def _content(self) -> tuple:
         store, start, end = self.store, self.start, self.end
-        return (store.kinds[start:end], store.texts[start:end],
+        return (store.codes[start:end], store.texts[start:end],
                 [store.position(i) for i in range(start, end)])
 
     def __eq__(self, other: object) -> bool:
@@ -607,18 +625,16 @@ def dotted_paths(seq: TokenSeq) -> Iterator[tuple[int, int, bool]]:
     ``start`` and ``end`` index the store: ``seq.store.texts[start:end:2]``
     are the path's identifiers; is_call tells whether '(' follows the path.
     """
-    store = seq.store
-    kinds, texts = store.kinds, store.texts  # only an operator's text is "." or "("
-    ident = TokenKind.IDENT  # a local: enum lookups cost per token
+    codes = seq.store.codes
     i, n = seq.start, seq.end
     while i < n:
-        if kinds[i] is not ident:
+        if codes[i] != IDENT:
             i += 1
             continue
         j = i + 1
-        while j + 1 < n and texts[j] == "." and kinds[j + 1] is ident:
+        while j + 1 < n and codes[j] == "." and codes[j + 1] == IDENT:
             j += 2
-        yield i, j, j < n and texts[j] == "("
+        yield i, j, j < n and codes[j] == "("
         i = j
 
 
@@ -662,7 +678,7 @@ def body_facts(statements: Sequence[Statement]) -> BodyFacts:
             calls.append((node.callee, node.line, node.col))
         elif is_assignment:
             target = node.target
-            if target and target.store.kinds[target.start] is TokenKind.IDENT:
+            if target and target.store.codes[target.start] == IDENT:
                 writes.add(target.store.texts[target.start])
         elif isinstance(node, ForStatement):
             writes.add(node.var)

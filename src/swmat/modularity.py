@@ -24,17 +24,17 @@ from .model import (
     ForStatement,
     Grade,
     GovernanceLevel,
+    IDENT,
     IfStatement,
     MEYER_CRITERIA,
     ModularityAssessment,
+    NUMBER,
     Pou,
     PouKind,
     Project,
     Statement,
     StructureStyle,
-    TokenKind,
     TokenSeq,
-    TokenStore,
     WhileStatement,
     read_text,
 )
@@ -180,66 +180,43 @@ def classify_structure_style(
 # --- clone detection ------------------------------------------------------------
 
 
-# Clone fingerprints: identifiers, numbers and strings each collapse to one
-# code, so renamed copies compare equal; keywords and operators keep their
-# upper-cased text, which never equals a code.  Plain strings hash in C,
-# where (TokenKind, str) pairs would call Enum.__hash__ once per token.
+def _codes(seq: TokenSeq) -> list[str]:
+    return seq.store.codes[seq.start : seq.end]
 
 
-class _FingerprintSeq:
-    """The codes of an expression's tokens, as a slice of its store's codes.
-    It keeps the codes of the last store it saw: the POUs of one source file
-    follow each other in a project."""
-
-    def __init__(self) -> None:
-        self.store: TokenStore | None = None
-        self.codes: list[str] = []
-
-    def __call__(self, seq: TokenSeq) -> list[str]:
-        if seq.store is not self.store:
-            ident, number, string = TokenKind.IDENT, TokenKind.NUMBER, TokenKind.STRING
-            self.store = seq.store
-            self.codes = [
-                "i" if kind is ident
-                else "n" if kind is number
-                else "s" if kind is string
-                else text.upper()
-                for kind, text in zip(seq.store.kinds, seq.store.texts)
-            ]
-        return self.codes[seq.start : seq.end]
-
-
-def _flatten(stmts: Sequence[Statement], out: list[str], seq: _FingerprintSeq) -> None:
-    """Append the codes of a statement tree to ``out``, in source order.
+def _flatten(stmts: Sequence[Statement], out: list[str]) -> None:
+    """Append the token codes of a statement tree to ``out``, in source order.
+    Identifiers, numbers and strings each have one code (``model.IDENT``),
+    so renamed copies compare equal.
 
     Closing keywords follow their bodies, so this recurses once per block;
     the parser keeps that within ``stparse.MAX_NESTING``.
     """
     for stmt in stmts:
         if isinstance(stmt, Assignment):
-            out += seq(stmt.target)
+            out += _codes(stmt.target)
             out.append(":=")
-            out += seq(stmt.value)
+            out += _codes(stmt.value)
             out.append(";")
         elif isinstance(stmt, CallStatement):
-            out.append("i")
-            out += [".", "i"] * stmt.callee.count(".")
+            out.append(IDENT)
+            out += [".", IDENT] * stmt.callee.count(".")
             out.append("(")
-            out += seq(stmt.args)
+            out += _codes(stmt.args)
             out += (")", ";")
         elif isinstance(stmt, IfStatement):
             for k, branch in enumerate(stmt.branches):
                 out.append("ELSIF" if k else "IF")
-                out += seq(branch.condition)
+                out += _codes(branch.condition)
                 out.append("THEN")
-                _flatten(branch.body, out, seq)
+                _flatten(branch.body, out)
             if stmt.else_body:
                 out.append("ELSE")
-                _flatten(stmt.else_body, out, seq)
+                _flatten(stmt.else_body, out)
             out += ("END_IF", ";")
         elif isinstance(stmt, CaseStatement):
             out.append("CASE")
-            out += seq(stmt.selector)
+            out += _codes(stmt.selector)
             out.append("OF")
             for branch in stmt.branches:
                 for k, label in enumerate(branch.labels):
@@ -248,40 +225,36 @@ def _flatten(stmts: Sequence[Statement], out: list[str], seq: _FingerprintSeq) -
                     for j, piece in enumerate(label.split("..")):
                         if j:
                             out.append("..")
-                        out.append("n" if piece[:1].isdigit() else "i")
+                        out.append(NUMBER if piece[:1].isdigit() else IDENT)
                 out.append(":")
-                _flatten(branch.body, out, seq)
+                _flatten(branch.body, out)
             if stmt.else_body:
                 out.append("ELSE")
-                _flatten(stmt.else_body, out, seq)
+                _flatten(stmt.else_body, out)
             out += ("END_CASE", ";")
         elif isinstance(stmt, ForStatement):
-            out += ("FOR", "i", ":=")
-            out += seq(stmt.start)
+            out += ("FOR", IDENT, ":=")
+            out += _codes(stmt.start)
             out.append("TO")
-            out += seq(stmt.stop)
+            out += _codes(stmt.stop)
             if stmt.step:
                 out.append("BY")
-                out += seq(stmt.step)
+                out += _codes(stmt.step)
             out.append("DO")
-            _flatten(stmt.body, out, seq)
+            _flatten(stmt.body, out)
             out += ("END_FOR", ";")
         elif isinstance(stmt, WhileStatement):
             out.append("WHILE")
-            out += seq(stmt.condition)
+            out += _codes(stmt.condition)
             out.append("DO")
-            _flatten(stmt.body, out, seq)
+            _flatten(stmt.body, out)
             out += ("END_WHILE", ";")
 
 
-def clone_fingerprint(pou: Pou, seq: _FingerprintSeq | None = None) -> tuple[str, ...]:
-    """The POU's body and actions as one token stream, names and literals erased.
-
-    Pass one ``seq`` to the calls on the POUs of a project, so that POUs from
-    one source file share their file's codes.
-    """
+def clone_fingerprint(pou: Pou) -> tuple[str, ...]:
+    """The POU's body and actions as one stream of token codes."""
     out: list[str] = []
-    _flatten(pou.all_statements(), out, seq or _FingerprintSeq())
+    _flatten(pou.all_statements(), out)
     return tuple(out)
 
 
@@ -298,9 +271,8 @@ def detect_clones(project: Project, min_tokens: int = 20) -> CloneReport:
     # keys are equal exactly when the streams are: one string per POU costs
     # far less than a tuple of its codes
     by_stream: dict[str, list[str]] = {}
-    seq = _FingerprintSeq()
     for pou in project.pous:
-        stream = clone_fingerprint(pou, seq)
+        stream = clone_fingerprint(pou)
         if len(stream) < min_tokens:
             continue
         by_stream.setdefault(" ".join(stream), []).append(pou.name)

@@ -6,10 +6,12 @@ for call-graph and data-flow extraction: assignments, call statements,
 IF/ELSIF/ELSE, CASE ... OF with literal labels, FOR and WHILE loops.
 
 ``tokenize`` keeps a file's tokens as columns of one ``TokenStore``:
-parallel lists of kinds, start offsets and texts, which the parser reads
-directly.  Line and col are not stored per token; they are computed on
-demand, by bisecting the offsets where lines start, for what carries a
-position: diagnostics, statement heads, call sites and POU spans.
+parallel lists of codes, start offsets and texts, which the parser reads
+directly.  A token's code tells its kind and, for keywords and operators,
+which one it is (see ``model.IDENT``).  Line and col are not stored per
+token; they are computed on demand, by bisecting the offsets where lines
+start, for what carries a position: diagnostics, statement heads, call
+sites and POU spans.
 
 Expressions are not built into operator trees; each is kept as a
 ``TokenSeq``, a span of the store, which is all the downstream analyses
@@ -36,9 +38,11 @@ from .model import (
     Diagnostic,
     ForStatement,
     GlobalVar,
+    IDENT,
     IfBranch,
     IfStatement,
     LineSpan,
+    NUMBER,
     Pou,
     PouKind,
     SectionKind,
@@ -70,7 +74,7 @@ KEYWORDS = {
 POU_START = {"FUNCTION_BLOCK", "PROGRAM", "FUNCTION", "VAR_GLOBAL"}
 POU_END = {"END_FUNCTION_BLOCK", "END_PROGRAM", "END_FUNCTION"}
 _POU_BOUNDARY = POU_START | POU_END
-_LABEL_KINDS = (TokenKind.NUMBER, TokenKind.IDENT)  # what a CASE label is made of
+_LABEL_CODES = (NUMBER, IDENT)  # what a CASE label is made of
 
 
 @dataclass(frozen=True)
@@ -115,7 +119,7 @@ _COMMENT_DELIMITER = re.compile(r"\(\*|\*\)")
 def _line_starts(text: str) -> array:
     """The offset where each line of ``text`` starts; lines end at ``\\n``.
     Machine integers, as the store's ``starts`` column: no int object per line."""
-    starts = array("q", accumulate(map(add, map(len, text.split("\n")), repeat(1)), initial=0))
+    starts = array("I", accumulate(map(add, map(len, text.split("\n")), repeat(1)), initial=0))
     starts.pop()  # the start of the line after the last one
     return starts
 
@@ -123,12 +127,18 @@ def _line_starts(text: str) -> array:
 def tokenize(text: str, path: str = "<string>") -> tuple[TokenStore, list[Diagnostic]]:
     """Split source text into a store of tokens; comments are skipped."""
     store = TokenStore(_line_starts(text))
-    kinds, starts, texts = store.kinds, store.starts, store.texts
-    keyword, ident, op, number = TokenKind.KEYWORD, TokenKind.IDENT, TokenKind.OP, TokenKind.NUMBER
-    # each distinct word is classified once.  Texts are interned: the spans
-    # of a parsed project keep every file's store alive, and the files repeat
-    # the same names, keywords, operators and literals
-    seen: dict[str, tuple[TokenKind, str]] = {}
+    codes, texts = store.codes, store.texts
+    # the offsets go to a list and, at the end, into the 32-bit column at
+    # once: an array grown token by token passes its small buffers through
+    # every size class of the allocator, which raised the peak RSS of
+    # analyzing many small files
+    store.starts = starts = []
+    # each distinct word gets its code once.  Texts and keyword codes are
+    # interned: the spans of a parsed project keep every file's store alive,
+    # and the files repeat the same names, keywords, operators and literals.
+    # An identifier's upper-cased text is only looked up, never kept:
+    # interning it too grows the intern table and the peak RSS of analyze
+    seen: dict[str, tuple[str, str]] = {}
     diags: list[Diagnostic] = []
     n = len(text)
     pos = 0
@@ -139,20 +149,21 @@ def tokenize(text: str, path: str = "<string>") -> tuple[TokenStore, list[Diagno
                 entry = seen.get(word := m.group(group))
                 if entry is None:
                     word = intern(word)
-                    entry = seen[word] = (keyword if word.upper() in KEYWORDS else ident, word)
-                kind, word = entry
-                kinds.append(kind)
+                    upper = word.upper()
+                    entry = seen[word] = (intern(upper) if upper in KEYWORDS else IDENT, word)
+                code, word = entry
+                codes.append(code)
                 starts.append(m.start(group))
                 texts.append(word)
             elif group == "op":
-                token = m.group(group)
-                kinds.append(op)
+                token = intern(m.group(group))
+                codes.append(token)
                 starts.append(m.start(group))
-                texts.append(intern(token))
+                texts.append(token)
             elif group == "number" or group == "typed":
                 start = m.start("word" if group == "typed" else group)
                 token = text[start : m.end()]
-                kinds.append(number)
+                codes.append(NUMBER)
                 starts.append(start)
                 texts.append(intern(token))
             else:  # end of text, or a token for _scan_special
@@ -161,6 +172,7 @@ def tokenize(text: str, path: str = "<string>") -> tuple[TokenStore, list[Diagno
         if pos >= n:
             break
         pos = _scan_special(text, pos, path, store, diags)
+    store.starts = array("I", starts)
     return store, diags
 
 
@@ -237,21 +249,9 @@ class Parser:
         self.depth = 0  # IF/CASE/FOR/WHILE blocks open around the current token
         self.diagnostics: list[Diagnostic] = []
         self.partial: list[str] = []
-        self.texts = texts = store.texts
-        # one lane per question the parser asks of a token, each with a None
-        # slot for the end of input: its kind, its upper-cased text if it is
-        # a keyword, its text if it is an operator
-        kinds = store.kinds
-        keyword, op = TokenKind.KEYWORD, TokenKind.OP
-        self._kinds: list[TokenKind | None] = [*kinds, None]
-        self._words: list[str | None] = [
-            text.upper() if kind is keyword else None for kind, text in zip(kinds, texts)
-        ]
-        self._words.append(None)
-        self._ops: list[str | None] = [
-            text if kind is op else None for kind, text in zip(kinds, texts)
-        ]
-        self._ops.append(None)
+        self.texts = store.texts
+        # the token codes, with a None slot for the end of input
+        self._codes: list[str | None] = [*store.codes, None]
 
     # -- token helpers
 
@@ -259,10 +259,10 @@ class Parser:
         return self.pos >= self.end
 
     def at_keyword(self, *words: str) -> bool:
-        return self._words[self.pos] in words
+        return self._codes[self.pos] in words
 
     def at_op(self, text: str) -> bool:
-        return self._ops[self.pos] == text
+        return self._codes[self.pos] == text
 
     def take(self) -> int:
         """Consume the current token and return its index."""
@@ -286,21 +286,21 @@ class Parser:
     # the end-of-input slots hold None, so each ``expect_*`` fails there
     def expect_keyword(self, *words: str) -> int:
         pos = self.pos
-        if self._words[pos] not in words:
+        if self._codes[pos] not in words:
             raise self.expected(" or ".join(words))
         self.pos = pos + 1
         return pos
 
     def expect_op(self, text: str) -> int:
         pos = self.pos
-        if self._ops[pos] != text:
+        if self._codes[pos] != text:
             raise self.expected(repr(text))
         self.pos = pos + 1
         return pos
 
     def expect_ident(self) -> int:
         pos = self.pos
-        if self._kinds[pos] is not TokenKind.IDENT:
+        if self._codes[pos] != IDENT:
             raise self.expected("identifier")
         self.pos = pos + 1
         return pos
@@ -309,20 +309,19 @@ class Parser:
         """Move to the first operator in ``close`` that does not close a
         bracket opened on the way by an operator in ``nest`` (an empty
         ``nest``: nothing nests) and return its index.  At end of input
-        return None, with ``pos`` at the end."""
-        ops = self._ops
+        return None, with ``pos`` at the end.  No identifier, literal or
+        keyword code is a substring of ``close`` or ``nest``."""
+        codes = self._codes
         end = self.end
         depth = 0
         for pos in range(self.pos, end):
-            op = ops[pos]
-            if op is None:
-                continue
-            if op in close:
+            code = codes[pos]
+            if code in close:
                 if not depth:
                     self.pos = pos
                     return pos
                 depth -= 1
-            elif op in nest:
+            elif code in nest:
                 depth += 1
         self.pos = end
         return None
@@ -343,15 +342,15 @@ class Parser:
     def skip_to_recovery_point(self, block_ends: bool = True) -> None:
         """Advance to the next END_* keyword (with ``block_ends``) or POU
         boundary so parsing can resume."""
-        words = self._words
+        codes = self._codes
         end = self.end
         pos = self.pos
         while pos < end:
-            word = words[pos]
-            if word in _POU_BOUNDARY:
+            code = codes[pos]
+            if code in _POU_BOUNDARY:
                 break
             pos += 1
-            if block_ends and word is not None and word.startswith("END_"):
+            if block_ends and code.startswith("END_"):
                 break
         self.pos = pos
 
@@ -391,7 +390,7 @@ class Parser:
         ]
 
     def parse_pou(self) -> Pou:
-        kind_word = self._words[self.pos]
+        kind_word = self._codes[self.pos]
         head = self.take()
         kind = PouKind[kind_word]
         end_word = "END_" + kind_word
@@ -408,7 +407,7 @@ class Parser:
         partial = False
 
         while True:
-            word = self._words[self.pos]
+            word = self._codes[self.pos]
             if self.at_end():
                 self.warn(f"missing {end_word} at end of file", self.line(name))
                 break
@@ -466,7 +465,7 @@ class Parser:
     # -- declarations
 
     def parse_var_section(self, pou: str, declared: set[str]) -> VarSection:
-        kind = SectionKind[self._words[self.pos]]
+        kind = SectionKind[self._codes[self.pos]]
         self.pos += 1
         constant = self.parse_qualifiers()
         return VarSection(kind, tuple(self.parse_decl_list(pou, declared)), constant)
@@ -498,7 +497,7 @@ class Parser:
             if self.at_end():
                 self.warn("missing END_VAR at end of file")
                 return decls
-            if self._words[self.pos] in _POU_BOUNDARY:
+            if self._codes[self.pos] in _POU_BOUNDARY:
                 self.warn(f"missing END_VAR before {texts[self.pos]}", self.line(self.pos))
                 return decls
             names = [self.declared_name(pou, declared)]
@@ -548,7 +547,7 @@ class Parser:
             prefix += "ARRAY OF "
         if self.at_end():
             raise _ParseFailure("expected a type name", None)
-        if self._kinds[self.pos] is not TokenKind.IDENT and self._words[self.pos] is None:
+        if (code := self._codes[self.pos]) != IDENT and code not in KEYWORDS:
             raise _ParseFailure(f"expected a type name, got {self.texts[self.pos]!r}", self.pos)
         text = self.texts[self.take()]
         for open_, close in ("()", "[]"):  # size arguments: STRING(80), STRING[80]
@@ -563,20 +562,17 @@ class Parser:
     def capture_until_semicolon_text(self) -> str:
         """Text up to END_VAR or a ';' outside brackets (a stray closer
         does not hold up the ';')."""
-        words, ops = self._words, self._ops
+        codes = self._codes
         start = pos = self.pos
         end = self.end
         depth = 0
         while pos < end:
-            op = ops[pos]
-            if op is not None:
-                if op in "([":
-                    depth += 1
-                elif op in ")]":
-                    depth -= 1
-                elif op == ";" and depth <= 0:
-                    break
-            elif words[pos] == "END_VAR":
+            code = codes[pos]
+            if code in ("(", "["):
+                depth += 1
+            elif code in (")", "]"):
+                depth -= 1
+            elif code == ";" and depth <= 0 or code == "END_VAR":
                 break
             pos += 1
         self.pos = pos
@@ -592,22 +588,19 @@ class Parser:
     def capture_expression(self, stop_keywords: set[str] | None = None) -> TokenSeq:
         """Capture tokens up to ';' or a structural keyword at bracket depth 0."""
         stops = stop_keywords or self._EXPR_STOP_KEYWORDS
-        words, ops = self._words, self._ops
+        codes = self._codes
         start = pos = self.pos
         end = self.end
         depth = 0
         while pos < end:
-            op = ops[pos]
-            if op is not None:
-                if op in "([":
-                    depth += 1
-                elif op in ")]":
-                    if depth == 0:
-                        break
-                    depth -= 1
-                elif op == ";" and depth == 0:
+            code = codes[pos]
+            if code in ("(", "["):
+                depth += 1
+            elif code in (")", "]"):
+                if depth == 0:
                     break
-            elif depth == 0 and words[pos] in stops:
+                depth -= 1
+            elif depth == 0 and (code == ";" or code in stops):
                 break
             pos += 1
         self.pos = pos
@@ -622,15 +615,15 @@ class Parser:
     def skip_empty_statements(self) -> None:
         # every caller of parse_statement skips these next, so a block or call
         # statement leaves its optional closing ';' to them
-        ops, pos = self._ops, self.pos
-        while ops[pos] == ";":
+        codes, pos = self._codes, self.pos
+        while codes[pos] == ";":
             pos += 1
         self.pos = pos
 
     def parse_statement(self) -> Statement:
         if self.pos >= self.end:
             raise _ParseFailure("expected a statement", None)
-        parse_block = _BLOCK_PARSERS.get(self._words[self.pos])
+        parse_block = _BLOCK_PARSERS.get(self._codes[self.pos])
         if parse_block is not None:
             if self.depth >= MAX_NESTING:
                 raise _NestingTooDeep(
@@ -642,7 +635,7 @@ class Parser:
                 return parse_block(self)
             finally:
                 self.depth -= 1
-        if self._kinds[self.pos] is TokenKind.IDENT:
+        if self._codes[self.pos] == IDENT:
             return self.parse_simple_statement()
         raise _ParseFailure(f"unexpected token {self.texts[self.pos]!r}", self.pos)
 
@@ -730,13 +723,13 @@ class Parser:
     def at_case_label(self) -> bool:
         """Lookahead: label (',' label)* ':', where a label is an atom or
         atom '..' atom, and an atom a NUMBER or an identifier."""
-        kinds, ops = self._kinds, self._ops
+        codes = self._codes
         pos = self.pos
         ranged = False  # the atom at pos ends a '..' range
         while True:
-            if kinds[pos] not in _LABEL_KINDS:
+            if codes[pos] not in _LABEL_CODES:
                 return False
-            after = ops[pos + 1]
+            after = codes[pos + 1]
             if after == ".." and not ranged:
                 ranged = True
             elif after == ",":
@@ -746,7 +739,7 @@ class Parser:
             pos += 2
 
     def take_case_label(self, message: str) -> str:
-        if self._kinds[self.pos] not in _LABEL_KINDS:
+        if self._codes[self.pos] not in _LABEL_CODES:
             raise _ParseFailure(message, self.here())
         return self.texts[self.take()]
 
@@ -789,13 +782,13 @@ class Parser:
         self.expect_keyword("END_WHILE")
         return WhileStatement(condition, tuple(body), *self.store.position(head))
 
-    def parse_statements_until(self, *stop_words: str) -> list[Statement]:
+    def parse_statements_until(self, *stop_keywords: str) -> list[Statement]:
         body: list[Statement] = []
-        words = self._words
+        codes = self._codes
         self.skip_empty_statements()
-        while words[self.pos] not in stop_words:
+        while codes[self.pos] not in stop_keywords:
             if self.at_end():
-                raise _ParseFailure(f"expected {' or '.join(stop_words)}", None)
+                raise _ParseFailure(f"expected {' or '.join(stop_keywords)}", None)
             body.append(self.parse_statement())
             self.skip_empty_statements()
         return body

@@ -206,8 +206,15 @@ def test_duplicate_instance_names_rejected():
         generate_template_project(_templates(), _config(_filler("a"), _filler("A")))
 
 
-def test_placeholder_in_body_is_hard_error():
-    bad = FILLER_TEMPLATE.replace("step := 0;", "step := @{units};", 1)
+@pytest.mark.parametrize(
+    "old, new",
+    [("step := 0;", "step := @{units};"),
+     # an END_VAR in a comment does not start the body
+     ("END_CASE\n", "END_CASE\nstep := @{units};\n(* do not add a VAR ... END_VAR here *)\n")],
+    ids=["statement", "before-commented-end-var"],
+)
+def test_placeholder_in_body_is_hard_error(old, new):
+    bad = FILLER_TEMPLATE.replace(old, new, 1)
     templates = TemplateSet({"Filler": bad})
     with pytest.raises(ConfigError, match="statement body"):
         generate_template_project(templates, _config(_filler("a")))
@@ -240,9 +247,13 @@ def test_manual_interlock_marker_present():
 # --- parameter mode ---------------------------------------------------------------
 
 
-def _parameter_project(rows):
+# a commented-out program ahead of the real one
+COMMENTED_MAIN = "(* retired:\nPROGRAM OldMain\nEND_PROGRAM\n*)\n" + BASE_MAIN
+
+
+def _parameter_project(rows, main=BASE_MAIN):
     return ParameterProject(
-        invariable=(("storage_main.st", BASE_MAIN), ("place_helper.st", BASE_HELPER)),
+        invariable=(("storage_main.st", main), ("place_helper.st", BASE_HELPER)),
         component_template=STORAGE_TEMPLATE,
         columns=("name", "width", "depth"),
         rows=tuple(rows),
@@ -276,9 +287,10 @@ def test_parameter_zero_rows_is_base_only(tmp_path):
     assert specificity_ratio(generated) == 0  # nothing but the copied base
 
 
-def test_parameter_task_entry_from_single_program(tmp_path):
+@pytest.mark.parametrize("main", [BASE_MAIN, COMMENTED_MAIN], ids=["plain", "commented-out"])
+def test_parameter_task_entry_from_single_program(tmp_path, main):
     generated = generate_parameter_project(
-        _parameter_project([{"name": "PlaceA", "width": "1", "depth": "2"}])
+        _parameter_project([{"name": "PlaceA", "width": "1", "depth": "2"}], main)
     )
     assert generated.file("tasks.txt").text == "task main cycle 10 entry storage_main\n"
     out = tmp_path / "out"
@@ -297,10 +309,19 @@ def test_parameter_duplicate_component_name():
         generate_parameter_project(_parameter_project(rows))
 
 
-def test_parameter_name_collides_with_invariable():
-    rows = [{"name": "PlaceHelper", "width": "1", "depth": "1"}]
-    with pytest.raises(ConfigError, match="collides"):
-        generate_parameter_project(_parameter_project(rows))
+@pytest.mark.parametrize(
+    "main, name, collides",
+    [(BASE_MAIN, "PlaceHelper", True), (COMMENTED_MAIN, "Storage_Main", True),
+     (COMMENTED_MAIN, "OldMain", False)],
+    ids=["helper", "program", "commented-out"],
+)
+def test_parameter_name_collides_with_invariable(main, name, collides):
+    pp = _parameter_project([{"name": name, "width": "1", "depth": "1"}], main)
+    if collides:
+        with pytest.raises(ConfigError, match="collides"):
+            generate_parameter_project(pp)
+    else:
+        assert generate_parameter_project(pp).file(f"{name}.st")
 
 
 def test_parameter_missing_column_in_row():

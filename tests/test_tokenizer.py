@@ -17,9 +17,10 @@ import string
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from swmat.model import Diagnostic, TokenKind
+from swmat.model import Diagnostic, TokenKind, TokenStore
 from swmat import stparse
 from swmat.stparse import KEYWORDS, tokenize
+from synth import random_project
 from token_view import Token, tokens_of
 
 _TWO_CHAR_OPS = (":=", "<=", ">=", "<>", "..", "=>", "**")
@@ -242,3 +243,31 @@ def test_parse_file_calls_tokenize_through_the_module(monkeypatch):
     monkeypatch.setattr(stparse, "tokenize", traced)
     stparse.parse_file(stparse.SourceFile("t.st", text))
     assert counts == [len(_reference_tokenize(text)[0])] == [10]
+
+
+_CODES_TEXT = "if X then y := 'a' + 1; End_If"
+
+
+def test_token_codes():
+    """Identifiers, numbers and strings have one code each; a keyword's code
+    is its upper-cased text and an operator's its text."""
+    store, diags = tokenize(_CODES_TEXT)
+    assert diags == []
+    assert store.codes == ["IF", "i", "THEN", "i", ":=", "s", "+", "n", ";", "END_IF"]
+
+
+def test_codes_and_kinds_are_in_bijection(plant_dir, tmp_path):
+    """``TokenStore.add`` maps a token's kind and text to its code, and
+    ``kind`` maps the code back: adding every token again by its kind gives
+    the same codes."""
+    dirs = [plant_dir] + [random_project(tmp_path / f"random{seed}", seed) for seed in range(20)]
+    texts = [path.read_text(encoding="utf-8") for d in dirs for path in sorted(d.glob("*.st"))]
+    kinds = set()
+    for text in [*texts, _CODES_TEXT]:  # the projects hold no string literal
+        store, _ = tokenize(text)
+        again = TokenStore(store.line_starts)
+        for i, (token, start) in enumerate(zip(store.texts, store.starts)):
+            kinds.add(store.kind(i))
+            again.add(store.kind(i), token, start)
+        assert again.codes == store.codes, text
+    assert kinds == set(TokenKind)

@@ -27,7 +27,7 @@ class Token(NamedTuple):
 def tokens_of(store: TokenStore, start: int = 0, end: int | None = None) -> list[Token]:
     """Tokens ``start`` up to ``end`` of the store, with their positions."""
     end = len(store) if end is None else end
-    return [Token(store.kinds[i], store.texts[i], *store.position(i)) for i in range(start, end)]
+    return [Token(store.kind(i), store.texts[i], *store.position(i)) for i in range(start, end)]
 
 
 def expand(seq: TokenSeq | tuple[Token, ...]) -> tuple[Token, ...]:
