@@ -18,6 +18,7 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator
 
 # modules, not names: the package loads each one on first use, so a
 # command runs only the half it needs and --help runs neither
@@ -135,15 +136,19 @@ def _require_distinct(input_path: str, output_path: str) -> None:
         raise UsageError("output directory must differ from the input directory")
 
 
-def _load_answer_dir(directory: str) -> list[tuple[Path, model.AnswerSet]]:
-    """Each answer file in ``directory`` with its answer set, in name order."""
+def _answer_files(directory: str) -> Iterator[tuple[Path, model.AnswerSet]]:
+    """Each answer file in ``directory`` with its answer set, in name order.
+
+    One file is read per step, so a caller that keeps only what it scores
+    holds one answer set at a time."""
     root = Path(directory)
     if not root.is_dir():
         raise InputError(f"{directory}: not a directory")
     files = sorted(root.glob("*.json"))
     if not files:
         raise InputError(f"{directory}: no answer files (*.json)")
-    return [(path, maturity.load_answers_file(path)) for path in files]
+    for path in files:
+        yield path, maturity.load_answers_file(path)
 
 
 def _scored(path: str | Path, score, *args, **kwargs):
@@ -274,25 +279,39 @@ def _radar_file_name(company: str) -> str:
 def _cmd_cohort(args: argparse.Namespace) -> int:
     _require_distinct(args.answers_dir, args.out)
     schema = _load_schema(args.schema)
-    answer_sets = _load_answer_dir(args.answers_dir)
     category = model.CompanyCategory(args.category) if args.category else None
-    if category is not None:
-        answer_sets = [(p, a) for p, a in answer_sets if a.category == category]
-        if not answer_sets:
-            raise InputError(f"no answer sets in category {category.value!r}")
-    # one radar file per company; a second one would overwrite the first
-    radar_files: dict[str, str] = {}
-    for _, answers in answer_sets:
+    # each file is scored as soon as it is read, and only its report is kept;
+    # a collision or scoring failure is held, so an unreadable file later in
+    # name order is still reported first
+    radar_files: dict[str, str] = {}  # one radar file per company
+    reports: list[model.MaturityReport] = []
+    collision: str | None = None
+    failure: Exception | None = None
+    for path, answers in _answer_files(args.answers_dir):
+        if collision is not None or (category is not None and answers.category != category):
+            continue
         name = _radar_file_name(answers.company)
         if name in radar_files:
-            print(f"error: companies {radar_files[name]!r} and {answers.company!r} "
-                  f"both map to radar file {name}", file=sys.stderr)
-            return EXIT_INVARIANT
+            # a second file would overwrite the first
+            collision = (f"error: companies {radar_files[name]!r} and {answers.company!r} "
+                         f"both map to radar file {name}")
+            continue
         radar_files[name] = answers.company
-    reports = [
-        _scored(path, maturity.build_report, schema, answers, strict=args.strict)
-        for path, answers in answer_sets
-    ]
+        if failure is None:
+            # build_report raises ValueError on a negative CPU or programmer count
+            try:
+                reports.append(
+                    _scored(path, maturity.build_report, schema, answers, strict=args.strict)
+                )
+            except (maturity.ScoringError, ValueError) as exc:
+                failure = exc
+    if category is not None and not radar_files:
+        raise InputError(f"no answer sets in category {category.value!r}")
+    if collision is not None:
+        print(collision, file=sys.stderr)
+        return EXIT_INVARIANT
+    if failure is not None:
+        raise failure
     stats = maturity.cohort_stats(reports)
 
     out = Path(args.out)
@@ -328,23 +347,37 @@ def _cmd_cohort(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_id_list(text: str, flag: str) -> list[int]:
+def _parse_id_list(text: str, flag: str, scored: tuple[int, ...]) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        ids = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise UsageError(f"{flag}: expected comma-separated question ids") from None
+    for qid in ids:
+        if qid not in scored:
+            raise UsageError(f"{flag}: question {qid} is not scored")
+    return ids
 
 
 def _cmd_correlate(args: argparse.Namespace) -> int:
     schema = _load_schema(args.schema)
-    answer_sets = _load_answer_dir(args.answers_dir)
-    interaction_ids = _parse_id_list(args.interaction, "--interaction")
-    target_ids = _parse_id_list(args.targets, "--targets")
+    # scored as read, like cohort: only the normalized answers are kept, and
+    # the first failure waits until the last file has loaded
+    normalized: list[dict[int, Fraction | None]] = []
+    failure: Exception | None = None
+    for path, answers in _answer_files(args.answers_dir):
+        if failure is None:
+            try:
+                normalized.append(_scored(path, maturity.normalized_answers, schema, answers))
+            except maturity.ScoringError as exc:
+                failure = exc
+    scored = schema.scored_ids()
+    interaction_ids = _parse_id_list(args.interaction, "--interaction", scored)
+    if not interaction_ids:
+        raise UsageError("--interaction: expected at least one question id")
+    target_ids = _parse_id_list(args.targets, "--targets", scored)
+    if failure is not None:
+        raise failure
 
-    normalized = [
-        _scored(path, maturity.normalized_answers, schema, answers)
-        for path, answers in answer_sets
-    ]
     interaction = [
         maturity.interaction_variable(n, interaction_ids) for n in normalized
     ]
@@ -354,7 +387,10 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
     writer.writerow(("target", "r", "n", "significance"))
     for target in target_ids:
         ys = [n.get(target) for n in normalized]
-        result = maturity.pearson(interaction, ys)
+        try:
+            result = maturity.pearson(interaction, ys)
+        except maturity.DegenerateSampleError as exc:
+            raise maturity.DegenerateSampleError(f"target {target}: {exc}") from None
         writer.writerow((target, f"{result.r:.4f}", result.n, result.significance.value))
     Path(args.out).write_text(buffer.getvalue(), encoding="utf-8")
     print(f"wrote correlations for {len(target_ids)} targets to {args.out}")

@@ -6,11 +6,12 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
-from swmat import project
+from swmat import maturity, project
 from swmat.cli import run
 from swmat.stparse import MAX_NESTING
 from synth import chain_project
@@ -372,6 +373,158 @@ def test_correlate_writes_rows(tmp_path):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "target,r,n,significance"
     assert len(lines) == 3  # targets 28 and 30
+
+
+# error precedence over one answers directory: an unreadable file (2) beats
+# every other error; then the command's own checks; then the first scoring
+# error in name order (3)
+
+_UNKNOWN_OPTION = {"15": "nope"}
+
+
+def _questionnaire_argv(command: str, answers_dir: Path, tmp_path: Path, *extra: str):
+    out = tmp_path / ("reports" if command == "cohort" else "corr.csv")
+    return [command, "--answers-dir", str(answers_dir), "--out", str(out), *extra]
+
+
+@pytest.mark.parametrize("command", ["cohort", "correlate"])
+def test_malformed_file_after_a_scoring_error_exit_2(tmp_path, capsys, command):
+    answers_dir = _write_correlate_answers(tmp_path / "answers")
+    _write_answers(answers_dir / "b.json", dict(OP_EXAMPLE, company="b", answers=_UNKNOWN_OPTION))
+    malformed = answers_dir / "z.json"
+    malformed.write_text("{", encoding="utf-8")
+    assert run(_questionnaire_argv(command, answers_dir, tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {malformed}: ")
+    assert "nope" not in err
+
+
+def test_cohort_collision_after_a_scoring_error_exit_3(tmp_path, capsys):
+    answers_dir = tmp_path / "answers"
+    answers_dir.mkdir()
+    _write_answers(answers_dir / "a.json", dict(OP_EXAMPLE, company="a", answers=_UNKNOWN_OPTION))
+    _write_answers(answers_dir / "b.json", dict(OP_EXAMPLE, company="ACME GmbH"))
+    _write_answers(answers_dir / "c.json", dict(OP_EXAMPLE, company="ACME_GmbH"))
+    assert run(_questionnaire_argv("cohort", answers_dir, tmp_path)) == 3
+    assert capsys.readouterr().err == (
+        "error: companies 'ACME GmbH' and 'ACME_GmbH' both map to radar file "
+        "radar_ACME_GmbH.svg\n"
+    )
+
+
+def test_cohort_empty_category_before_a_scoring_error_exit_2(tmp_path, capsys):
+    answers_dir = tmp_path / "answers"
+    answers_dir.mkdir()
+    _write_answers(answers_dir / "a.json", dict(OP_EXAMPLE, answers=_UNKNOWN_OPTION))
+    argv = _questionnaire_argv("cohort", answers_dir, tmp_path, "--category")
+    assert run([*argv, "plant"]) == 2
+    assert capsys.readouterr().err == "error: no answer sets in category 'plant'\n"
+    assert run([*argv, "machine"]) == 3
+    assert "unknown option 'nope'" in capsys.readouterr().err
+
+
+def test_cohort_category_ignores_scoring_errors_elsewhere(tmp_path, capsys):
+    answers_dir = tmp_path / "answers"
+    answers_dir.mkdir()
+    _write_answers(answers_dir / "a.json", dict(OP_EXAMPLE, answers=_UNKNOWN_OPTION))
+    _write_answers(answers_dir / "b.json", dict(OP_EXAMPLE, company="p", category="plant"))
+    out = tmp_path / "reports"
+    argv = _questionnaire_argv("cohort", answers_dir, tmp_path, "--category", "plant")
+    assert run(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(p.name for p in out.glob("radar_*")) == ["radar_p.svg"]
+
+
+def test_cohort_first_scoring_error_in_name_order(tmp_path, capsys):
+    answers_dir = tmp_path / "answers"
+    answers_dir.mkdir()
+    _write_answers(answers_dir / "a.json")
+    for name, key in (("b", "first"), ("c", "second")):
+        _write_answers(answers_dir / f"{name}.json",
+                       dict(OP_EXAMPLE, company=name, answers={"15": key}))
+    assert run(_questionnaire_argv("cohort", answers_dir, tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {answers_dir / 'b.json'}: question 15: unknown option 'first'")
+    assert "second" not in err
+
+
+@pytest.mark.parametrize("flag", ["--targets", "--interaction"])
+def test_correlate_bad_id_list_before_a_scoring_error_exit_1(tmp_path, capsys, flag):
+    answers_dir = _write_correlate_answers(tmp_path / "answers")
+    _write_answers(answers_dir / "b.json", dict(OP_EXAMPLE, company="b", answers=_UNKNOWN_OPTION))
+    assert run(_questionnaire_argv("correlate", answers_dir, tmp_path, flag, "x")) == 1
+    err = capsys.readouterr().err
+    assert err == f"usage error: {flag}: expected comma-separated question ids\n"
+
+
+def test_correlate_scoring_error_before_a_degenerate_sample_exit_3(tmp_path, capsys):
+    answers_dir = tmp_path / "answers"
+    answers_dir.mkdir()
+    bad = _write_answers(answers_dir / "a.json", dict(OP_EXAMPLE, answers={"28": "nope"}))
+    assert run(_questionnaire_argv("correlate", answers_dir, tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: question 28: unknown option 'nope'")
+
+
+@pytest.mark.parametrize(
+    "flag, ids, needle",
+    [("--targets", "999", "--targets: question 999 is not scored"),
+     ("--targets", "28,10", "--targets: question 10 is not scored"),
+     ("--interaction", "23,7", "--interaction: question 7 is not scored"),
+     ("--interaction", "", "--interaction: expected at least one question id")],
+    ids=["unknown-target", "free-text-target", "numeric-interaction", "empty-interaction"],
+)
+def test_correlate_unscored_id_usage_error_exit_1(tmp_path, capsys, flag, ids, needle):
+    answers_dir = _write_correlate_answers(tmp_path / "answers")
+    # a usage error, so it comes before the scoring error in b.json
+    _write_answers(answers_dir / "b.json", dict(OP_EXAMPLE, company="b", answers=_UNKNOWN_OPTION))
+    assert run(_questionnaire_argv("correlate", answers_dir, tmp_path, flag, ids)) == 1
+    assert capsys.readouterr().err == f"usage error: {needle}\n"
+
+
+def test_correlate_degenerate_sample_names_its_target(tmp_path, capsys):
+    answers_dir = _write_correlate_answers(tmp_path / "answers")
+    # nobody answered question 29
+    assert run(_questionnaire_argv("correlate", answers_dir, tmp_path, "--targets", "28,29")) == 3
+    assert capsys.readouterr().err == (
+        "error: target 29: degenerate sample: fewer than 2 complete pairs\n"
+    )
+    assert not (tmp_path / "corr.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["cohort", "correlate"])
+def test_answer_sets_are_scored_one_at_a_time(tmp_path, monkeypatch, command):
+    answers_dir = tmp_path / "answers"
+    answers_dir.mkdir()
+    variants = [
+        {"23": "always", "24": "defined-tested", "28": "often", "30": "yes"},
+        {"23": "rarely", "24": "informal", "28": "never", "30": "no"},
+        {"23": "often", "24": "defined", "28": "sometimes", "30": "partially"},
+    ]
+    for index in range(50):
+        payload = dict(OP_EXAMPLE, company=f"co{index:02}", answers=variants[index % 3])
+        _write_answers(answers_dir / f"co{index:02}.json", payload)
+
+    live = peak = 0
+
+    def release():
+        nonlocal live
+        live -= 1
+
+    load = maturity.load_answers_file
+
+    def counted(path):
+        nonlocal live, peak
+        answers = load(path)
+        weakref.finalize(answers, release)
+        live += 1
+        peak = max(peak, live)
+        return answers
+
+    monkeypatch.setattr(maturity, "load_answers_file", counted)
+    assert run(_questionnaire_argv(command, answers_dir, tmp_path)) == 0
+    # the set just read, and at most the one before it
+    assert peak <= 2
 
 
 def test_configure_template_round_trip(tmp_path):
