@@ -254,8 +254,21 @@ def _cmd_score(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _mean_series(
+    means: dict[int, Fraction | None], schema: model.QuestionnaireSchema
+) -> reporting.RadarSeries:
+    """The dashed cohort-mean profile over the schema's scored questions.
+
+    Every report has exactly those questions, so one series serves every
+    radar of a cohort, and the emitter draws it once."""
+    return reporting.RadarSeries(
+        "cohort mean", tuple(means.get(qid) for qid in sorted(schema.scored_ids())),
+        dashed=True,
+    )
+
+
 def _radar_for(
-    report: model.MaturityReport, mean: dict[int, Fraction | None]
+    report: model.MaturityReport, mean: reporting.RadarSeries
 ) -> reporting.RadarSpec:
     qids = sorted(report.per_question_normalized)
     spokes = tuple((qid, "") for qid in qids)
@@ -263,12 +276,7 @@ def _radar_for(
         report.company,
         tuple(report.per_question_normalized[qid] for qid in qids),
     )
-    cohort_mean = reporting.RadarSeries(
-        "cohort mean",
-        tuple(mean.get(qid) for qid in qids),
-        dashed=True,
-    )
-    return reporting.RadarSpec(spokes, (company, cohort_mean))
+    return reporting.RadarSpec(spokes, (company, mean))
 
 
 def _radar_file_name(company: str) -> str:
@@ -298,12 +306,11 @@ def _cmd_cohort(args: argparse.Namespace) -> int:
             continue
         radar_files[name] = answers.company
         if failure is None:
-            # build_report raises ValueError on a negative CPU or programmer count
             try:
                 reports.append(
                     _scored(path, maturity.build_report, schema, answers, strict=args.strict)
                 )
-            except (maturity.ScoringError, ValueError) as exc:
+            except maturity.ScoringError as exc:
                 failure = exc
     if category is not None and not radar_files:
         raise InputError(f"no answer sets in category {category.value!r}")
@@ -319,10 +326,10 @@ def _cmd_cohort(args: argparse.Namespace) -> int:
     (out / "overview.csv").write_text(
         reporting.emit_overview_csv(reports), encoding="utf-8"
     )
+    mean = _mean_series(stats.question_means, schema)
     for report, name in zip(reports, radar_files):
-        spec = _radar_for(report, stats.question_means)
         (out / name).write_text(
-            reporting.emit_radar_svg(spec), encoding="utf-8"
+            reporting.emit_radar_svg(_radar_for(report, mean)), encoding="utf-8"
         )
 
     pairs = (
@@ -360,8 +367,8 @@ def _parse_id_list(text: str, flag: str, scored: tuple[int, ...]) -> list[int]:
 
 def _cmd_correlate(args: argparse.Namespace) -> int:
     schema = _load_schema(args.schema)
-    # scored as read, like cohort: only the normalized answers are kept, and
-    # the first failure waits until the last file has loaded
+    # checked and scored as read, like cohort: only the normalized answers
+    # are kept, and the first failure waits until the last file has loaded
     normalized: list[dict[int, Fraction | None]] = []
     failure: Exception | None = None
     for path, answers in _answer_files(args.answers_dir):

@@ -2,8 +2,14 @@
 
 A maturity is gained points over reachable points for one category; the
 overall value re-weights the categories by their reachable points rather
-than averaging the three ratios.  All arithmetic is exact (Fraction); only
-the correlation coefficient drops to float because of the square root.
+than averaging the three ratios.  All arithmetic is exact; only the
+correlation coefficient drops to float because of the square root.
+
+An answer set is scored in one pass (``_score_pass``) that validates it,
+scores each answer once and sums each category in integer steps of
+``schema.denominator``.  A ``Fraction`` is made only for a value that is
+reported, and once per schema (``schema.step_ratios``).  Cohort means sum
+numerators per denominator, so each mean is the only Fraction it makes.
 """
 
 from __future__ import annotations
@@ -64,50 +70,27 @@ def find_option(question: Question, answer: str) -> Option:
 
 
 def validate_answers(schema: QuestionnaireSchema, answers: AnswerSet) -> list[str]:
-    """Check the answer-set invariants: known ids, known option keys."""
-    problems: list[str] = []
-    known = set(schema.ids())
-    for qid, value in sorted(answers.answers.items()):
-        if qid not in known:
-            problems.append(f"answer for unknown question {qid}")
-            continue
-        question = schema.question(qid)
-        if question.mode is AnswerMode.SINGLE_CHOICE:
-            try:
-                score_answer(schema, qid, value)
-            except ScoringError as exc:
-                problems.append(str(exc))
-        elif question.mode is AnswerMode.NUMERIC:
-            try:
-                parse_numeric_answer(value)
-            except ScoringError as exc:
-                problems.append(f"question {qid}: {exc}")
-    return problems
+    """Check the answer-set invariants: known ids, known option keys, numeric
+    answers that read as numbers."""
+    return _score_pass(schema, answers).problems
 
 
 def numeric_notes(schema: QuestionnaireSchema, answers: AnswerSet) -> list[str]:
     """Ingestion log: how descriptive values like '2-6' were read as numbers."""
-    notes: list[str] = []
-    for qid, value in sorted(answers.answers.items()):
-        try:
-            question = schema.question(qid)
-        except KeyError:
-            continue
-        if question.mode is not AnswerMode.NUMERIC:
-            continue
-        try:
-            _, note = parse_numeric_answer(value)
-        except ScoringError:
-            continue
-        if note:
-            notes.append(f"question {qid}: {note}")
-    return notes
+    return _score_pass(schema, answers).notes
 
 
 def score_answer(
     schema: QuestionnaireSchema, qid: int, answer: AnswerValue
 ) -> tuple[Fraction, Fraction]:
-    """Raw score (0..weight) and its 0..5 normalization for one answer.
+    """Raw score (0..weight) and its 0..5 normalization for one answer."""
+    return _option_score(schema, qid, answer)[:2]
+
+
+def _option_score(
+    schema: QuestionnaireSchema, qid: int, answer: AnswerValue
+) -> tuple[Fraction, Fraction, int]:
+    """``score_answer`` and the raw score in steps of ``schema.denominator``.
 
     Each (question, answer text) pair is looked up once per schema and kept
     in ``schema.answer_scores``: a single-choice question has a few options,
@@ -121,7 +104,10 @@ def score_answer(
             # not a string, so a number from the JSON: print it as a number
             raise ScoringError(f"question {qid}: expected an option key, got {answer}")
         score = find_option(question, answer).score
-        found = schema.answer_scores[qid, answer] = (score, score / question.weight * 5)
+        steps = score.numerator * (schema.denominator // score.denominator)
+        found = schema.answer_scores[qid, answer] = (
+            score, score / question.weight * 5, steps
+        )
     return found
 
 
@@ -129,8 +115,13 @@ _RANGE_RE = re.compile(r"^\s*(-?\d+(?:\.\d+)?)\s*-\s*(-?\d+(?:\.\d+)?)\s*$")
 _BOUND_RE = re.compile(r"^\s*([<>])\s*(-?\d+(?:\.\d+)?)\s*$")
 
 
+def _decimal(text: str) -> Fraction | int:
+    """A number the range and bound patterns matched; integers stay int."""
+    return Fraction(text) if "." in text else int(text)
+
+
 def parse_numeric_answer(value: AnswerValue) -> tuple[Fraction, str | None]:
-    """Numbers pass through; ranges like '2-6' resolve to their midpoint."""
+    """Numbers read as Fractions; ranges like '2-6' resolve to their midpoint."""
     if isinstance(value, Fraction):
         return value, None
     if isinstance(value, int):
@@ -138,17 +129,110 @@ def parse_numeric_answer(value: AnswerValue) -> tuple[Fraction, str | None]:
     text = str(value).strip()
     match = _RANGE_RE.match(text)
     if match:
-        lo, hi = Fraction(match.group(1)), Fraction(match.group(2))
-        mid = (lo + hi) / 2
+        mid = Fraction(_decimal(match.group(1)) + _decimal(match.group(2)), 2)
         return mid, f"range {text!r} resolved to midpoint {mid}"
     match = _BOUND_RE.match(text)
     if match:
-        bound = Fraction(match.group(2))
+        bound = Fraction(_decimal(match.group(2)))
         return bound, f"bound {text!r} resolved to {bound}"
     try:
         return Fraction(text), None
     except (ValueError, ZeroDivisionError):
         raise ScoringError(f"cannot read {value!r} as a number") from None
+
+
+# --- one scoring pass per answer set ------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class _Scored:
+    """What one pass over an answer set finds (see ``_score_pass``)."""
+
+    problems: list[str]  # invariant violations, by question id
+    notes: list[str]  # how descriptive numeric answers were read
+    normalized: dict[int, Fraction | None]  # 0..5 per scored question
+    gained: list[int]  # per scored category, in steps of schema.denominator
+    reachable: list[int]  # likewise, over the answered questions only
+    numbers: dict[int, Fraction | int]  # each numeric answer, read once
+
+
+def _score_pass(schema: QuestionnaireSchema, answers: AnswerSet) -> _Scored:
+    """Validate and score ``answers`` in one walk over them, in id order.
+
+    Category sums are integer counts of ``schema.denominator`` steps; the
+    normalized scores are the memo's shared Fractions, so the pass makes a
+    Fraction only for a numeric answer that is not a number yet."""
+    memo = schema.answer_scores
+    weight_steps = schema.weight_steps
+    problems: list[str] = []
+    notes: list[str] = []
+    normalized: dict[int, Fraction | None] = dict.fromkeys(schema.scored_ids())
+    gained = [0, 0, 0]
+    reachable = [0, 0, 0]
+    numbers: dict[int, Fraction | int] = {}
+    given = answers.answers
+    for qid in sorted(given):
+        value = given[qid]
+        weight = weight_steps.get(qid)
+        if weight is None:  # not scored, maybe not even known
+            try:
+                mode = schema.question(qid).mode
+            except KeyError:
+                problems.append(f"answer for unknown question {qid}")
+                continue
+            if mode is AnswerMode.NUMERIC:
+                if isinstance(value, (int, Fraction)):
+                    numbers[qid] = value
+                    continue
+                try:
+                    numbers[qid], note = parse_numeric_answer(value)
+                except ScoringError as exc:
+                    problems.append(f"question {qid}: {exc}")
+                    continue
+                if note:
+                    notes.append(f"question {qid}: {note}")
+            if mode is not AnswerMode.SINGLE_CHOICE:
+                continue
+        # the usual answers to a single-choice question are in the memo
+        found = memo.get((qid, value)) if type(value) is str else None
+        if found is None:
+            try:
+                found = _option_score(schema, qid, value)
+            except ScoringError as exc:
+                problems.append(str(exc))
+                continue
+        if weight is not None:
+            slot, steps = weight
+            normalized[qid] = found[1]
+            gained[slot] += found[2]
+            reachable[slot] += steps
+    return _Scored(problems, notes, normalized, gained, reachable, numbers)
+
+
+def _checked_pass(schema: QuestionnaireSchema, answers: AnswerSet) -> _Scored:
+    """``_score_pass``; an answer set with a problem raises ScoringError."""
+    scored = _score_pass(schema, answers)
+    if scored.problems:
+        raise ScoringError("; ".join(scored.problems))
+    return scored
+
+
+def _ratio(schema: QuestionnaireSchema, numerator: int, denominator: int) -> Fraction:
+    """``Fraction(numerator, denominator)`` through ``schema.step_ratios``: a
+    cohort's reports repeat a few hundred such values thousands of times."""
+    key = numerator, denominator
+    found = schema.step_ratios.get(key)
+    if found is None:
+        found = schema.step_ratios[key] = Fraction(numerator, denominator)
+    return found
+
+
+def _strict_reachable(schema: QuestionnaireSchema) -> list[int]:
+    """Each scored category's weights in steps, answered or not."""
+    totals = [0, 0, 0]
+    for slot, steps in schema.weight_steps.values():
+        totals[slot] += steps
+    return totals
 
 
 # --- category / overall maturity ----------------------------------------------
@@ -177,30 +261,19 @@ def category_maturity(
     """
     if category not in SCORED_CATEGORIES:
         raise ValueError(f"{category} is not a scored category")
+    scored = _checked_pass(schema, answers)
+    slot = SCORED_CATEGORIES.index(category)
+    gained = scored.gained[slot]
+    reachable = (_strict_reachable(schema) if strict else scored.reachable)[slot]
+    ids = schema.scored_ids(category)
     denominator = schema.denominator
-    gained = reachable = 0  # in steps of 1/denominator
-    answered: list[int] = []
-    unanswered: list[int] = []
-    for qid in schema.scored_ids(category):
-        weight = schema.question(qid).weight
-        weight_steps = weight.numerator * (denominator // weight.denominator)
-        raw = answers.answers.get(qid)
-        if raw is None:
-            unanswered.append(qid)
-            if strict:
-                reachable += weight_steps
-            continue
-        score, _ = score_answer(schema, qid, raw)
-        gained += score.numerator * (denominator // score.denominator)
-        reachable += weight_steps
-        answered.append(qid)
     return CategoryScore(
         category,
-        Fraction(gained, reachable) if reachable else None,
-        Fraction(gained, denominator),
-        Fraction(reachable, denominator),
-        tuple(answered),
-        tuple(unanswered),
+        _ratio(schema, gained, reachable) if reachable else None,
+        _ratio(schema, gained, denominator),
+        _ratio(schema, reachable, denominator),
+        tuple(qid for qid in ids if scored.normalized[qid] is not None),
+        tuple(qid for qid in ids if scored.normalized[qid] is None),
     )
 
 
@@ -226,15 +299,11 @@ def complexity_measure(cpus: Fraction | int, programmers: Fraction | int) -> Fra
 def normalized_answers(
     schema: QuestionnaireSchema, answers: AnswerSet
 ) -> dict[int, Fraction | None]:
-    """Normalized 0..5 score per scored question; None where unanswered."""
-    out: dict[int, Fraction | None] = {}
-    for qid in schema.scored_ids():
-        raw = answers.answers.get(qid)
-        if raw is None:
-            out[qid] = None
-        else:
-            out[qid] = score_answer(schema, qid, raw)[1]
-    return out
+    """Normalized 0..5 score per scored question; None where unanswered.
+
+    Raises ScoringError when the answers violate the schema, as
+    ``build_report`` does."""
+    return _checked_pass(schema, answers).normalized
 
 
 def interaction_variable(
@@ -249,50 +318,50 @@ def interaction_variable(
     return sum(present, Fraction(0)) / len(present)
 
 
+# the complexity's inputs when question 14 is unanswered
+_COUNTS = ((9, "CPU"), (7, "programmer"))
+
+
 def build_report(
     schema: QuestionnaireSchema, answers: AnswerSet, strict: bool = False
 ) -> MaturityReport:
     """Score one answer set into a full maturity report.
 
     Raises ScoringError when the answers violate the schema (unknown ids or
-    option keys); reports are only built from valid input.
+    option keys, numeric answers that are no numbers) or when the complexity
+    comes from a negative CPU or programmer count; reports are only built
+    from valid input.
     """
-    problems = validate_answers(schema, answers)
-    if problems:
-        raise ScoringError("; ".join(problems))
-    per_question = normalized_answers(schema, answers)
-    scores = {
-        cat: category_maturity(schema, answers, cat, strict=strict)
-        for cat in SCORED_CATEGORIES
-    }
-    overall = overall_maturity(
-        (s.gained, s.reachable) for s in scores.values()
-    )
+    scored = _checked_pass(schema, answers)
+    gained = scored.gained
+    reachable = _strict_reachable(schema) if strict else scored.reachable
+    denominator = schema.denominator
+    maturities = [_ratio(schema, g, r) if r else None for g, r in zip(gained, reachable)]
+    total = sum(reachable)
 
-    def numeric(qid: int) -> Fraction | None:
-        """The answer to ``qid`` as a number, if the schema asks it numerically
-        (an answered id is known: ``validate_answers`` has checked it)."""
-        value = answers.answers.get(qid)
-        if value is None or schema.question(qid).mode is not AnswerMode.NUMERIC:
-            return None
-        return parse_numeric_answer(value)[0]
-
-    complexity = numeric(14)
-    if complexity is None:
-        cpus, programmers = numeric(9), numeric(7)
-        if cpus is not None and programmers is not None:
-            complexity = complexity_measure(cpus, programmers)
+    numbers = scored.numbers
+    complexity = numbers.get(14)
+    if complexity is not None:
+        complexity = Fraction(complexity)
+    elif all(qid in numbers for qid, _ in _COUNTS):
+        for qid, what in _COUNTS:
+            if numbers[qid] < 0:
+                raise ScoringError(
+                    f"question {qid}: {what} count {numbers[qid]} must be non-negative"
+                )
+        complexity = complexity_measure(*(numbers[qid] for qid, _ in _COUNTS))
 
     return MaturityReport(
         company=answers.company,
         company_category=answers.category,
-        per_question_normalized=per_question,
-        m_mod=scores[Category.MOD].maturity,
-        m_test=scores[Category.TEST].maturity,
-        m_op=scores[Category.OP].maturity,
-        overall=overall,
+        per_question_normalized=scored.normalized,
+        m_mod=maturities[0],
+        m_test=maturities[1],
+        m_op=maturities[2],
+        overall=_ratio(schema, sum(gained), total) if total else None,
         category_points={
-            cat: (s.gained, s.reachable) for cat, s in scores.items()
+            cat: (_ratio(schema, g, denominator), _ratio(schema, r, denominator))
+            for cat, g, r in zip(SCORED_CATEGORIES, gained, reachable)
         },
         complexity_measure=complexity,
         unanswered=answers.unanswered_ids(schema),
@@ -396,31 +465,37 @@ def cohort_stats(
     if not cohort:
         raise ValueError("empty cohort")
 
-    question_values: dict[int, list[Fraction]] = {}
-    for report in cohort:
-        for qid, value in report.per_question_normalized.items():
-            values = question_values.setdefault(qid, [])
-            if value is not None:
-                values.append(value)
-
-    question_means = {
-        qid: (sum(values, Fraction(0)) / len(values) if values else None)
-        for qid, values in question_values.items()
-    }
-    question_counts = {qid: len(values) for qid, values in question_values.items()}
-
-    category_values = {
-        Category.MOD: [r.m_mod for r in cohort],
-        Category.TEST: [r.m_test for r in cohort],
-        Category.OP: [r.m_op for r in cohort],
-    }
-    category_means: dict[Category, Fraction | None] = {}
-    for cat, values in category_values.items():
-        maturities = [m for m in values if m is not None]
-        category_means[cat] = (
-            sum(maturities, Fraction(0)) / len(maturities) if maturities else None
+    question_means: dict[int, Fraction | None] = {}
+    question_counts: dict[int, int] = {}
+    for qid in dict.fromkeys(q for r in cohort for q in r.per_question_normalized):
+        question_means[qid], question_counts[qid] = _mean(
+            r.per_question_normalized.get(qid) for r in cohort
         )
+    category_means = {
+        Category.MOD: _mean(r.m_mod for r in cohort)[0],
+        Category.TEST: _mean(r.m_test for r in cohort)[0],
+        Category.OP: _mean(r.m_op for r in cohort)[0],
+    }
     return CohortStats(question_means, question_counts, category_means, len(cohort))
+
+
+def _mean(values: Iterable[Fraction | None]) -> tuple[Fraction | None, int]:
+    """The mean of the values that are not None, and their count.
+
+    Numerators are summed per denominator, and a cohort's values have few
+    denominators, so the mean is the only Fraction made."""
+    sums: dict[int, int] = {}
+    count = 0
+    for value in values:
+        if value is not None:
+            denominator = value.denominator
+            sums[denominator] = sums.get(denominator, 0) + value.numerator
+            count += 1
+    if not count:
+        return None, 0
+    common = math.lcm(*sums)
+    total = sum(numerator * (common // d) for d, numerator in sums.items())
+    return Fraction(total, common * count), count
 
 
 # --- schema / answers file formats ----------------------------------------------
@@ -512,8 +587,9 @@ def answers_from_dict(data: dict) -> AnswerSet:
 
 
 def load_answers_file(path: str | Path) -> AnswerSet:
-    """An answer file; every JSON number in it reads as an exact Fraction."""
-    data = load_json(path, ANSWERS_SHAPE, parse_float=Fraction, parse_int=Fraction)
+    """An answer file; a JSON integer stays an ``int`` and a JSON float reads
+    as an exact Fraction, so every number is exact."""
+    data = load_json(path, ANSWERS_SHAPE, parse_float=Fraction)
     try:
         return answers_from_dict(data)
     except ValueError as exc:
@@ -525,15 +601,10 @@ def format_ratio(value: Fraction | None, places: int = 4) -> str:
     if value is None:
         return ""
     scale = 10**places
-    scaled = value * scale
-    quotient = (
-        (scaled.numerator * 2 + scaled.denominator)
-        // (2 * scaled.denominator)
-        if scaled >= 0
-        else -((-scaled.numerator * 2 + scaled.denominator) // (2 * scaled.denominator))
-    )
-    sign = "-" if quotient < 0 else ""
-    quotient = abs(quotient)
+    numerator, denominator = value.numerator, value.denominator
+    # floor(|value| * scale + 1/2) in integers: halves round away from zero
+    quotient = (2 * abs(numerator) * scale + denominator) // (2 * denominator)
+    sign = "-" if numerator < 0 and quotient else ""
     whole, frac = divmod(quotient, scale)
     return f"{sign}{whole}.{frac:0{places}d}"
 

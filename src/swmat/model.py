@@ -437,9 +437,29 @@ class QuestionnaireSchema:
         ))
 
     @cached_property
-    def answer_scores(self) -> dict[tuple[int, str], tuple[Fraction, Fraction]]:
+    def weight_steps(self) -> dict[int, tuple[int, int]]:
+        """Each scored question's category, as its index in
+        ``SCORED_CATEGORIES``, and its weight in steps of ``denominator``."""
+        denominator = self.denominator
+        return {
+            qid: (slot, weight.numerator * (denominator // weight.denominator))
+            for slot, category in enumerate(SCORED_CATEGORIES)
+            for qid in self.scored_ids(category)
+            for weight in [self.question(qid).weight]
+        }
+
+    @cached_property
+    def step_ratios(self) -> dict[tuple[int, int], Fraction]:
+        """Memo of ``maturity``'s ratios of integer step sums: (numerator,
+        denominator) to its Fraction, filled on first use, so the reports
+        of a cohort share one object per value."""
+        return {}
+
+    @cached_property
+    def answer_scores(self) -> dict[tuple[int, str], tuple[Fraction, Fraction, int]]:
         """Memo of ``maturity.score_answer``: (question id, answer text) to the
-        option's score and its 0..5 normalization, filled on first use."""
+        option's score, its 0..5 normalization and the score in steps of
+        ``denominator``, filled on first use."""
         return {}
 
     def validate(self) -> list[str]:
@@ -477,7 +497,7 @@ class QuestionnaireSchema:
         return problems
 
 
-AnswerValue = Union[str, Fraction]
+AnswerValue = Union[str, int, Fraction]
 
 
 @dataclass(frozen=True)
@@ -759,6 +779,7 @@ def validate_project(project: Project) -> list[Diagnostic]:
 SCALAR = "a string or number"  # a shape: a bool is never a number
 _ABSENT = object()
 _EXPECTED = {dict: "an object", list: "a list", str: "a string", SCALAR: SCALAR}
+_SCALARS = {str, int, float, Fraction}  # exact types: a bool is not an int here
 
 
 def check_json(value, shape, path: str | Path, key: str = "") -> None:
@@ -787,6 +808,8 @@ def check_json(value, shape, path: str | Path, key: str = "") -> None:
             else:
                 items = [(name, value.get(name, _ABSENT))]
             for child, item in items:
+                if item_shape is SCALAR and type(item) in _SCALARS:
+                    continue  # the common leaf, passed without a call
                 check_json(item, item_shape, path, f"{key}.{child}" if key else child)
 
 

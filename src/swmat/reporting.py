@@ -10,10 +10,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-import statistics
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .maturity import format_ratio
 from .model import MaturityReport
@@ -32,6 +31,22 @@ class RadarSeries:
     name: str
     values: tuple[Fraction | None, ...]
     dashed: bool = False
+
+    @cached_property
+    def polylines(self) -> tuple[str, ...]:
+        """The ``points`` text of each unbroken run of the profile on
+        ``len(values)`` spokes, drawn once per series: a cohort's radars
+        all share one mean series."""
+        count = len(self.values)
+        runs = _segments(self.values)
+        complete = len(runs) == 1 and len(runs[0]) == count
+        polylines = []
+        for run in runs:
+            points = [_point(idx, count, self.values[idx]) for idx in run]
+            if complete:
+                points.append(points[0])  # close the loop only when unbroken
+            polylines.append(" ".join(f"{x:.2f},{y:.2f}" for x, y in points))
+        return tuple(polylines)
 
 
 @dataclass(frozen=True)
@@ -55,11 +70,12 @@ _CENTER = _SIZE / 2
 _INNER = 30.0   # radius drawn for value 0
 _OUTER = 220.0  # radius drawn for value 5
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
+_RADAR_MAX = float(RADAR_MAX)
 
 
 def radius_for(value: Fraction) -> float:
     """Affine map from a 0..5 value onto the ring radii."""
-    return _INNER + (_OUTER - _INNER) * float(value) / float(RADAR_MAX)
+    return _INNER + (_OUTER - _INNER) * float(value) / _RADAR_MAX
 
 
 def _point(index: int, count: int, value: Fraction) -> tuple[float, float]:
@@ -121,20 +137,13 @@ def _frame(spokes: tuple[tuple[int, str], ...]) -> str:
 def emit_radar_svg(spec: RadarSpec) -> str:
     """Render the radar as standalone SVG 1.1 text."""
     spec.validate()
-    count = len(spec.spokes)
     lines = [_frame(spec.spokes)]
     for series_index, series in enumerate(spec.series):
         color = _COLORS[series_index % len(_COLORS)]
         dash = ' stroke-dasharray="6 4"' if series.dashed else ""
         name = escape(series.name).replace('"', "&quot;")  # an attribute value
         lines.append(f'  <g data-series="{name}">')
-        runs = _segments(series.values)
-        complete = len(runs) == 1 and len(runs[0]) == count
-        for run in runs:
-            points = [_point(idx, count, series.values[idx]) for idx in run]
-            if complete:
-                points.append(points[0])  # close the loop only when unbroken
-            coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
+        for coords in series.polylines:
             lines.append(
                 f'    <polyline points="{coords}" fill="none" '
                 f'stroke="{color}" stroke-width="2"{dash}/>'
@@ -210,9 +219,24 @@ def emit_scatter_csv(points: list[ScatterPoint]) -> str:
             (
                 "",
                 category,
-                format_ratio(statistics.median(p.x for p in group)),
-                format_ratio(statistics.median(p.y for p in group)),
+                format_ratio(_median([p.x for p in group])),
+                format_ratio(_median([p.y for p in group])),
                 "median",
             )
         )
     return buffer.getvalue()
+
+
+def _exact_order(value: Fraction) -> tuple[float, Fraction]:
+    # float of a Fraction is correctly rounded, so monotone: the cheap float
+    # comparison decides, and only equal floats compare the Fractions
+    return float(value), value
+
+
+def _median(values: list[Fraction]) -> Fraction:
+    """``statistics.median`` of exact values, sorted by ``_exact_order``."""
+    ordered = sorted(values, key=_exact_order)
+    middle = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[middle]
+    return (ordered[middle - 1] + ordered[middle]) / 2

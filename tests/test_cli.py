@@ -493,6 +493,71 @@ def test_correlate_degenerate_sample_names_its_target(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["cohort", "correlate"])
+@pytest.mark.parametrize(
+    "answer, message",
+    [({"999": "x"}, "answer for unknown question 999"),
+     ({"9": "lots"}, "question 9: cannot read 'lots' as a number")],
+    ids=["unknown-question", "unreadable-number"],
+)
+def test_both_commands_check_the_answers_exit_3(tmp_path, capsys, command, answer, message):
+    answers_dir = _write_correlate_answers(tmp_path / "answers")
+    for path in answers_dir.iterdir():
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        _write_answers(path, dict(payload, answers={**payload["answers"], **answer}))
+    assert run(_questionnaire_argv(command, answers_dir, tmp_path, *(
+        ("--targets", "28") if command == "correlate" else ()))) == 3
+    assert capsys.readouterr().err == f"error: {answers_dir / 'a.json'}: {message}\n"
+    assert not (tmp_path / ("reports" if command == "cohort" else "corr.csv")).exists()
+
+
+def test_correlate_bad_id_list_before_an_unknown_question_exit_1(tmp_path, capsys):
+    answers_dir = _write_correlate_answers(tmp_path / "answers")
+    _write_answers(answers_dir / "b.json", dict(OP_EXAMPLE, company="b", answers={"999": "x"}))
+    assert run(_questionnaire_argv("correlate", answers_dir, tmp_path, "--targets", "x")) == 1
+    assert capsys.readouterr().err == "usage error: --targets: expected comma-separated question ids\n"
+
+
+_NEGATIVE_CPUS = {"9": -1, "7": 2}
+
+
+@pytest.mark.parametrize("command", ["score", "cohort"])
+def test_negative_count_names_file_and_question_exit_3(tmp_path, capsys, command):
+    answers_dir = _write_correlate_answers(tmp_path / "answers")
+    bad = _write_answers(answers_dir / "b.json", dict(OP_EXAMPLE, answers=_NEGATIVE_CPUS))
+    argv = (["score", "--answers", str(bad)] if command == "score"
+            else _questionnaire_argv(command, answers_dir, tmp_path))
+    assert run(argv) == 3
+    assert capsys.readouterr().err == (
+        f"error: {bad}: question 9: CPU count -1 must be non-negative\n"
+    )
+
+
+def test_negative_count_is_held_like_a_scoring_error(tmp_path, capsys):
+    answers_dir = _write_correlate_answers(tmp_path / "answers")
+    _write_answers(answers_dir / "b.json", dict(OP_EXAMPLE, company="b", answers=_NEGATIVE_CPUS))
+    _write_answers(answers_dir / "c.json", dict(OP_EXAMPLE, company="c", answers=_UNKNOWN_OPTION))
+    assert run(_questionnaire_argv("cohort", answers_dir, tmp_path)) == 3
+    assert "c.json" not in capsys.readouterr().err  # the first in name order
+    (answers_dir / "z.json").write_text("{", encoding="utf-8")
+    assert run(_questionnaire_argv("cohort", answers_dir, tmp_path)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {answers_dir / 'z.json'}: ")
+
+
+def test_negative_count_only_fails_where_the_complexity_reads_it(tmp_path, capsys):
+    answers_dir = _write_correlate_answers(tmp_path / "answers")
+    payload = json.loads((answers_dir / "a.json").read_text(encoding="utf-8"))
+    _write_answers(answers_dir / "a.json",
+                   dict(payload, answers={**payload["answers"], **_NEGATIVE_CPUS}))
+    # correlate never computes the complexity
+    assert run(_questionnaire_argv("correlate", answers_dir, tmp_path)) == 0
+    # nor does score when question 14 gives it
+    answered = _write_answers(tmp_path / "x.json",
+                              dict(OP_EXAMPLE, answers={"14": 3, **_NEGATIVE_CPUS}))
+    assert run(["score", "--answers", str(answered)]) == 0
+    assert '"complexity": "3"' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["cohort", "correlate"])
 def test_answer_sets_are_scored_one_at_a_time(tmp_path, monkeypatch, command):
     answers_dir = tmp_path / "answers"
     answers_dir.mkdir()

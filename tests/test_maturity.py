@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import decimal
 import json
 import random
 from fractions import Fraction
@@ -203,6 +204,23 @@ def test_report_computes_complexity_from_cpus_and_programmers(schema):
     answers = _answers({9: "2-6", 7: F(2)})
     report = build_report(schema, answers)
     assert report.complexity_measure == F(3)  # 0.5 * (4 + 2)
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [({9: -1, 7: 2}, "question 9: CPU count -1 must be non-negative"),
+     ({9: 4, 7: "-3"}, "question 7: programmer count -3 must be non-negative"),
+     ({9: F(-1, 2), 7: -2}, "question 9: CPU count -1/2 must be non-negative")],
+)
+def test_negative_count_is_a_scoring_error_naming_its_question(schema, counts, message):
+    with pytest.raises(ScoringError) as info:
+        build_report(schema, _answers(counts))
+    assert str(info.value) == message
+
+
+def test_negative_count_is_not_read_when_question_14_is_answered(schema):
+    report = build_report(schema, _answers({14: 3, 9: -1, 7: 2}))
+    assert report.complexity_measure == 3 and type(report.complexity_measure) is F
 
 
 # --- interaction variable -----------------------------------------------------------
@@ -455,7 +473,8 @@ def _scoring_cases(draw):
                     [keys[pick], keys[pick].swapcase(), labels[pick], labels[pick].upper()]
                 ))
             elif mode is AnswerMode.NUMERIC:
-                answers[qid] = draw(st.sampled_from([F(3), F(7, 2), "2-6"]))
+                # 3 as a JSON integer reads it, F(7, 2) as a JSON float does
+                answers[qid] = draw(st.sampled_from([3, F(3), F(7, 2), "2-6"]))
             else:
                 answers[qid] = "free text"
         answer_sets.append(AnswerSet(f"co{index}", CompanyCategory.MACHINE, answers))
@@ -532,6 +551,7 @@ def test_answers_file_round_trip(tmp_path):
     assert answers.answers[36] == "never"
     assert answers.answers[9] == F("3.25")
     assert answers.answers[12] == 2000
+    assert type(answers.answers[12]) is int  # an integer is exact as it is
 
 
 def test_format_ratio():
@@ -539,6 +559,44 @@ def test_format_ratio():
     assert format_ratio(F("96.15") / 125) == "0.7692"
     assert format_ratio(None) == ""
     assert format_ratio(F(1, 3)) == "0.3333"
+
+
+def _half_up(value: F, places: int) -> str:
+    """The decimal module's ROUND_HALF_UP of ``value`` to ``places`` digits,
+    without the sign of a zero.  The quotient carries 300 digits, far more
+    than any drawn value needs to sit on the right side of a half."""
+    with decimal.localcontext() as context:
+        context.prec = 300
+        exact = decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator)
+        rounded = exact.quantize(decimal.Decimal(1).scaleb(-places), decimal.ROUND_HALF_UP)
+    return f"{abs(rounded) if rounded.is_zero() else rounded:f}"
+
+
+_PLACES = st.integers(1, 6)
+# exact halves at the last printed digit, of either sign, where the
+# rounding direction is all that decides
+_HALVES = st.builds(
+    lambda odd, places: (F(odd, 2 * 10**places), places),
+    st.integers(-10**9, 10**9).map(lambda k: 2 * k + 1),
+    _PLACES,
+)
+_RATIOS = st.tuples(
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**12), _PLACES
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.one_of(_RATIOS, _HALVES))
+def test_format_ratio_rounds_half_up_like_decimal(case):
+    value, places = case
+    assert format_ratio(value, places) == _half_up(value, places)
+
+
+def test_normalized_answers_checks_the_answers(schema):
+    with pytest.raises(ScoringError, match="answer for unknown question 99"):
+        normalized_answers(schema, _answers({36: "never", 99: "x"}))
+    with pytest.raises(ScoringError, match="question 9: cannot read 'lots' as a number"):
+        normalized_answers(schema, _answers({36: "never", 9: "lots"}))
 
 
 def test_validate_answers_rejects_unknown_question(schema):

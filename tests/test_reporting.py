@@ -95,7 +95,8 @@ def test_radar_series_length_mismatch():
 
 
 def _fresh_svg(spec: RadarSpec) -> str:
-    """``emit_radar_svg`` with its caches emptied first, so it reuses nothing."""
+    """``emit_radar_svg`` with its caches emptied first, so it reuses nothing
+    (a series keeps its own drawing: pass series made for this call)."""
     reporting._frame.cache_clear()
     return emit_radar_svg(spec)
 
@@ -141,10 +142,11 @@ def test_cohort_radars_equal_fresh_renders(tmp_path, schema):
     assert cli.run(["cohort", "--answers-dir", str(answers_dir), "--out", str(out)]) == 0
 
     reports = [build_report(schema, load_answers_file(p)) for p in sorted(answers_dir.iterdir())]
-    mean = cohort_stats(reports).question_means
+    means = cohort_stats(reports).question_means
     shared = []
     for report in reports:
         svg = (out / f"radar_{report.company}.svg").read_text(encoding="utf-8")
+        mean = cli._mean_series(means, schema)
         assert svg == _fresh_svg(cli._radar_for(report, mean))
         # all but the company's own group is the same in every file
         lines = svg.splitlines()
@@ -153,6 +155,20 @@ def test_cohort_radars_equal_fresh_renders(tmp_path, schema):
         shared.append(lines[:start] + lines[end:])
     assert all(lines == shared[0] for lines in shared)
     assert len(shared[0]) == 4 + 2 * len(schema.scored_ids()) + 4  # frame, mean, </svg>
+
+
+def test_a_shared_series_is_drawn_once(monkeypatch):
+    reporting._frame(_spokes(5))  # the frame is drawn once per spoke set anyway
+    drawn = []
+    point = reporting._point
+    monkeypatch.setattr(reporting, "_point", lambda *args: drawn.append(args) or point(*args))
+    mean = _series([F(1), F(2), None, F(4), F(5)], "mean", dashed=True)
+    specs = [RadarSpec(_spokes(5), (_series([F(k)] * 5, f"co{k}"), mean)) for k in range(3)]
+    svgs = [emit_radar_svg(spec) for spec in specs]
+    assert len(drawn) == 3 * 5 + 4  # five points per company, the mean's four once
+    assert svgs == [_fresh_svg(RadarSpec(_spokes(5), (_series([F(k)] * 5, f"co{k}"),
+                                                      _series(mean.values, "mean", True))))
+                    for k in range(3)]
 
 
 def test_radius_affine_in_value():
@@ -281,6 +297,24 @@ def test_scatter_two_categories_two_medians():
     rows = list(csv.reader(io.StringIO(emit_scatter_csv(points))))
     medians = [r for r in rows if r[-1] == "median"]
     assert [m[1] for m in medians] == ["machine", "plant"]
+
+
+def test_scatter_median_compares_equal_floats_exactly():
+    # both values round to one float, yet only the larger is a half at the
+    # fourth digit: a float-only sort key keeps the input order and picks
+    # the smaller as the middle of three
+    half = F(1, 20000)
+    below = half - F(1, 10**30)
+    assert float(below) == float(half)
+    points = [_point(half, 0, "a"), _point(below, 0, "b"), _point(half, 0, "c")]
+    rows = list(csv.reader(io.StringIO(emit_scatter_csv(points))))
+    assert [r[2] for r in rows[1:]] == ["0.0001", "0.0000", "0.0001", "0.0001"]
+
+
+def test_scatter_median_of_an_even_group_is_the_exact_midpoint():
+    points = [_point(x, 0) for x in (F(1, 3), F(5), F(2, 3), F(-1))]
+    rows = list(csv.reader(io.StringIO(emit_scatter_csv(points))))
+    assert rows[-1][2] == "0.5000"  # (1/3 + 2/3) / 2
 
 
 def test_scatter_rejects_mixed_axes():
