@@ -287,6 +287,10 @@ def _radar_file_name(company: str) -> str:
 def _cmd_cohort(args: argparse.Namespace) -> int:
     _require_distinct(args.answers_dir, args.out)
     schema = _load_schema(args.schema)
+    spokes = len(schema.scored_ids())  # one radar spoke per scored question
+    if spokes < 3:
+        raise InputError(f"{args.schema}: cohort draws a radar over the scored questions "
+                         f"and needs at least 3; the schema has {spokes}")
     category = model.CompanyCategory(args.category) if args.category else None
     # each file is scored as soon as it is read, and only its report is kept;
     # a collision or scoring failure is held, so an unreadable file later in

@@ -13,7 +13,12 @@ from .model import CallResolution, CallSite, Pou, PouKind, Project, body_facts
 
 
 def complexity(pou: Pou) -> int:
-    """Statements + decision points (``model.body_facts``) over the body and all actions."""
+    """Statements + decision points (``model.body_facts``) over the body and all actions.
+
+    This reads the statement trees, so it is meant for ``stparse.parse_file``
+    results; a POU of ``parse_project`` holds none and carries its
+    ``complexity`` already.
+    """
     return body_facts(pou.all_statements()).complexity
 
 

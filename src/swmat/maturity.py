@@ -596,17 +596,22 @@ def load_answers_file(path: str | Path) -> AnswerSet:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def format_ratio(value: Fraction | None, places: int = 4) -> str:
-    """Fixed-point rendering with exact half-up rounding; '' for missing."""
+# the digits after the point of every ratio written out
+RATIO_PLACES = 4
+
+
+def format_ratio(value: Fraction | None) -> str:
+    """Fixed-point rendering to ``RATIO_PLACES`` digits with exact half-up
+    rounding; '' for missing."""
     if value is None:
         return ""
-    scale = 10**places
+    scale = 10**RATIO_PLACES
     numerator, denominator = value.numerator, value.denominator
     # floor(|value| * scale + 1/2) in integers: halves round away from zero
     quotient = (2 * abs(numerator) * scale + denominator) // (2 * denominator)
     sign = "-" if numerator < 0 and quotient else ""
     whole, frac = divmod(quotient, scale)
-    return f"{sign}{whole}.{frac:0{places}d}"
+    return f"{sign}{whole}.{frac:0{RATIO_PLACES}d}"
 
 
 def report_to_dict(

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 from sys import intern
-from typing import Iterator, NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 
 class PouKind(Enum):
@@ -266,6 +266,8 @@ class Pou:
     global_reads: frozenset[str] = frozenset()
     global_writes: frozenset[str] = frozenset()
     complexity: int = 0
+    # the body's clone fingerprint (``body_facts``), filled by ``parse_project``
+    fingerprint: str = ""
     span: LineSpan = LineSpan(1, 1)
     stub: bool = False
     group: str | None = None
@@ -601,72 +603,17 @@ class Diagnostic:
         return f"{loc}{self.severity}{subject}: {self.message}"
 
 
-Node = Union[Statement, IfBranch, CaseBranch]
-
-
-def walk(statements: Sequence[Statement]) -> Iterator[Node]:
-    """Every node of the statement trees, pre-order, in source order.
-
-    Besides statements this yields each IF/ELSIF branch and each CASE branch
-    ahead of its body, so a condition comes before the statements it guards.
-    An explicit stack keeps nesting depth away from Python's recursion limit.
-    """
-    stack = list(reversed(statements))
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (Assignment, CallStatement)):
-            continue
-        if isinstance(node, (IfStatement, CaseStatement)):
-            stack.extend(reversed(node.else_body))
-            stack.extend(reversed(node.branches))
-        else:
-            stack.extend(reversed(node.body))
-
-
-def expressions(node: Node) -> tuple[TokenSeq, ...]:
-    """The expressions a node holds directly, in source order."""
-    if isinstance(node, Assignment):
-        return (node.target, node.value)
-    if isinstance(node, CallStatement):
-        return (node.args,)
-    if isinstance(node, (IfBranch, WhileStatement)):
-        return (node.condition,)
-    if isinstance(node, CaseStatement):
-        return (node.selector,)
-    if isinstance(node, ForStatement):
-        return (node.start, node.stop, node.step)
-    return ()
-
-
-def dotted_paths(seq: TokenSeq) -> Iterator[tuple[int, int, bool]]:
-    """Each dotted identifier path ``a.b.c`` in ``seq`` as (start, end, is_call).
-
-    ``start`` and ``end`` index the store: ``seq.store.texts[start:end:2]``
-    are the path's identifiers; is_call tells whether '(' follows the path.
-    """
-    codes = seq.store.codes
-    i, n = seq.start, seq.end
-    while i < n:
-        if codes[i] != IDENT:
-            i += 1
-            continue
-        j = i + 1
-        while j + 1 < n and codes[j] == "." and codes[j + 1] == IDENT:
-            j += 2
-        yield i, j, j < n and codes[j] == "("
-        i = j
-
-
 class BodyFacts(NamedTuple):
     calls: list[tuple[str, int, int]]
     reads: set[str]
     writes: set[str]
     complexity: int
+    fingerprint: str
 
 
 def body_facts(statements: Sequence[Statement]) -> BodyFacts:
-    """Calls, read and written names, and complexity of a statement tree, in one walk.
+    """Calls, read and written names, complexity and clone fingerprint of a
+    statement tree, in one walk.
 
     * ``calls``: each syntactic call occurrence as (callee text, line, col),
       in source order: call statements and every dotted path followed by
@@ -680,37 +627,119 @@ def body_facts(statements: Sequence[Statement]) -> BodyFacts:
       CASE branch label and every loop header.  The metric is a deliberately
       simple proxy that grows with both size and branching; swap it out here
       if a better one exists for your codebase.
+    * ``fingerprint``: the token codes of the statements in source order,
+      joined by a space, which no code holds.  Identifiers, numbers and
+      strings each have one code (``IDENT``), so renamed copies compare
+      equal.
 
     Names keep their spelling; resolving them against declarations is the
-    caller's job.
+    caller's job.  An explicit stack, which also holds the closing codes
+    that follow a block's body, keeps nesting depth away from Python's
+    recursion limit.
     """
     calls: list[tuple[str, int, int]] = []
     reads: set[str] = set()
     writes: set[str] = set()
     complexity = 0
-    for node in walk(statements):
-        if isinstance(node, CaseBranch):
-            complexity += len(node.labels)
-        elif not isinstance(node, (IfStatement, CaseStatement)):
-            complexity += 1  # a simple statement, an IF/ELSIF branch or a loop header
-        is_assignment = isinstance(node, Assignment)
-        if isinstance(node, CallStatement):
-            calls.append((node.callee, node.line, node.col))
-        elif is_assignment:
+    out: list[str] = []
+
+    def scan(seq: TokenSeq, target: bool = False) -> None:
+        """Append the codes of ``seq`` and note its calls and reads; the base
+        of a ``target`` is the write, its index expressions are reads."""
+        store = seq.store
+        codes, texts = store.codes, store.texts
+        start = i = seq.start
+        end = seq.end
+        out.extend(codes[start:end])
+        while i < end:
+            if codes[i] != IDENT:
+                i += 1
+                continue
+            j = i + 1  # past the dotted path a.b.c starting at i
+            while j + 1 < end and codes[j] == "." and codes[j + 1] == IDENT:
+                j += 2
+            if j < end and codes[j] == "(":
+                calls.append((".".join(texts[i:j:2]), *store.position(i)))
+            elif not (target and i == start):
+                reads.add(texts[i])
+            i = j
+
+    stack: list = list(reversed(statements))
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is tuple:  # the codes that close a block
+            out += node
+        elif kind is Assignment:
+            complexity += 1
             target = node.target
             if target and target.store.codes[target.start] == IDENT:
                 writes.add(target.store.texts[target.start])
-        elif isinstance(node, ForStatement):
+            scan(target, True)
+            out.append(":=")
+            scan(node.value)
+            out.append(";")
+        elif kind is CallStatement:
+            complexity += 1
+            calls.append((node.callee, node.line, node.col))
+            out.append(IDENT)
+            out += [".", IDENT] * node.callee.count(".")
+            out.append("(")
+            scan(node.args)
+            out += (")", ";")
+        elif kind is IfStatement:
+            stack.append(("END_IF", ";"))
+            if node.else_body:
+                stack += reversed(node.else_body)
+                stack.append(("ELSE",))
+            for k in range(len(node.branches) - 1, -1, -1):
+                stack += (node.branches[k], ("ELSIF",) if k else ("IF",))
+        elif kind is IfBranch:
+            complexity += 1
+            scan(node.condition)
+            out.append("THEN")
+            stack += reversed(node.body)
+        elif kind is CaseStatement:
+            out.append("CASE")
+            scan(node.selector)
+            out.append("OF")
+            stack.append(("END_CASE", ";"))
+            if node.else_body:
+                stack += reversed(node.else_body)
+                stack.append(("ELSE",))
+            stack += reversed(node.branches)
+        elif kind is CaseBranch:
+            complexity += len(node.labels)
+            for k, label in enumerate(node.labels):
+                if k:
+                    out.append(",")
+                for j, piece in enumerate(label.split("..")):
+                    if j:
+                        out.append("..")
+                    out.append(NUMBER if piece[:1].isdigit() else IDENT)
+            out.append(":")
+            stack += reversed(node.body)
+        elif kind is ForStatement:
+            complexity += 1
             writes.add(node.var)
-        for k, seq in enumerate(expressions(node)):
-            texts = seq.store.texts
-            for start, end, is_call in dotted_paths(seq):
-                if is_call:
-                    calls.append((".".join(texts[start:end:2]), *seq.store.position(start)))
-                # the target's base is the write; its index expressions are reads
-                elif not (is_assignment and k == 0 and start == seq.start):
-                    reads.add(texts[start])
-    return BodyFacts(calls, reads, writes, complexity)
+            out += ("FOR", IDENT, ":=")
+            scan(node.start)
+            out.append("TO")
+            scan(node.stop)
+            if node.step:
+                out.append("BY")
+                scan(node.step)
+            out.append("DO")
+            stack.append(("END_FOR", ";"))
+            stack += reversed(node.body)
+        else:  # WhileStatement
+            complexity += 1
+            out.append("WHILE")
+            scan(node.condition)
+            out.append("DO")
+            stack.append(("END_WHILE", ";"))
+            stack += reversed(node.body)
+    return BodyFacts(calls, reads, writes, complexity, " ".join(out))
 
 
 def validate_project(project: Project) -> list[Diagnostic]:

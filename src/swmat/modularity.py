@@ -10,7 +10,6 @@ point rather than dogma.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -18,24 +17,13 @@ from pathlib import Path
 from .graphs import CallGraph, GlobalCommGraph
 from .model import (
     ArchLevel,
-    Assignment,
-    CallStatement,
-    CaseStatement,
-    ForStatement,
     Grade,
     GovernanceLevel,
-    IDENT,
-    IfStatement,
     MEYER_CRITERIA,
     ModularityAssessment,
-    NUMBER,
-    Pou,
     PouKind,
     Project,
-    Statement,
     StructureStyle,
-    TokenSeq,
-    WhileStatement,
     read_text,
 )
 
@@ -180,84 +168,6 @@ def classify_structure_style(
 # --- clone detection ------------------------------------------------------------
 
 
-def _codes(seq: TokenSeq) -> list[str]:
-    return seq.store.codes[seq.start : seq.end]
-
-
-def _flatten(stmts: Sequence[Statement], out: list[str]) -> None:
-    """Append the token codes of a statement tree to ``out``, in source order.
-    Identifiers, numbers and strings each have one code (``model.IDENT``),
-    so renamed copies compare equal.
-
-    Closing keywords follow their bodies, so this recurses once per block;
-    the parser keeps that within ``stparse.MAX_NESTING``.
-    """
-    for stmt in stmts:
-        if isinstance(stmt, Assignment):
-            out += _codes(stmt.target)
-            out.append(":=")
-            out += _codes(stmt.value)
-            out.append(";")
-        elif isinstance(stmt, CallStatement):
-            out.append(IDENT)
-            out += [".", IDENT] * stmt.callee.count(".")
-            out.append("(")
-            out += _codes(stmt.args)
-            out += (")", ";")
-        elif isinstance(stmt, IfStatement):
-            for k, branch in enumerate(stmt.branches):
-                out.append("ELSIF" if k else "IF")
-                out += _codes(branch.condition)
-                out.append("THEN")
-                _flatten(branch.body, out)
-            if stmt.else_body:
-                out.append("ELSE")
-                _flatten(stmt.else_body, out)
-            out += ("END_IF", ";")
-        elif isinstance(stmt, CaseStatement):
-            out.append("CASE")
-            out += _codes(stmt.selector)
-            out.append("OF")
-            for branch in stmt.branches:
-                for k, label in enumerate(branch.labels):
-                    if k:
-                        out.append(",")
-                    for j, piece in enumerate(label.split("..")):
-                        if j:
-                            out.append("..")
-                        out.append(NUMBER if piece[:1].isdigit() else IDENT)
-                out.append(":")
-                _flatten(branch.body, out)
-            if stmt.else_body:
-                out.append("ELSE")
-                _flatten(stmt.else_body, out)
-            out += ("END_CASE", ";")
-        elif isinstance(stmt, ForStatement):
-            out += ("FOR", IDENT, ":=")
-            out += _codes(stmt.start)
-            out.append("TO")
-            out += _codes(stmt.stop)
-            if stmt.step:
-                out.append("BY")
-                out += _codes(stmt.step)
-            out.append("DO")
-            _flatten(stmt.body, out)
-            out += ("END_FOR", ";")
-        elif isinstance(stmt, WhileStatement):
-            out.append("WHILE")
-            out += _codes(stmt.condition)
-            out.append("DO")
-            _flatten(stmt.body, out)
-            out += ("END_WHILE", ";")
-
-
-def clone_fingerprint(pou: Pou) -> tuple[str, ...]:
-    """The POU's body and actions as one stream of token codes."""
-    out: list[str] = []
-    _flatten(pou.all_statements(), out)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class CloneReport:
     groups: tuple[tuple[str, ...], ...]
@@ -267,15 +177,15 @@ class CloneReport:
 
 def detect_clones(project: Project, min_tokens: int = 20) -> CloneReport:
     """Group POUs whose normalized body token streams are identical."""
-    # keyed by the codes joined with a space, which no code holds, so two
-    # keys are equal exactly when the streams are: one string per POU costs
-    # far less than a tuple of its codes
+    # a fingerprint joins the codes with a space, which no code holds, so
+    # two are equal exactly when the streams are, and it holds one code more
+    # than spaces unless it is empty
     by_stream: dict[str, list[str]] = {}
     for pou in project.pous:
-        stream = clone_fingerprint(pou)
-        if len(stream) < min_tokens:
+        fingerprint = pou.fingerprint
+        if (fingerprint.count(" ") + 1 if fingerprint else 0) < min_tokens:
             continue
-        by_stream.setdefault(" ".join(stream), []).append(pou.name)
+        by_stream.setdefault(fingerprint, []).append(pou.name)
 
     groups = tuple(
         sorted(

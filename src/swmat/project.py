@@ -17,6 +17,8 @@ from collections.abc import Iterable
 from pathlib import Path
 
 from .model import (
+    ActionDef,
+    BodyFacts,
     CallResolution,
     CallSite,
     Diagnostic,
@@ -186,6 +188,11 @@ def _read_text(path: Path, diagnostics: list[Diagnostic]) -> str | None:
 def parse_project(directory: str | Path, name: str | None = None) -> tuple[Project, list[Diagnostic]]:
     """Parse a project directory into a resolved, validated Project.
 
+    Each POU keeps the facts of its body (call sites, global accesses,
+    complexity, clone fingerprint) but not its statement trees: its
+    ``statements`` and action bodies are empty.  ``stparse.parse_file`` and
+    ``parse_source`` return the trees.
+
     Raises ProjectError when there is no directory or no source file in it.
     Every other problem comes back as a diagnostic next to the project; a
     POU declared a second time is an error there and is left out.
@@ -199,10 +206,22 @@ def parse_project(directory: str | Path, name: str | None = None) -> tuple[Proje
 
     diagnostics: list[Diagnostic] = []
     pous: list[Pou] = []
+    facts: list[BodyFacts] = []  # each POU's, until its names are resolved below
     globals_: list[GlobalVar] = []
     global_origin: dict[str, tuple[str, GlobalVar]] = {}  # lower-cased name -> (path, first)
     origin: dict[str, SourceRef] = {}  # lower-cased POU name -> where declared
     source_index: dict[str, SourceRef] = {}
+
+    def add(pou: Pou) -> None:
+        # the facts are taken while the file's token store is alive; without
+        # the trees that span it, the store is freed with its file
+        facts.append(body_facts(pou.all_statements()))
+        pous.append(dataclasses.replace(
+            pou,
+            statements=(),
+            actions=tuple(ActionDef(a.name, (), a.line) for a in pou.actions),
+            fingerprint=facts[-1].fingerprint,
+        ))
 
     for path in st_files:
         text = _read_text(path, diagnostics)
@@ -224,7 +243,7 @@ def parse_project(directory: str | Path, name: str | None = None) -> tuple[Proje
                 )
                 continue
             origin[key] = source_index[pou.name] = SourceRef(str(path), pou.span)
-            pous.append(pou)
+            add(pou)
         for g in result.globals:
             key = g.name.lower()
             if key in global_origin:
@@ -257,7 +276,7 @@ def parse_project(directory: str | Path, name: str | None = None) -> tuple[Proje
                     group=group,
                 )
                 source_index[stub_name] = SourceRef(str(externals_path), LineSpan(1, 1))
-                pous.append(stub)
+                add(stub)
                 continue
             diagnostics.append(
                 Diagnostic(
@@ -283,17 +302,16 @@ def parse_project(directory: str | Path, name: str | None = None) -> tuple[Proje
     table = build_symbol_table(pous, globals_)
 
     resolved: list[Pou] = []
-    for pou in pous:
-        facts = body_facts(pou.all_statements())
-        sites = extract_call_sites(pou, table, facts.calls)
-        reads, writes = extract_global_accesses(pou, table.globals, facts.reads, facts.writes)
+    for pou, body in zip(pous, facts):
+        sites = extract_call_sites(pou, table, body.calls)
+        reads, writes = extract_global_accesses(pou, table.globals, body.reads, body.writes)
         resolved.append(
             dataclasses.replace(
                 pou,
                 call_sites=tuple(sites),
                 global_reads=frozenset(reads),
                 global_writes=frozenset(writes),
-                complexity=facts.complexity,
+                complexity=body.complexity,
             )
         )
 

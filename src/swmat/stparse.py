@@ -234,9 +234,9 @@ class _NestingTooDeep(_ParseFailure):
     """A block opened past ``MAX_NESTING``; recovery skips the rest of the POU."""
 
 
-# At most this many IF/CASE/FOR/WHILE blocks may nest.  The parser and
-# ``modularity._flatten`` recurse once per block, so this keeps them far from
-# Python's recursion limit; deeper code is reported as a syntax error.
+# At most this many IF/CASE/FOR/WHILE blocks may nest.  The parser recurses
+# once per block, so this keeps it far from Python's recursion limit; deeper
+# code is reported as a syntax error.
 MAX_NESTING = 200
 
 

@@ -2,12 +2,16 @@
 
 Everything here is written naively on purpose: plain loops over the statement
 tree with local name resolution, no sharing of the resolution code under test.
+``parse_project`` keeps no statement trees, so the project oracles read the
+trees that ``with_trees`` takes from ``parse_file`` of the same sources.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
+from pathlib import Path
 
 from swmat.model import (
     AnswerMode,
@@ -23,6 +27,7 @@ from swmat.model import (
     TokenKind,
     WhileStatement,
 )
+from swmat.stparse import SourceFile, parse_file
 from token_view import expand
 
 NormToken = tuple[TokenKind, str]
@@ -89,10 +94,28 @@ def _paths(tokens):
     return results
 
 
+def with_trees(project: Project) -> Project:
+    """``project`` with each parsed POU's statement trees put back, taken from
+    ``parse_file`` of the file its ``source_index`` names; stubs stay as they are."""
+    parsed: dict[str, dict] = {}
+    pous = []
+    for pou in project.pous:
+        if not pou.stub:
+            path = project.source_index[pou.name].path
+            if path not in parsed:
+                source = SourceFile(path, Path(path).read_text(encoding="utf-8"))
+                parsed[path] = {(p.name, p.span): p for p in parse_file(source).pous}
+            tree = parsed[path][pou.name, pou.span]
+            pou = dataclasses.replace(pou, statements=tree.statements, actions=tree.actions)
+        pous.append(pou)
+    return dataclasses.replace(project, pous=tuple(pous))
+
+
 def _pou_bodies(pou: Pou):
-    yield pou.statements
-    for action in pou.actions:
-        yield action.body
+    bodies = [pou.statements, *(action.body for action in pou.actions)]
+    # a POU from parse_project has a fingerprint but no trees
+    assert any(bodies) or not pou.fingerprint, f"{pou.name}: no trees; use with_trees"
+    yield from bodies
 
 
 def reference_call_occurrences(pou: Pou) -> list[str]:

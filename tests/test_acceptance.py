@@ -12,7 +12,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import brute_force_call_edges, brute_force_global_edges, pearson_reference
+from oracles import (
+    brute_force_call_edges,
+    brute_force_global_edges,
+    pearson_reference,
+    with_trees,
+)
 from swmat.configurator import (
     InstanceSpec,
     ModuleConfig,
@@ -171,13 +176,14 @@ def test_criterion_05_graph_oracle_equivalence(tmp_path):
         assert not [d for d in diags if d.severity == "error"]
         if len(project.pous) > 6:
             continue
+        trees = with_trees(project)
         graph = build_call_graph(project)
         assert {(e.caller, e.callee): e.multiplicity for e in graph.edges} == (
-            brute_force_call_edges(project)
+            brute_force_call_edges(trees)
         ), directory
         global_graph = build_global_comm_graph(project)
         assert {(e.writer, e.reader, e.via) for e in global_graph.edges} == (
-            brute_force_global_edges(project)
+            brute_force_global_edges(trees)
         ), directory
         checked += 1
     assert checked >= 10

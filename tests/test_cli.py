@@ -278,6 +278,27 @@ def test_cohort_outputs(tmp_path):
     assert (out / "scatter_m_mod_m_op.csv").exists()
 
 
+def test_cohort_schema_of_two_scored_questions_exit_2(tmp_path, capsys, schema):
+    from swmat.maturity import schema_to_dict
+
+    payload = schema_to_dict(schema)
+    payload["questions"] = [q for q in payload["questions"] if q["id"] in (36, 37)]
+    schema_path = tmp_path / "two.json"
+    schema_path.write_text(json.dumps(payload), encoding="utf-8")
+    answers_dir = tmp_path / "answers"
+    answers_dir.mkdir()
+    _write_answers(answers_dir / "a.json", dict(OP_EXAMPLE, answers={"36": "never"}))
+    out = tmp_path / "reports"
+    argv = ["cohort", "--schema", str(schema_path), "--answers-dir", str(answers_dir),
+            "--out", str(out)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {schema_path}: cohort draws a radar over the scored questions "
+        "and needs at least 3; the schema has 2\n"
+    )
+    assert not out.exists()
+
+
 def test_cohort_category_filter(tmp_path):
     answers_dir = tmp_path / "answers"
     answers_dir.mkdir()

@@ -10,6 +10,7 @@ from oracles import (
     brute_force_call_edges,
     brute_force_global_edges,
     brute_force_instance_edges,
+    with_trees,
 )
 from swmat import graphs
 from swmat.cli import run
@@ -114,7 +115,7 @@ def test_per_instance_node_spelled_as_declared(tmp_path):
     graph = build_call_graph(project, per_instance=True)
     edges = {(e.caller, e.callee): e.multiplicity for e in graph.edges}
     assert edges == {("Main", "Main.fb1"): 2, ("Main", "Main.gMotor"): 2}
-    assert edges == brute_force_instance_edges(project)
+    assert edges == brute_force_instance_edges(with_trees(project))
     assert {n.name for n in graph.nodes} == {"Main", "Motor", "Main.fb1", "Main.gMotor"}
 
 
@@ -208,17 +209,18 @@ def test_every_edge_endpoint_is_a_node(tmp_path, seed):
 def test_graphs_agree_with_brute_force_oracle(tmp_path, seed):
     project, diags = parse_project(random_project(tmp_path / str(seed), seed))
     assert not [d for d in diags if d.severity == "error"]
+    trees = with_trees(project)
     graph = build_call_graph(project)
     assert {(e.caller, e.callee): e.multiplicity for e in graph.edges} == (
-        brute_force_call_edges(project)
+        brute_force_call_edges(trees)
     )
     graph = build_call_graph(project, per_instance=True)
     assert {(e.caller, e.callee): e.multiplicity for e in graph.edges} == (
-        brute_force_instance_edges(project)
+        brute_force_instance_edges(trees)
     )
     global_graph = build_global_comm_graph(project)
     assert {(e.writer, e.reader, e.via) for e in global_graph.edges} == (
-        brute_force_global_edges(project)
+        brute_force_global_edges(trees)
     )
 
 
@@ -228,7 +230,9 @@ def test_global_edge_view_counts_and_lists_the_oracle_triples(tmp_path, seed):
     graph = build_global_comm_graph(project)
     edges = list(graph.edges)
     assert graph.edge_count == len(graph.edges) == len(edges)
-    assert {(e.writer, e.reader, e.via) for e in edges} == brute_force_global_edges(project)
+    assert {(e.writer, e.reader, e.via) for e in edges} == (
+        brute_force_global_edges(with_trees(project))
+    )
 
 
 def _wide_project(directory, seed=3, pous=40, globals_=12):
@@ -265,7 +269,7 @@ def test_global_edge_count_is_the_incidence_sum_on_a_wide_project(tmp_path):
         expected += len(writers) * len(readers) - len(writers & readers)
     graph = build_global_comm_graph(project)
     assert graph.edge_count == len(graph.edges) == expected
-    assert len(brute_force_global_edges(project)) == expected
+    assert len(brute_force_global_edges(with_trees(project))) == expected
 
 
 def test_global_dot_edges_in_writer_reader_global_order(tmp_path):
@@ -304,7 +308,7 @@ def test_call_graph_reads_stored_complexity(tmp_path):
     project, _ = parse_project(tmp_path)
     nodes = build_call_graph(project).node_map()
     assert {p.name: nodes[p.name].complexity for p in project.pous} == {
-        p.name: complexity(p) for p in project.pous
+        p.name: complexity(p) for p in with_trees(project).pous
     } == {"a": 2, "Drive_lib": 0}
 
 

@@ -31,6 +31,7 @@ from swmat.maturity import (
     schema_to_dict,
     score_answer,
     format_ratio,
+    RATIO_PLACES,
 )
 from swmat.model import (
     AnswerMode,
@@ -559,37 +560,31 @@ def test_format_ratio():
     assert format_ratio(F("96.15") / 125) == "0.7692"
     assert format_ratio(None) == ""
     assert format_ratio(F(1, 3)) == "0.3333"
+    assert format_ratio(F(5, 2)) == "2.5000"
+    assert format_ratio(F(-1, 8000)) == "-0.0001"
 
 
-def _half_up(value: F, places: int) -> str:
-    """The decimal module's ROUND_HALF_UP of ``value`` to ``places`` digits,
-    without the sign of a zero.  The quotient carries 300 digits, far more
-    than any drawn value needs to sit on the right side of a half."""
+def _half_up(value: F) -> str:
+    """The decimal module's ROUND_HALF_UP of ``value`` to ``RATIO_PLACES``
+    digits, without the sign of a zero.  The quotient carries 300 digits, far
+    more than any drawn value needs to sit on the right side of a half."""
     with decimal.localcontext() as context:
         context.prec = 300
         exact = decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator)
-        rounded = exact.quantize(decimal.Decimal(1).scaleb(-places), decimal.ROUND_HALF_UP)
+        rounded = exact.quantize(decimal.Decimal(1).scaleb(-RATIO_PLACES), decimal.ROUND_HALF_UP)
     return f"{abs(rounded) if rounded.is_zero() else rounded:f}"
 
 
-_PLACES = st.integers(1, 6)
 # exact halves at the last printed digit, of either sign, where the
 # rounding direction is all that decides
-_HALVES = st.builds(
-    lambda odd, places: (F(odd, 2 * 10**places), places),
-    st.integers(-10**9, 10**9).map(lambda k: 2 * k + 1),
-    _PLACES,
-)
-_RATIOS = st.tuples(
-    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**12), _PLACES
-)
+_HALVES = st.integers(-10**9, 10**9).map(lambda k: F(2 * k + 1, 2 * 10**RATIO_PLACES))
+_RATIOS = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**12)
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=st.one_of(_RATIOS, _HALVES))
-def test_format_ratio_rounds_half_up_like_decimal(case):
-    value, places = case
-    assert format_ratio(value, places) == _half_up(value, places)
+@given(value=st.one_of(_RATIOS, _HALVES))
+def test_format_ratio_rounds_half_up_like_decimal(value):
+    assert format_ratio(value) == _half_up(value)
 
 
 def test_normalized_answers_checks_the_answers(schema):

@@ -21,6 +21,7 @@ from swmat.model import (
 from swmat.project import parse_project
 from swmat.stparse import parse_source
 from model_codec import from_jsonable, to_jsonable
+from oracles import with_trees
 from synth import write_project
 from test_golden import MIXED_ST
 
@@ -149,7 +150,7 @@ def test_per_statement_nodes_have_no_dict(plant_dir, tmp_path):
     mixed = write_project(tmp_path / "mixed", {"mixed.st": MIXED_ST})
     found: dict[str, object] = {}
     for directory in (plant_dir, mixed):
-        _model_values(parse_project(directory)[0].pous, found)
+        _model_values(with_trees(parse_project(directory)[0]).pous, found)
     for name in SLOTTED:
         assert name in found, name
         assert not hasattr(found[name], "__dict__"), name

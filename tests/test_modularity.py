@@ -39,7 +39,6 @@ from swmat.modularity import (
     detect_cross_cutting,
     estimate_governance,
     grade_meyer,
-    clone_fingerprint,
     load_thresholds,
 )
 from swmat.project import parse_project
@@ -52,6 +51,7 @@ from oracles import (
     reference_complexity,
     reference_global_accesses,
     reference_statement_stream,
+    with_trees,
 )
 from synth import chain_project, random_project, star_project, write_project
 from test_golden import MIXED_ST
@@ -332,15 +332,21 @@ def _code(kind, text):
     return text.upper()
 
 
-@pytest.mark.parametrize("min_tokens", [1, 20])
+def _reference_codes(pou) -> list[str]:
+    """The fingerprint codes of a POU with trees, from the reference stream."""
+    return [_code(k, t) for k, t in reference_statement_stream(pou.all_statements())]
+
+
+@pytest.mark.parametrize("min_tokens", [0, 1, 20])
 def test_clones_match_reference(tmp_path, min_tokens):
     for project in _reference_corpus(tmp_path):
         report = detect_clones(project, min_tokens)
-        assert report.groups == clone_groups_reference(project, min_tokens)
-        for pou in project.pous:
-            reference = reference_statement_stream(pou.all_statements())
-            assert clone_fingerprint(pou) == tuple(_code(k, t) for k, t in reference)
-            assert len(clone_fingerprint(pou)) == len(clone_body_reference(pou))
+        trees = with_trees(project)
+        assert report.groups == clone_groups_reference(trees, min_tokens)
+        for pou in trees.pous:
+            codes = _reference_codes(pou)
+            assert pou.fingerprint == " ".join(codes)
+            assert len(pou.fingerprint.split()) == len(clone_body_reference(pou))
 
 
 def _from_swmat(obj) -> bool:
@@ -407,6 +413,8 @@ def test_pou_facts_match_reference(tmp_path):
         for name, text in (("indexed", _INDEXED_TARGET_ST), ("instances", _INSTANCE_CALLS_ST))
     ]
     for project in _reference_corpus(tmp_path) + extra:
+        # the facts parse_project keeps, next to the trees of the same sources
+        project = with_trees(project)
         accesses = reference_global_accesses(project)
         instance_calls = {pou.name: Counter() for pou in project.pous}
         for caller, callee, fb_type, instance in _resolved_calls(project):
@@ -439,31 +447,33 @@ def test_clone_pairs(tmp_path, name, clones):
 
 
 def _fingerprint_corpus(plant_dir, tmp_path):
-    """The fixture and 20 random projects, parsed."""
+    """The fixture and 20 random projects, parsed, with their trees put back."""
     projects = [parse_project(plant_dir)[0]]
     projects += [
         parse_project(random_project(tmp_path / f"random{seed}", seed))[0]
         for seed in range(20)
     ]
-    return projects
+    return [with_trees(project) for project in projects]
 
 
 def test_fingerprint_codes_hold_no_separator(plant_dir, tmp_path):
-    # detect_clones keys its groups by the codes joined with a space
+    # a fingerprint joins the codes with a space
     for project in _fingerprint_corpus(plant_dir, tmp_path):
         for pou in project.pous:
-            for code in clone_fingerprint(pou):
+            codes = _reference_codes(pou)
+            for code in codes:
                 assert code and " " not in code, (pou.name, code)
+            assert pou.fingerprint == " ".join(codes)
 
 
-@pytest.mark.parametrize("min_tokens", [1, 20])
+@pytest.mark.parametrize("min_tokens", [0, 1, 20])
 def test_clone_groups_equal_tuple_keyed_groups(plant_dir, tmp_path, min_tokens):
     for project in _fingerprint_corpus(plant_dir, tmp_path):
         by_tuple: dict[tuple[str, ...], list[str]] = {}
         for pou in project.pous:
-            fingerprint = clone_fingerprint(pou)
-            if len(fingerprint) >= min_tokens:
-                by_tuple.setdefault(fingerprint, []).append(pou.name)
+            codes = tuple(_reference_codes(pou))
+            if len(codes) >= min_tokens:
+                by_tuple.setdefault(codes, []).append(pou.name)
         groups = tuple(sorted(
             (tuple(sorted(names, key=str.lower)) for names in by_tuple.values() if len(names) > 1),
             key=lambda g: g[0].lower(),

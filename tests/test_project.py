@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import shutil
+import sys
 
 import pytest
 
 from swmat import model
 from swmat.cli import run
-from swmat.graphs import complexity
+from swmat.graphs import build_call_graph, build_global_comm_graph, complexity
 from swmat.model import (
     Assignment,
     CallResolution,
@@ -20,12 +21,13 @@ from swmat.model import (
     body_facts,
     validate_project,
 )
+from swmat.modularity import assess_project, detect_clones
 from swmat.project import (
     ProjectError,
     extract_global_accesses,
     parse_project,
 )
-from swmat.stparse import tokenize
+from swmat.stparse import SourceFile, parse_file, tokenize
 from synth import write_project
 
 
@@ -143,21 +145,100 @@ def test_duplicate_global_across_files_names_both_lines(tmp_path, capsys):
     )
 
 
+# two renamed copies with an action each, an empty function block, and
+# copies of exactly 20 and 19 codes, either side of the default minimum
+_CLONES_ST = """\
+FUNCTION_BLOCK Copy_A
+VAR
+  n : INT;
+END_VAR
+FOR n := 1 TO 10 BY 2 DO
+  IF n > 3 THEN
+    Drive_lib(x := n);
+  ELSE
+    n := n + 1;
+  END_IF;
+END_FOR;
+ACTION Reset
+  n := 0;
+END_ACTION
+END_FUNCTION_BLOCK
+FUNCTION_BLOCK Copy_B
+VAR
+  m : INT;
+END_VAR
+FOR m := 4 TO 8 BY 1 DO
+  IF m > 7 THEN
+    Drive_lib(y := m);
+  ELSE
+    m := m + 5;
+  END_IF;
+END_FOR;
+ACTION Clear
+  m := 9;
+END_ACTION
+END_FUNCTION_BLOCK
+FUNCTION_BLOCK Empty
+END_FUNCTION_BLOCK
+FUNCTION_BLOCK Twenty_A
+a := b; a := b; a := b; a := b; a := b;
+END_FUNCTION_BLOCK
+FUNCTION_BLOCK Twenty_B
+c := d; c := d; c := d; c := d; c := d;
+END_FUNCTION_BLOCK
+FUNCTION_BLOCK Nineteen_A
+a := b; a := b; a := -b; a := b + c;
+END_FUNCTION_BLOCK
+FUNCTION_BLOCK Nineteen_B
+c := d; c := d; c := -d; c := d + e;
+END_FUNCTION_BLOCK
+"""
+
+
 def test_parse_project_walks_each_body_once(plant_dir, tmp_path, monkeypatch):
     project_dir = tmp_path / "plant"
     shutil.copytree(plant_dir, project_dir)
     (project_dir / "externals.txt").write_text("Drive_lib vendor\n", encoding="utf-8")
+    (project_dir / "clones.st").write_text(_CLONES_ST, encoding="utf-8")
     walked = []
-    walk = model.walk
+    original = model.body_facts
 
-    def counting_walk(statements):
+    def counting_body_facts(statements):
         walked.append(statements)
-        return walk(statements)
+        return original(statements)
 
-    monkeypatch.setattr(model, "walk", counting_walk)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "swmat" and getattr(module, "body_facts", None) is original:
+            monkeypatch.setattr(module, "body_facts", counting_body_facts)
     project, _ = parse_project(project_dir)
+    assess_project(project, build_call_graph(project), build_global_comm_graph(project))
     assert any(pou.stub for pou in project.pous)
     assert len(walked) == len(project.pous)
+
+    # the POUs keep their facts and action names, not their trees
+    trees = {}
+    for path in sorted(project_dir.glob("*.st")):
+        result = parse_file(SourceFile(str(path), path.read_text(encoding="utf-8")))
+        trees.update((pou.name, pou) for pou in result.pous)
+    for pou in project.pous:
+        assert pou.statements == ()
+        assert all(action.body == () for action in pou.actions)
+        if not pou.stub:
+            assert [a.name for a in pou.actions] == [a.name for a in trees[pou.name].actions]
+    assert [a.name for a in project.pou("Copy_A").actions] == ["Reset"]
+    assert project.pou("Copy_A").call_sites[0].callee_text == "Drive_lib"
+
+    # the groups of equal code streams; at 0 the empty body and the stub group too
+    copies, twenty = ("Copy_A", "Copy_B"), ("Twenty_A", "Twenty_B")
+    short = (
+        ("Mode_Abort", "Mode_Automatic", "Mode_EmergencyStop", "Mode_Reinit", "Mode_Setup"),
+        ("Motor_Analogous", "Valve_Analogous"),
+        ("Nineteen_A", "Nineteen_B"),
+        ("Tank_Analogous", "Tank_Heat", "Tank_P"),
+    )
+    assert detect_clones(project, 0).groups == (copies, ("Drive_lib", "Empty"), *short, twenty)
+    assert detect_clones(project, 1).groups == (copies, *short, twenty)
+    assert detect_clones(project, 20).groups == (copies, twenty)
 
 
 @pytest.mark.parametrize("bad", ["b.st", "tasks.txt", "externals.txt"])
@@ -233,6 +314,15 @@ def test_walkers_handle_deep_nesting():
     assert complexity(pou) == depth + 1
     facts = body_facts(pou.statements)
     assert [c[0] for c in facts.calls] == ["Ready"] * depth + ["Check"]
+    codes = facts.fingerprint.split(" ")
+    # IF i ( ) THEN per level, the assignment, then END_IF ; per level
+    assert len(codes) == 7 * depth + 7
+    assert codes[:10] == ["IF", "i", "(", ")", "THEN"] * 2
+    assert codes[5 * depth - 5:5 * depth + 11] == [
+        "IF", "i", "(", ")", "THEN", "i", ":=", "i", "(", "i", ")", ";", "END_IF", ";",
+        "END_IF", ";",
+    ]
+    assert codes[-4:] == ["END_IF", ";"] * 2
     globals_ = {"gin": "gIn", "gout": "gOut"}
     assert extract_global_accesses(pou, globals_, facts.reads, facts.writes) == ({"gIn"}, {"gOut"})
     assert validate_project(Project("deep", (pou,))) == []
