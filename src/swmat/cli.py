@@ -173,9 +173,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _analyze(args: argparse.Namespace) -> int:
-    for output in (args.dot, args.globals_dot, args.assessment):
-        if output and Path(output).resolve().parent == Path(args.project_dir).resolve():
+    outputs = [output for output in (args.dot, args.globals_dot, args.assessment) if output]
+    for output in outputs:
+        if Path(output).resolve().parent == Path(args.project_dir).resolve():
             raise UsageError("output files must live outside the project directory")
+    # every output must be writable before the first one is written
+    for output in outputs:
+        path = Path(output)
+        if path.is_dir():
+            raise InputError(f"{output}: cannot write, it is a directory")
+        if not path.parent.is_dir():
+            raise InputError(f"{output}: cannot write, no directory {path.parent}")
     parsed, diagnostics = project.parse_project(args.project_dir)
     _print_diagnostics(diagnostics)
     if any(d.severity == "error" for d in diagnostics):

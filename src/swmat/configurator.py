@@ -26,7 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .model import IDENT, SCALAR, load_json, read_text
-from .stparse import tokenize
+from .stparse import is_identifier, tokenize
 
 MODE_CONSTANTS = (
     "PLCMODSETUP",
@@ -48,8 +48,7 @@ class ConfigError(Exception):
 
 def _check_name(name: str, what: str) -> None:
     """A generated name must read back as exactly one ST identifier."""
-    store, diags = tokenize(name)
-    if diags or store.codes != [IDENT] or store.texts != [name]:
+    if not is_identifier(name):
         raise ConfigError(f"{what} {name!r} is not an ST identifier")
 
 

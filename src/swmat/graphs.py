@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
+from itertools import chain, groupby
 
 from .model import CallResolution, CallSite, Pou, PouKind, Project, body_facts
 
@@ -327,22 +328,34 @@ def _global_edge_blocks(graph: GlobalCommGraph) -> Iterator[str]:
     """Edge lines in (writer, reader, global) ``str.lower`` order, one block
     of newline-ended lines per writer that has edges.
 
-    Each global's reader ends (`` -> "R" [label="g"];``) are rendered once
-    and shared by its writers.  Only an index from each writer to the globals
-    it writes is kept, so each writer gathers and sorts its own ends just
-    before its block is produced.
+    Each (reader, global) end (`` -> "R" [label="g"];``) is rendered once
+    and ranked once, by its place in the order of all ends.  A writer's ends
+    are then the ranks of the globals it writes, sorted as small ints.  The
+    ends whose reader is the writer itself hold one range of ranks, cut out
+    of the sorted ranks by bisection.
     """
-    ends: list[list[tuple[str, str, str]]] = []
+    ends: list[tuple[str, str, str, int]] = []
     written: dict[str, list[int]] = {}
-    for users in graph.globals:
+    for g, users in enumerate(graph.globals):
         key = users.name.lower()
         label = f" [label={_quote(users.name)}];"
         for writer in users.writers:
-            written.setdefault(writer, []).append(len(ends))
-        ends.append([(r.lower(), key, f" -> {_quote(r)}{label}") for r in users.readers])
+            written.setdefault(writer, []).append(g)
+        ends.extend((r.lower(), key, f" -> {_quote(r)}{label}", g) for r in users.readers)
+    ends.sort()
+    global_ranks: list[list[int]] = [[] for _ in graph.globals]
+    for rank, (_, _, _, g) in enumerate(ends):
+        global_ranks[g].append(rank)
+    reader_keys = [end[0] for end in ends]
+    rendered = [end[2] for end in ends]
+    del ends
     for writer in sorted(written, key=str.lower):
         own = writer.lower()
-        mine = sorted(end for g in written[writer] for end in ends[g] if end[0] != own)
+        mine = sorted(chain.from_iterable(map(global_ranks.__getitem__, written[writer])))
+        # the ranks of the writer's own reads
+        lo = bisect_left(mine, bisect_left(reader_keys, own))
+        hi = bisect_left(mine, bisect_right(reader_keys, own))
+        del mine[lo:hi]
         if mine:
             head = "  " + _quote(writer)
-            yield head + ("\n" + head).join(end for _, _, end in mine) + "\n"
+            yield head + ("\n" + head).join(map(rendered.__getitem__, mine)) + "\n"

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import add
@@ -46,6 +47,7 @@ from .model import (
     Pou,
     PouKind,
     SectionKind,
+    STRING,
     Statement,
     TokenKind,
     TokenSeq,
@@ -95,25 +97,78 @@ class ParseResult:
         return not any(d.severity == "error" for d in self.diagnostics)
 
 
-# One match per token, after the blanks, newlines and ``//`` comments ahead
-# of it.  Words and numbers are ASCII, as IEC 61131-3 identifiers are
-# (``re.ASCII`` makes ``\w`` ``[A-Za-z0-9_]``).  What the pattern leaves at a
-# token start goes to ``_scan_special``: ``(* *)`` comments, ``{}`` pragmas,
-# strings, and any other character, which is an error.  A typed literal's
-# tail (``T#5s``, ``TOD#12:30:00``) takes a ``:`` only before a digit, so the
-# colon after a typed CASE label such as ``INT#1:`` stays an operator.
-_TOKEN_RE = re.compile(
-    r"""
-    (?:[ \t\r\n]+ | //[^\n]*)*
-    (?:
-        (?P<word>[A-Za-z_]\w*)(?P<typed>\#(?:[\w.+\-]|:(?=[0-9]))*)?
-      | (?P<op>:=|<=|>=|<>|\.\.|=>|\*\*|\((?!\*)|[-+*/)\[\]<>=.,;:&\#%])
-      | (?P<number>[0-9][\w\#]*(?:\.[0-9]\w*)?)
-    )?
-    """,
+# ``tokenize`` splits a file into pieces, each a token, a comment, a pragma
+# or the opening of what ``_scan_special`` reads.  Words and numbers are
+# ASCII, as IEC 61131-3 identifiers are (``re.ASCII`` makes ``\w``
+# ``[A-Za-z0-9_]``).  A typed literal's tail (``T#5s``, ``TOD#12:30:00``)
+# takes a ``:`` only before a digit, so the colon after a typed CASE label
+# such as ``INT#1:`` stays an operator.  ``(*`` is a piece of its own, so its
+# ``(`` is never the operator.  The last alternative takes any other
+# non-blank character, so ``split`` leaves only blanks between pieces.
+_PIECES = r"""
+    (
+        {word}(?:\#(?:[\w.+\-]|:(?=[0-9]))*)?
+      | [0-9][\w\#]*(?:\.[0-9]\w*)?
+      {whole}
+      | // | \(\*
+      | :=|<=|>=|<>|\.\.|=>|\*\*|[-+*/()\[\]<>=.,;:&\#%]
+      | [^ \t\r\n]
+    )
+"""
+_WORD = r"[A-Za-z_]\w*"
+# A file is split with a ``//`` comment, an unnested ``(* *)`` comment, a
+# ``{}`` pragma and a closed string each as one piece: what ``_scan_special``
+# would read there.  A comment, pragma or string read from an opening piece
+# (a nested or open comment, say) can end inside a later piece, as in
+# ``(* (* a *) see http://x *) y``, which then was no piece: the rest of it
+# is split again with only openings as pieces, where nothing read can end
+# inside a piece.  So no character is split more than twice.
+_PIECE_RE = re.compile(
+    _PIECES.format(
+        word=_WORD,
+        whole=r"""
+          | //[^\n]* | \(\*(?:[^(*]|\((?!\*)|\*(?!\)))*\*\) | \{[^}]*\}
+          | '(?:[^'$\n]|\$[\s\S])*' | "(?:[^"$\n]|\$[\s\S])*"
+        """,
+    ),
     re.VERBOSE | re.ASCII,
 )
+_OPENING_PIECE_RE = re.compile(_PIECES.format(word=_WORD, whole=""), re.VERBOSE | re.ASCII)
+_IDENT_RE = re.compile(_WORD, re.ASCII)
 _COMMENT_DELIMITER = re.compile(r"\(\*|\*\)")
+
+# the code of a piece that is no token: a comment, a pragma, or the opening
+# of a comment, pragma or string, or a stray character
+_SPECIAL = "special"
+_FIXED_CODES = {
+    **{word: word for word in KEYWORDS},
+    **{op: op for op in (":=", "<=", ">=", "<>", "..", "=>", "**", *"-+*/()[]<>=.,;:&#%")},
+    **dict.fromkeys(("(*", "{", "'", '"'), _SPECIAL),
+}
+_WORD_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+
+
+class _Codes(dict):
+    """Piece text -> code, seeded with ``_FIXED_CODES``; any other piece is
+    classified the first time it is looked up.  One table per split, so it
+    holds one file's vocabulary at a time."""
+
+    def __missing__(self, piece: str) -> str:
+        first = piece[0]
+        if first in _WORD_START:
+            upper = piece.upper()
+            code = NUMBER if "#" in piece else intern(upper) if upper in KEYWORDS else IDENT
+        elif "0" <= first <= "9":
+            code = NUMBER
+        else:  # a lone quote is seeded, so a longer piece from one is a string
+            code = STRING if first in "'\"" else _SPECIAL
+        self[piece] = code
+        return code
+
+
+def is_identifier(name: str) -> bool:
+    """Whether ``tokenize`` reads ``name`` as exactly one identifier."""
+    return _IDENT_RE.fullmatch(name) is not None and name.upper() not in KEYWORDS
 
 
 def _line_starts(text: str) -> array:
@@ -127,60 +182,66 @@ def _line_starts(text: str) -> array:
 def tokenize(text: str, path: str = "<string>") -> tuple[TokenStore, list[Diagnostic]]:
     """Split source text into a store of tokens; comments are skipped."""
     store = TokenStore(_line_starts(text))
-    codes, texts = store.codes, store.texts
-    # the offsets go to a list and, at the end, into the 32-bit column at
-    # once: an array grown token by token passes its small buffers through
-    # every size class of the allocator, which raised the peak RSS of
-    # analyzing many small files
-    store.starts = starts = []
-    # each distinct word gets its code once.  Texts and keyword codes are
-    # interned: the spans of a parsed project keep every file's store alive,
-    # and the files repeat the same names, keywords, operators and literals.
-    # An identifier's upper-cased text is only looked up, never kept:
-    # interning it too grows the intern table and the peak RSS of analyze
-    seen: dict[str, tuple[str, str]] = {}
     diags: list[Diagnostic] = []
-    n = len(text)
-    pos = 0
-    while pos < n:
-        for m in _TOKEN_RE.finditer(text, pos):
-            group = m.lastgroup
-            if group == "word":
-                entry = seen.get(word := m.group(group))
-                if entry is None:
-                    word = intern(word)
-                    upper = word.upper()
-                    entry = seen[word] = (intern(upper) if upper in KEYWORDS else IDENT, word)
-                code, word = entry
-                codes.append(code)
-                starts.append(m.start(group))
-                texts.append(word)
-            elif group == "op":
-                token = intern(m.group(group))
-                codes.append(token)
-                starts.append(m.start(group))
-                texts.append(token)
-            elif group == "number" or group == "typed":
-                start = m.start("word" if group == "typed" else group)
-                token = text[start : m.end()]
-                codes.append(NUMBER)
-                starts.append(start)
-                texts.append(intern(token))
-            else:  # end of text, or a token for _scan_special
-                pos = m.end()
-                break
-        if pos >= n:
-            break
-        pos = _scan_special(text, pos, path, store, diags)
-    store.starts = array("I", starts)
+    _tokenize_span(text, 0, len(text), _PIECE_RE, path, store, diags)
     return store, diags
+
+
+def _tokenize_span(
+    text: str, start: int, stop: int, pattern: re.Pattern,
+    path: str, store: TokenStore, diags: list[Diagnostic],
+) -> int:
+    """Add the tokens of ``text[start:stop]``, split by ``pattern``, to
+    ``store``.  Return where reading goes on: ``stop``, or past it when a
+    comment, pragma or string read last runs on.
+
+    The codes, texts and offsets of the pieces are taken a whole run at a
+    time, up to the next piece that is no token.  That one is read from the
+    text where it stands, and the run goes on at the first piece after it.
+    """
+    parts = pattern.split(text[start:stop])  # blanks, piece, blanks, ..., piece, blanks
+    pieces = parts[1::2]
+    offsets = array("I", accumulate(map(len, parts), initial=start))[1:-1:2]
+    del parts
+    codes = list(map(_Codes(_FIXED_CODES).__getitem__, pieces))
+    end = len(codes)
+    codes.append(_SPECIAL)  # ends the last run
+    # texts and keyword codes are interned: the spans of a parsed project
+    # keep every file's store alive, and the files repeat the same names,
+    # keywords, operators and literals
+    add_codes, add_starts, add_texts = store.codes.extend, store.starts.extend, store.texts.extend
+    i = 0
+    resume = stop
+    while True:
+        j = codes.index(_SPECIAL, i)
+        add_codes(codes[i:j])
+        add_starts(offsets[i:j])
+        add_texts(map(intern, pieces[i:j]))
+        if j == end:
+            return max(resume, stop)
+        piece = pieces[j]
+        if len(piece) > 2 or piece == "{}":  # a whole comment or pragma
+            i = j + 1
+            continue
+        if piece == "//":
+            resume = text.find("\n", offsets[j])
+            if resume < 0:
+                resume = len(text)
+        else:
+            resume = _scan_special(text, offsets[j], path, store, diags)
+        k = bisect_left(offsets, resume, j + 1)
+        while (piece_end := offsets[k - 1] + len(pieces[k - 1])) > resume:
+            # what was read ended inside piece k - 1
+            resume = _tokenize_span(text, resume, piece_end, _OPENING_PIECE_RE, path, store, diags)
+            k = bisect_left(offsets, resume, k)
+        i = k
 
 
 def _scan_special(
     text: str, i: int, path: str, store: TokenStore, diags: list[Diagnostic],
 ) -> int:
     """Scan the comment, pragma or string at ``text[i]``; any other character
-    here, a non-ASCII one included, is an error, since ``_TOKEN_RE`` takes
+    here, a non-ASCII one included, is an error, since ``_PIECE_RE`` takes
     every ASCII word, number and operator.  Return the index after it."""
     n = len(text)
     ch = text[i]

@@ -10,10 +10,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
+from array import array
 from fractions import Fraction
 from pathlib import Path
 
+from swmat.graphs import GlobalCommGraph
 from swmat.model import (
+    IDENT,
+    NUMBER,
     AnswerMode,
     Assignment,
     CallStatement,
@@ -25,9 +30,10 @@ from swmat.model import (
     PouKind,
     Project,
     TokenKind,
+    TokenStore,
     WhileStatement,
 )
-from swmat.stparse import SourceFile, parse_file
+from swmat.stparse import KEYWORDS, SourceFile, _line_starts, _scan_special, parse_file
 from token_view import expand
 
 NormToken = tuple[TokenKind, str]
@@ -504,3 +510,86 @@ def clone_groups_reference(project: Project, min_tokens: int = 20) -> tuple[tupl
             by_stream.setdefault(stream, []).append(pou.name)
     groups = [sorted(names, key=str.lower) for names in by_stream.values() if len(names) > 1]
     return tuple(sorted((tuple(g) for g in groups), key=lambda g: g[0].lower()))
+
+
+# --- tokenizer --------------------------------------------------------------
+
+# One match per token, after the blanks, newlines and ``//`` comments ahead
+# of it; what the pattern leaves at a token start goes to ``_scan_special``.
+# This is the one-match-per-token tokenizer that ``stparse.tokenize``'s
+# single ``split`` replaced, kept as the reference for it.
+_TOKEN_RE = re.compile(
+    r"""
+    (?:[ \t\r\n]+ | //[^\n]*)*
+    (?:
+        (?P<word>[A-Za-z_]\w*)(?P<typed>\#(?:[\w.+\-]|:(?=[0-9]))*)?
+      | (?P<op>:=|<=|>=|<>|\.\.|=>|\*\*|\((?!\*)|[-+*/)\[\]<>=.,;:&\#%])
+      | (?P<number>[0-9][\w\#]*(?:\.[0-9]\w*)?)
+    )?
+    """,
+    re.VERBOSE | re.ASCII,
+)
+
+
+def reference_tokenize(text: str, path: str = "<string>") -> tuple[TokenStore, list]:
+    """Tokens of ``text``, one regex match per token, in a ``TokenStore``."""
+    store = TokenStore(_line_starts(text))
+    codes, texts = store.codes, store.texts
+    store.starts = starts = []  # ``_scan_special`` appends its strings here too
+    diags: list = []
+    n = len(text)
+    pos = 0
+    while pos < n:
+        for m in _TOKEN_RE.finditer(text, pos):
+            group = m.lastgroup
+            if group == "word":
+                word = m.group(group)
+                upper = word.upper()
+                codes.append(upper if upper in KEYWORDS else IDENT)
+                starts.append(m.start(group))
+                texts.append(word)
+            elif group == "op":
+                codes.append(m.group(group))
+                starts.append(m.start(group))
+                texts.append(m.group(group))
+            elif group == "number" or group == "typed":
+                start = m.start("word" if group == "typed" else group)
+                codes.append(NUMBER)
+                starts.append(start)
+                texts.append(text[start : m.end()])
+            else:  # end of text, or a token for _scan_special
+                pos = m.end()
+                break
+        if pos >= n:
+            break
+        pos = _scan_special(text, pos, path, store, diags)
+    store.starts = array("I", starts)
+    return store, diags
+
+
+# --- global communication DOT -------------------------------------------------
+
+
+def _dot_id(name: str) -> str:
+    escaped = "".join("\\" + c if c in '\\"' else c for c in name)
+    return f'"{escaped}"'
+
+
+def reference_global_dot_lines(graph: GlobalCommGraph) -> list[str]:
+    """The edge lines of the global DOT, by brute force: every writer x
+    reader pair of each global whose names differ in lower case, sorted by
+    writer, reader and global in lower case, then by the line.  Writers
+    equal in lower case keep the order they first appear in."""
+    first_seen: dict[str, int] = {}
+    for users in graph.globals:
+        for writer in users.writers:
+            first_seen.setdefault(writer, len(first_seen))
+    edges = []
+    for users in graph.globals:
+        for writer in users.writers:
+            for reader in users.readers:
+                if reader.lower() != writer.lower():
+                    line = f"  {_dot_id(writer)} -> {_dot_id(reader)} [label={_dot_id(users.name)}];"
+                    key = (writer.lower(), first_seen[writer], reader.lower(), users.name.lower())
+                    edges.append((key, line))
+    return [line for _, line in sorted(edges)]

@@ -161,6 +161,21 @@ def test_analyze_dot_names_the_directory(tmp_path, monkeypatch, capsys):
     assert json.loads((tmp_path / "a.json").read_text(encoding="utf-8"))["project"] == "plant"
 
 
+@pytest.mark.parametrize("bad", ["nodir/o.json", "d"])
+def test_analyze_unwritable_output_exits_2_before_writing(tmp_path, monkeypatch, capsys, bad):
+    """An output in a missing directory, or one that is a directory, is
+    named and fails the command before any other output is written."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    argv = ["analyze", str(FIXTURES / "filling_plant"), "--dot", "d/x.dot"]
+    flag = "--assessment" if bad.endswith(".json") else "--globals-dot"
+    assert run([*argv, flag, bad]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}: cannot write" in err and "Traceback" not in err
+    assert list((tmp_path / "d").iterdir()) == []
+    assert not (tmp_path / "nodir").exists()
+
+
 def test_analyze_governance_flags(tmp_path):
     assessment = tmp_path / "a.json"
     code = run(

@@ -10,6 +10,7 @@ from oracles import (
     brute_force_call_edges,
     brute_force_global_edges,
     brute_force_instance_edges,
+    reference_global_dot_lines,
     with_trees,
 )
 from swmat import graphs
@@ -441,3 +442,86 @@ def test_dot_chunks_hold_one_writer_at_a_time():
         tracemalloc.stop()
     assert size > 5_000_000
     assert peak < 1_000_000
+
+
+# --- global DOT order -----------------------------------------------------------
+
+
+def _hand_built_graphs() -> dict[str, GlobalCommGraph]:
+    """Graphs no parsed project makes: names that collide in lower case,
+    globals out of order, writers that read their own globals, and globals
+    with no reader or no writer."""
+    graphs_ = {
+        "case-colliding": (
+            GlobalUsers("Speed", ("Ctl", "ctl", "Aux"), ("ctl", "Log", "log", "aux", "CTL")),
+            GlobalUsers("speed", ("Log", "Ctl"), ("Ctl", "log", "Aux")),
+            GlobalUsers("SPEED", ("aux",), ("Aux", "AUX", "b", 'we"ird\\')),
+        ),
+        "unsorted globals": (
+            GlobalUsers("zeta", ("B", "A"), ("C", "A")),
+            GlobalUsers("Alpha", ("C",), ("B", "a", "A")),
+            GlobalUsers("mid", ("A", "C"), ("c", "B")),
+        ),
+        "own reads": (
+            GlobalUsers("g", ("A", "B"), ("A", "B")),
+            GlobalUsers("h", ("A",), ("a",)),
+        ),
+        "no readers or writers": (
+            GlobalUsers("lonely_w", ("A",), ()),
+            GlobalUsers("lonely_r", (), ("B",)),
+            GlobalUsers("g", ("A",), ("B",)),
+        ),
+    }
+    rng = random.Random(7)
+    names = ["A", "a", "B", "b", "Cc", "cC", "d"]
+    for seed in range(40):
+        globals_ = tuple(
+            GlobalUsers(rng.choice(["g", "G", "h", "x1", "X1"]),
+                        tuple(rng.sample(names, rng.randint(0, 4))),
+                        tuple(rng.sample(names, rng.randint(0, 5))))
+            for _ in range(rng.randint(0, 5))
+        )
+        graphs_[f"random {seed}"] = globals_
+    return {
+        name: GlobalCommGraph(
+            tuple(dict.fromkeys(n for u in users for n in (*u.writers, *u.readers))), users
+        )
+        for name, users in graphs_.items()
+    }
+
+
+def test_global_dot_matches_the_brute_force_order():
+    for name, graph in _hand_built_graphs().items():
+        chunks = list(dot_chunks(graph))
+        lines = reference_global_dot_lines(graph)
+        assert emit_dot(graph) == chunks[0] + "".join(f"{line}\n" for line in lines) + "}\n", name
+        assert len(lines) == graph.edge_count, name
+        # one chunk per writer with edges, writers equal in lower case apart
+        writers = list(dict.fromkeys(line.split(" -> ")[0] for line in lines))
+        assert [chunk.splitlines()[0].split(" -> ")[0] for chunk in chunks[1:-1]] == writers, name
+        for chunk in chunks[1:-1]:
+            assert len({line.split(" -> ")[0] for line in chunk.splitlines()}) == 1, name
+
+
+def test_global_dot_quotes_per_name_not_per_edge(monkeypatch):
+    """Each node, global and reader end is quoted once, and each writer once
+    per block: the calls grow with nodes and incidences, not with edges."""
+    calls = 0
+    quote = graphs._quote
+
+    def counting(text):
+        nonlocal calls
+        calls += 1
+        return quote(text)
+
+    monkeypatch.setattr(graphs, "_quote", counting)
+    for k in (10, 40):
+        writers = tuple(f"W{i}" for i in range(k))
+        readers = tuple(f"R{i}" for i in range(k))
+        users = tuple(GlobalUsers(f"g{i}", writers, readers + writers[:2]) for i in range(3))
+        graph = GlobalCommGraph(writers + readers, users)
+        incidences = sum(len(u.writers) + len(u.readers) for u in users)
+        calls = 0
+        text = emit_dot(graph)
+        assert text.count(" -> ") == graph.edge_count > k * k
+        assert calls <= 1 + len(graph.nodes) + len(users) + incidences

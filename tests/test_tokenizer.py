@@ -1,25 +1,31 @@
-"""Differential tests: the regex tokenizer against the character-by-character one.
+"""Differential tests: the split tokenizer against two references.
 
-``_reference_tokenize`` is the tokenizer ``stparse.tokenize`` replaced, kept
-here as the reference: tokens (kind, text, line, col) and diagnostics must
-be identical on every input.  The store ``tokenize`` returns is compared
+``_reference_tokenize`` is the character-by-character tokenizer, kept here
+as the reference: tokens (kind, text, line, col) and diagnostics must be
+identical on every input.  The store ``tokenize`` returns is compared
 through ``token_view``, which computes each token's line and col.  The
 reference's changes since are the typed-literal colon rule, made in both,
 and ASCII character classes: identifiers and numbers are ASCII, so any
 other character outside a comment, pragma or string is an ``unexpected
 character`` error in both.
+
+``oracles.reference_tokenize`` is the one-match-per-token regex tokenizer
+that the single ``split`` replaced; its columns (codes, texts, offsets)
+and rendered diagnostics must be identical to ``tokenize``'s.
 """
 
 from __future__ import annotations
 
 import string
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from swmat.model import Diagnostic, TokenKind, TokenStore
+from swmat.model import IDENT, Diagnostic, TokenKind, TokenStore
 from swmat import stparse
-from swmat.stparse import KEYWORDS, tokenize
+from swmat.stparse import KEYWORDS, is_identifier, tokenize
+from oracles import reference_tokenize
 from synth import random_project
 from token_view import Token, tokens_of
 
@@ -271,3 +277,92 @@ def test_codes_and_kinds_are_in_bijection(plant_dir, tmp_path):
             again.add(store.kind(i), token, start)
         assert again.codes == store.codes, text
     assert kinds == set(TokenKind)
+
+
+def _assert_same_columns(text: str) -> None:
+    store, diags = tokenize(text, "t.st")
+    ref, ref_diags = reference_tokenize(text, "t.st")
+    assert store.codes == ref.codes
+    assert store.texts == ref.texts
+    assert store.starts == ref.starts
+    assert [d.render() for d in diags] == [d.render() for d in ref_diags]
+
+
+# whole pieces of ST that a comment, pragma or string may start, end or
+# hold, spliced in any order
+_SPLICES = [
+    "(* a *)", "(* (* nested *) still *)", "(* never closed", "*)", "(*", "(*)",
+    "{ pragma }", "{ open", "}", "'it$'s'", "'a $$ b'", "'open", "$'", '"dq"', '"',
+    "// line comment", "http://x", "(* see http://x *)", "'// in a string'",
+    "{ http://x }", "(* (* a *) http://x *)", "{ '*) }", "'*)'", "'a$\nb'", "(* x { *)",
+    "\r\n", "\n", "\t", " ", "é", "²", "Ⅻ", "@",
+    "INT#1:", "T#5s", "TOD#12:30:00", "16#FF", "1.5e3", "1..5",
+    "x", "End_If", ":=", "(", ")", "*", "/", ";", ":", "#", ".",
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_SPLICES), max_size=30).map("".join))
+@example("x // (* not a comment\n(* // not a line comment *) y")
+@example("(* http://a *)(* http://b *) z := 1; // tail")
+@example("'a // b' (* c *) { d // e } f")
+@example("(* (* *) 'a *) b // c' d\ne")
+@example("(* (* *) { *) '(* x *) // y' z }")
+def test_tokenize_matches_the_regex_reference(text):
+    _assert_same_columns(text)
+
+
+def test_tokenize_matches_the_regex_reference_on_projects(plant_dir, tmp_path):
+    """Every ``.st`` file under ``tests/`` and generated projects."""
+    tests = Path(__file__).parent
+    dirs = [random_project(tmp_path / f"random{seed}", seed) for seed in range(20)]
+    paths = sorted(tests.rglob("*.st")) + [path for d in dirs for path in sorted(d.glob("*.st"))]
+    assert plant_dir / "main.st" in paths
+    for path in paths:
+        _assert_same_columns(path.read_text(encoding="utf-8"))
+
+
+def test_a_comment_on_every_line_keeps_tokenizing_linear(monkeypatch):
+    """A ``(* *)`` comment with ``//`` inside it on each of 20k lines, every
+    other one nested, so it ends inside what was split as a ``//`` comment:
+    the piece patterns are handed each character at most twice."""
+    text = "(* http://x *) a := 1;\n(* (* *) http://x *) a := 1;\n" * 10_000
+    handed = 0
+
+    class Counting:
+        def __init__(self, pattern):
+            self.pattern = pattern
+
+        def split(self, string):
+            nonlocal handed
+            handed += len(string)
+            # fail at once rather than wait out a quadratic tokenizer
+            assert handed <= 2 * len(text), "the piece patterns rescan the text"
+            return self.pattern.split(string)
+
+    for name in ("_PIECE_RE", "_OPENING_PIECE_RE"):
+        monkeypatch.setattr(stparse, name, Counting(getattr(stparse, name)))
+    store, diags = tokenize(text)
+    assert diags == [] and len(store) == 4 * 20_000
+    assert handed > len(text)  # the nested comments' lines were split again
+
+
+_NAMES = st.one_of(
+    st.sampled_from(sorted(KEYWORDS)).map(lambda w: "".join(
+        c.lower() if i % 2 else c for i, c in enumerate(w))),
+    st.sampled_from(sorted(KEYWORDS)),
+    st.sampled_from(["", " ", "x ", " x", "a b", "\t", "x\n", "T#5s", "INT#1", "x#",
+                     "16#FF", "1abc", "9", "_", "_1", "é", "aé", "Förderband", "x(*",
+                     "a.b", "a:=1", "'s'", "x//y", "{p}"]),
+    st.text(alphabet=string.ascii_letters + string.digits + "_#:. é²\t", max_size=8),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_NAMES)
+def test_is_identifier_agrees_with_tokenize(name):
+    """A name is an identifier exactly when ``tokenize`` reads it as one
+    identifier token with the name's own text and no diagnostic."""
+    store, diags = tokenize(name)
+    reads_as_one = not diags and store.codes == [IDENT] and store.texts == [name]
+    assert is_identifier(name) == reads_as_one
