@@ -388,9 +388,10 @@ def generate_parameter_project(pp: ParameterProject) -> GeneratedProject:
                 continue
             global_name = f"{name}_{column}"
             _check_name(global_name, f"row {index}: parameter global")
-            value = row.get(column, "")
+            value = row.get(column, "").strip()
+            type_name = _guess_type(value)
             globals_lines.append(
-                (f"  {global_name} : {_guess_type(value)} := {_st_literal(value)};",
+                (f"  {global_name} : {type_name} := {_st_literal(value, type_name)};",
                  Provenance.CONFIG)
             )
     globals_lines.append(("END_VAR", Provenance.CONFIG))
@@ -409,19 +410,24 @@ def generate_parameter_project(pp: ParameterProject) -> GeneratedProject:
     return GeneratedProject(tuple(files))
 
 
+# numbers in ASCII digits, as the tokenizer reads them: other digits make a STRING
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+_REAL_RE = re.compile(r"[+-]?[0-9]+\.[0-9]+")
+
+
 def _guess_type(value: str) -> str:
-    text = value.strip()
-    if re.fullmatch(r"[+-]?\d+", text):
+    """The ST type of a stripped parameter value."""
+    if _INT_RE.fullmatch(value):
         return "INT"
-    if re.fullmatch(r"[+-]?\d+\.\d+", text):
+    if _REAL_RE.fullmatch(value):
         return "REAL"
-    if text.upper() in ("TRUE", "FALSE"):
+    if value.upper() in ("TRUE", "FALSE"):
         return "BOOL"
     return "STRING"
 
 
-def _st_literal(value: str) -> str:
-    text = value.strip()
-    if _guess_type(text) == "STRING":
-        return "'" + text.replace("'", "$'") + "'"
-    return text.upper() if text.upper() in ("TRUE", "FALSE") else text
+def _st_literal(value: str, type_name: str) -> str:
+    """A stripped parameter value as a literal of its type from ``_guess_type``."""
+    if type_name == "STRING":
+        return "'" + value.replace("'", "$'") + "'"
+    return value.upper() if type_name == "BOOL" else value

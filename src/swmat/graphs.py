@@ -10,17 +10,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, groupby
 
-from .model import CallResolution, CallSite, Pou, PouKind, Project, body_facts
+from .model import CallResolution, CallSite, Pou, PouKind, Project
 
 
 def complexity(pou: Pou) -> int:
-    """Statements + decision points (``model.body_facts``) over the body and all actions.
-
-    This reads the statement trees, so it is meant for ``stparse.parse_file``
-    results; a POU of ``parse_project`` holds none and carries its
-    ``complexity`` already.
-    """
-    return body_facts(pou.all_statements()).complexity
+    """Statements + decision points over the body and all actions, as the
+    parser recorded them (``stparse.Parser``)."""
+    return pou.complexity
 
 
 @dataclass(frozen=True)

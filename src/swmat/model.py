@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 from sys import intern
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Union
 
 
 class PouKind(Enum):
@@ -107,111 +107,6 @@ class TokenStore:
         return self.locate(self.starts[i])
 
 
-class TokenSeq:
-    """An expression as parsed: tokens ``start`` up to ``end`` of ``store``.
-
-    Readers index the store's columns over ``range(start, end)``.  Two
-    sequences are equal when their tokens agree in code, text, line and col,
-    whichever stores hold them.
-    """
-
-    __slots__ = ("store", "start", "end")
-
-    def __init__(self, store: TokenStore, start: int, end: int) -> None:
-        self.store = store
-        self.start = start
-        self.end = end
-
-    def __len__(self) -> int:
-        return self.end - self.start
-
-    def _content(self) -> tuple:
-        store, start, end = self.store, self.start, self.end
-        return (store.codes[start:end], store.texts[start:end],
-                [store.position(i) for i in range(start, end)])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TokenSeq):
-            return NotImplemented
-        return self._content() == other._content()
-
-    def __hash__(self) -> int:
-        return hash(tuple(self.store.texts[self.start:self.end]))
-
-    def __repr__(self) -> str:
-        return f"TokenSeq({' '.join(self.store.texts[self.start:self.end])!r})"
-
-
-@dataclass(frozen=True, slots=True)
-class Assignment:
-    # target holds the full lvalue token sequence (base ident, member/index tokens)
-    target: TokenSeq
-    value: TokenSeq
-    line: int
-    col: int
-
-
-@dataclass(frozen=True, slots=True)
-class CallStatement:
-    callee: str
-    args: TokenSeq
-    line: int
-    col: int
-
-
-@dataclass(frozen=True, slots=True)
-class IfBranch:
-    condition: TokenSeq
-    body: tuple["Statement", ...]
-
-
-@dataclass(frozen=True, slots=True)
-class IfStatement:
-    branches: tuple[IfBranch, ...]
-    else_body: tuple["Statement", ...]
-    line: int
-    col: int
-
-
-@dataclass(frozen=True, slots=True)
-class CaseBranch:
-    labels: tuple[str, ...]
-    body: tuple["Statement", ...]
-
-
-@dataclass(frozen=True, slots=True)
-class CaseStatement:
-    selector: TokenSeq
-    branches: tuple[CaseBranch, ...]
-    else_body: tuple["Statement", ...]
-    line: int
-    col: int
-
-
-@dataclass(frozen=True, slots=True)
-class ForStatement:
-    var: str
-    start: TokenSeq
-    stop: TokenSeq
-    step: TokenSeq
-    body: tuple["Statement", ...]
-    line: int
-    col: int
-
-
-@dataclass(frozen=True, slots=True)
-class WhileStatement:
-    condition: TokenSeq
-    body: tuple["Statement", ...]
-    line: int
-    col: int
-
-
-Statement = Union[
-    Assignment, CallStatement, IfStatement, CaseStatement, ForStatement, WhileStatement
-]
-
-
 @dataclass(frozen=True, slots=True)
 class VarDecl:
     name: str
@@ -229,7 +124,6 @@ class VarSection:
 @dataclass(frozen=True, slots=True)
 class ActionDef:
     name: str
-    body: tuple[Statement, ...]
     line: int = 0
 
 
@@ -260,13 +154,13 @@ class Pou:
     kind: PouKind
     return_type: str | None = None
     var_sections: tuple[VarSection, ...] = ()
-    statements: tuple[Statement, ...] = ()
     actions: tuple[ActionDef, ...] = ()
     call_sites: tuple[CallSite, ...] = ()
     global_reads: frozenset[str] = frozenset()
     global_writes: frozenset[str] = frozenset()
+    # statements + decision points, and the clone fingerprint, of the body
+    # and its actions, as the parser records them (``stparse``)
     complexity: int = 0
-    # the body's clone fingerprint (``body_facts``), filled by ``parse_project``
     fingerprint: str = ""
     span: LineSpan = LineSpan(1, 1)
     stub: bool = False
@@ -279,10 +173,6 @@ class Pou:
             for decl in section.decls:
                 out[decl.name.lower()] = decl
         return out
-
-    def all_statements(self) -> tuple[Statement, ...]:
-        """Top-level statements of the body, then of each action in order."""
-        return self.statements + tuple(s for a in self.actions for s in a.body)
 
 
 @dataclass(frozen=True)
@@ -604,142 +494,24 @@ class Diagnostic:
 
 
 class BodyFacts(NamedTuple):
-    calls: list[tuple[str, int, int]]
-    reads: set[str]
-    writes: set[str]
-    complexity: int
-    fingerprint: str
+    """What a POU's body and actions say, before names are resolved; the
+    parser records it in source order, the body's before each action's.
 
-
-def body_facts(statements: Sequence[Statement]) -> BodyFacts:
-    """Calls, read and written names, complexity and clone fingerprint of a
-    statement tree, in one walk.
-
-    * ``calls``: each syntactic call occurrence as (callee text, line, col),
-      in source order: call statements and every dotted path followed by
-      '(' inside an expression.
+    * ``calls``: each syntactic call occurrence as (callee text, line, col):
+      call statements and every dotted path followed by '(' inside an
+      expression.
     * ``writes``: the base identifier of each assignment target, and each
       FOR loop counter.
     * ``reads``: the base of every other dotted path that is not called; the
       index expressions inside an assignment target are reads.
-    * ``complexity``: statements + decision points.  Every assignment and
-      call statement counts once, and so does every IF, every ELSIF, every
-      CASE branch label and every loop header.  The metric is a deliberately
-      simple proxy that grows with both size and branching; swap it out here
-      if a better one exists for your codebase.
-    * ``fingerprint``: the token codes of the statements in source order,
-      joined by a space, which no code holds.  Identifiers, numbers and
-      strings each have one code (``IDENT``), so renamed copies compare
-      equal.
 
-    Names keep their spelling; resolving them against declarations is the
-    caller's job.  An explicit stack, which also holds the closing codes
-    that follow a block's body, keeps nesting depth away from Python's
-    recursion limit.
+    Names keep their spelling, as keys in the order first seen; resolving
+    them against declarations is the caller's job.
     """
-    calls: list[tuple[str, int, int]] = []
-    reads: set[str] = set()
-    writes: set[str] = set()
-    complexity = 0
-    out: list[str] = []
 
-    def scan(seq: TokenSeq, target: bool = False) -> None:
-        """Append the codes of ``seq`` and note its calls and reads; the base
-        of a ``target`` is the write, its index expressions are reads."""
-        store = seq.store
-        codes, texts = store.codes, store.texts
-        start = i = seq.start
-        end = seq.end
-        out.extend(codes[start:end])
-        while i < end:
-            if codes[i] != IDENT:
-                i += 1
-                continue
-            j = i + 1  # past the dotted path a.b.c starting at i
-            while j + 1 < end and codes[j] == "." and codes[j + 1] == IDENT:
-                j += 2
-            if j < end and codes[j] == "(":
-                calls.append((".".join(texts[i:j:2]), *store.position(i)))
-            elif not (target and i == start):
-                reads.add(texts[i])
-            i = j
-
-    stack: list = list(reversed(statements))
-    while stack:
-        node = stack.pop()
-        kind = type(node)
-        if kind is tuple:  # the codes that close a block
-            out += node
-        elif kind is Assignment:
-            complexity += 1
-            target = node.target
-            if target and target.store.codes[target.start] == IDENT:
-                writes.add(target.store.texts[target.start])
-            scan(target, True)
-            out.append(":=")
-            scan(node.value)
-            out.append(";")
-        elif kind is CallStatement:
-            complexity += 1
-            calls.append((node.callee, node.line, node.col))
-            out.append(IDENT)
-            out += [".", IDENT] * node.callee.count(".")
-            out.append("(")
-            scan(node.args)
-            out += (")", ";")
-        elif kind is IfStatement:
-            stack.append(("END_IF", ";"))
-            if node.else_body:
-                stack += reversed(node.else_body)
-                stack.append(("ELSE",))
-            for k in range(len(node.branches) - 1, -1, -1):
-                stack += (node.branches[k], ("ELSIF",) if k else ("IF",))
-        elif kind is IfBranch:
-            complexity += 1
-            scan(node.condition)
-            out.append("THEN")
-            stack += reversed(node.body)
-        elif kind is CaseStatement:
-            out.append("CASE")
-            scan(node.selector)
-            out.append("OF")
-            stack.append(("END_CASE", ";"))
-            if node.else_body:
-                stack += reversed(node.else_body)
-                stack.append(("ELSE",))
-            stack += reversed(node.branches)
-        elif kind is CaseBranch:
-            complexity += len(node.labels)
-            for k, label in enumerate(node.labels):
-                if k:
-                    out.append(",")
-                for j, piece in enumerate(label.split("..")):
-                    if j:
-                        out.append("..")
-                    out.append(NUMBER if piece[:1].isdigit() else IDENT)
-            out.append(":")
-            stack += reversed(node.body)
-        elif kind is ForStatement:
-            complexity += 1
-            writes.add(node.var)
-            out += ("FOR", IDENT, ":=")
-            scan(node.start)
-            out.append("TO")
-            scan(node.stop)
-            if node.step:
-                out.append("BY")
-                scan(node.step)
-            out.append("DO")
-            stack.append(("END_FOR", ";"))
-            stack += reversed(node.body)
-        else:  # WhileStatement
-            complexity += 1
-            out.append("WHILE")
-            scan(node.condition)
-            out.append("DO")
-            stack.append(("END_WHILE", ";"))
-            stack += reversed(node.body)
-    return BodyFacts(calls, reads, writes, complexity, " ".join(out))
+    calls: list[tuple[str, int, int]]
+    reads: dict[str, None]
+    writes: dict[str, None]
 
 
 def validate_project(project: Project) -> list[Diagnostic]:

@@ -17,7 +17,6 @@ from collections.abc import Iterable
 from pathlib import Path
 
 from .model import (
-    ActionDef,
     BodyFacts,
     CallResolution,
     CallSite,
@@ -29,7 +28,6 @@ from .model import (
     Project,
     SourceRef,
     TaskDef,
-    body_facts,
     validate_project,
 )
 from .stparse import SourceFile, parse_file
@@ -71,7 +69,7 @@ def build_symbol_table(pous: list[Pou], globals_: list[GlobalVar]) -> SymbolTabl
 def extract_call_sites(
     pou: Pou, table: SymbolTable, calls: Iterable[tuple[str, int, int]]
 ) -> list[CallSite]:
-    """Resolve a POU's call occurrences (``body_facts(...).calls``) against the table.
+    """Resolve a POU's call occurrences (``BodyFacts.calls``) against the table.
 
     Resolution never fails: names that match nothing become EXTERNAL sites.
     """
@@ -107,7 +105,7 @@ def extract_call_sites(
 def extract_global_accesses(
     pou: Pou, globals_: dict[str, str], reads: Iterable[str], writes: Iterable[str]
 ) -> tuple[set[str], set[str]]:
-    """The globals among a POU's read and written names (``body_facts``), as declared.
+    """The globals among a POU's read and written names (``BodyFacts``), as declared.
 
     Locally declared names shadow globals of the same name.
     """
@@ -188,10 +186,8 @@ def _read_text(path: Path, diagnostics: list[Diagnostic]) -> str | None:
 def parse_project(directory: str | Path, name: str | None = None) -> tuple[Project, list[Diagnostic]]:
     """Parse a project directory into a resolved, validated Project.
 
-    Each POU keeps the facts of its body (call sites, global accesses,
-    complexity, clone fingerprint) but not its statement trees: its
-    ``statements`` and action bodies are empty.  ``stparse.parse_file`` and
-    ``parse_source`` return the trees.
+    Each POU keeps the facts of its body, as the parser recorded them, with
+    its call sites and global accesses resolved.
 
     Raises ProjectError when there is no directory or no source file in it.
     Every other problem comes back as a diagnostic next to the project; a
@@ -212,24 +208,13 @@ def parse_project(directory: str | Path, name: str | None = None) -> tuple[Proje
     origin: dict[str, SourceRef] = {}  # lower-cased POU name -> where declared
     source_index: dict[str, SourceRef] = {}
 
-    def add(pou: Pou) -> None:
-        # the facts are taken while the file's token store is alive; without
-        # the trees that span it, the store is freed with its file
-        facts.append(body_facts(pou.all_statements()))
-        pous.append(dataclasses.replace(
-            pou,
-            statements=(),
-            actions=tuple(ActionDef(a.name, (), a.line) for a in pou.actions),
-            fingerprint=facts[-1].fingerprint,
-        ))
-
     for path in st_files:
         text = _read_text(path, diagnostics)
         if text is None:
             continue
         result = parse_file(SourceFile(str(path), text))
         diagnostics.extend(result.diagnostics)
-        for pou in result.pous:
+        for pou, body in zip(result.pous, result.facts):
             key = pou.name.lower()
             if key in origin:
                 first = origin[key]
@@ -243,7 +228,8 @@ def parse_project(directory: str | Path, name: str | None = None) -> tuple[Proje
                 )
                 continue
             origin[key] = source_index[pou.name] = SourceRef(str(path), pou.span)
-            add(pou)
+            pous.append(pou)
+            facts.append(body)
         for g in result.globals:
             key = g.name.lower()
             if key in global_origin:
@@ -276,7 +262,8 @@ def parse_project(directory: str | Path, name: str | None = None) -> tuple[Proje
                     group=group,
                 )
                 source_index[stub_name] = SourceRef(str(externals_path), LineSpan(1, 1))
-                add(stub)
+                pous.append(stub)
+                facts.append(BodyFacts([], {}, {}))
                 continue
             diagnostics.append(
                 Diagnostic(
@@ -311,7 +298,6 @@ def parse_project(directory: str | Path, name: str | None = None) -> tuple[Proje
                 call_sites=tuple(sites),
                 global_reads=frozenset(reads),
                 global_writes=frozenset(writes),
-                complexity=body.complexity,
             )
         )
 

@@ -10,14 +10,14 @@ parallel lists of codes, start offsets and texts, which the parser reads
 directly.  A token's code tells its kind and, for keywords and operators,
 which one it is (see ``model.IDENT``).  Line and col are not stored per
 token; they are computed on demand, by bisecting the offsets where lines
-start, for what carries a position: diagnostics, statement heads, call
-sites and POU spans.
+start, for what carries a position: diagnostics, call sites and POU spans.
 
-Expressions are not built into operator trees; each is kept as a
-``TokenSeq``, a span of the store, which is all the downstream analyses
-need.  On a syntax error the parser records a diagnostic and resynchronizes
-at the next END_* or POU keyword, so one broken POU does not hide the rest
-of a file.
+Statements are not built into trees: as the parser descends through a POU
+body it records what the analyses need (calls, reads, writes, complexity
+and the clone fingerprint), so the store is freed with its file.  On a
+syntax error the parser records a diagnostic, drops what the failed
+statement recorded and resynchronizes at the next END_* or POU keyword, so
+one broken POU does not hide the rest of a file.
 """
 
 from __future__ import annotations
@@ -25,36 +25,27 @@ from __future__ import annotations
 import re
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from operator import add
 from sys import intern
 
 from .model import (
     ActionDef,
-    Assignment,
-    CallStatement,
-    CaseBranch,
-    CaseStatement,
+    BodyFacts,
     Diagnostic,
-    ForStatement,
     GlobalVar,
     IDENT,
-    IfBranch,
-    IfStatement,
     LineSpan,
     NUMBER,
     Pou,
     PouKind,
     SectionKind,
     STRING,
-    Statement,
     TokenKind,
-    TokenSeq,
     TokenStore,
     VarDecl,
     VarSection,
-    WhileStatement,
 )
 
 KEYWORDS = {
@@ -78,6 +69,23 @@ POU_END = {"END_FUNCTION_BLOCK", "END_PROGRAM", "END_FUNCTION"}
 _POU_BOUNDARY = POU_START | POU_END
 _LABEL_CODES = (NUMBER, IDENT)  # what a CASE label is made of
 
+# what nests in an expression or ends it, for ``Parser.capture_expression``:
+# an index in an assignment target nests and ends only at square brackets or
+# the end of input (None), a call's arguments at either bracket, and any
+# other expression also at ';' or a structural keyword
+_OPEN, _CLOSE, _STOP, _END = range(4)
+_INDEX_ROLES = {"[": _OPEN, "]": _CLOSE, None: _END}
+_ARGS_ROLES = {**_INDEX_ROLES, "(": _OPEN, ")": _CLOSE}
+_EXPR_ROLES = {
+    **_ARGS_ROLES,
+    **dict.fromkeys(
+        {";", "THEN", "DO", "OF", "TO", "BY", "END_IF", "END_CASE", "END_FOR", "END_WHILE",
+         "ELSE", "ELSIF", "ACTION", "END_ACTION", "END_VAR"}
+        | POU_END | POU_START | set(SectionKind.__members__),
+        _STOP,
+    ),
+}
+
 
 @dataclass(frozen=True)
 class SourceFile:
@@ -91,6 +99,8 @@ class ParseResult:
     globals: list[GlobalVar]
     diagnostics: list[Diagnostic]
     partial: list[str]  # names of POUs whose body was only partly recovered
+    # each POU's calls, reads and writes as written, parallel to ``pous``
+    facts: list[BodyFacts] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -313,6 +323,16 @@ class Parser:
         self.texts = store.texts
         # the token codes, with a None slot for the end of input
         self._codes: list[str | None] = [*store.codes, None]
+        self.facts: list[BodyFacts] = []  # one per POU parsed
+        # the facts of the body being parsed: the calls and the fingerprint's
+        # codes in source order, and the names read and written as the keys
+        # of dicts, in the order first seen (``parse_pou`` takes a failed
+        # statement's back out)
+        self.calls: list[tuple[str, int, int]] = []
+        self.out: list[str] = []
+        self.reads: dict[str, None] = {}
+        self.writes: dict[str, None] = {}
+        self.complexity = 0
 
     # -- token helpers
 
@@ -438,7 +458,7 @@ class Parser:
                 # a recovery point we cannot use must still be consumed
                 if self.pos == loop_start and not self.at_end():
                     self.take()
-        return ParseResult(pous, globals_, self.diagnostics, self.partial)
+        return ParseResult(pous, globals_, self.diagnostics, self.partial, self.facts)
 
     def parse_global_block(self) -> list[GlobalVar]:
         self.expect_keyword("VAR_GLOBAL")
@@ -462,10 +482,13 @@ class Parser:
             return_type = self.parse_type_text()
 
         sections: list[VarSection] = []
-        statements: list[Statement] = []
         actions: list[ActionDef] = []
+        action_facts: list[tuple[list, list]] = []  # each action's calls and codes
         declared: set[str] = set()  # lower-cased names of all sections so far
         partial = False
+        calls, out = self.calls, self.out = [], []
+        reads, writes = self.reads, self.writes = {}, {}
+        self.complexity = 0
 
         while True:
             word = self._codes[self.pos]
@@ -480,16 +503,24 @@ class Parser:
                           self.line(self.pos))
                 break
             loop_start = self.pos
+            # a statement or action that fails leaves no fact behind
+            n_calls, n_out, n_reads, n_writes = len(calls), len(out), len(reads), len(writes)
+            complexity = self.complexity
             try:
-                if self.at_op(";"):
+                if word == ";":
                     self.skip_empty_statements()
                 elif word in SectionKind.__members__:  # VAR_GLOBAL ended the POU above
                     sections.append(self.parse_var_section(self.texts[name], declared))
                 elif word == "ACTION":
-                    actions.append(self.parse_action())
+                    actions.append(self.parse_action(action_facts))
                 else:
-                    statements.append(self.parse_statement())
+                    self.parse_statement()
             except _ParseFailure as failure:
+                del calls[n_calls:], out[n_out:]
+                for names, n in ((reads, n_reads), (writes, n_writes)):
+                    while len(names) > n:
+                        names.popitem()
+                self.complexity = complexity
                 self.error(failure)
                 partial = True
                 self.skip_to_recovery_point(not isinstance(failure, _NestingTooDeep))
@@ -504,24 +535,37 @@ class Parser:
 
         if partial:
             self.partial.append(self.texts[name])
+        for action_calls, action_out in action_facts:  # the actions' facts follow the body's
+            calls += action_calls
+            out += action_out
+        self.facts.append(BodyFacts(calls, reads, writes))
         return Pou(
             name=self.texts[name],
             kind=kind,
             return_type=return_type,
             var_sections=tuple(sections),
-            statements=tuple(statements),
             actions=tuple(actions),
+            complexity=self.complexity,
+            fingerprint=" ".join(out),
             span=LineSpan(self.line(head), self.line(self.pos - 1)),
         )
 
-    def parse_action(self) -> ActionDef:
+    def parse_action(self, action_facts: list[tuple[list, list]]) -> ActionDef:
+        """An ACTION block; its calls and codes go to ``action_facts``, apart
+        from the body's, and its reads, writes and complexity to the POU's."""
         head = self.expect_keyword("ACTION")
         name = self.expect_ident()
         if self.at_op(":"):
             self.take()
-        body = self.parse_statements_until("END_ACTION")
-        self.take()
-        return ActionDef(self.texts[name], tuple(body), self.line(head))
+        calls, out = self.calls, self.out
+        self.calls, self.out = [], []
+        try:
+            self.parse_statements_until("END_ACTION")
+            self.take()
+            action_facts.append((self.calls, self.out))
+        finally:
+            self.calls, self.out = calls, out
+        return ActionDef(self.texts[name], self.line(head))
 
     # -- declarations
 
@@ -640,38 +684,62 @@ class Parser:
         return " ".join(self.texts[start:pos])
 
     # -- statements
+    #
+    # Statements are parsed into the facts of the POU body that holds them,
+    # recorded in source order as the parser descends; no statement tree is
+    # built.  Beside ``model.BodyFacts`` there are two:
+    #
+    # * complexity: statements + decision points.  Every assignment and call
+    #   statement adds one, and so do every IF and ELSIF branch, every CASE
+    #   label and every loop header: a deliberately simple proxy that grows
+    #   with both size and branching.
+    # * the clone fingerprint: the token codes of the statements, joined by
+    #   a space, which no code holds.  Identifiers, numbers and strings each
+    #   have one code, so renamed copies compare equal.  A block always ends
+    #   in its END_* code and ';', a call statement in ')' ';'; an ELSE is
+    #   there only before a statement, and a CASE label piece is NUMBER if
+    #   its text starts with a digit, IDENT otherwise.
 
-    _EXPR_STOP_KEYWORDS = {
-        "THEN", "DO", "OF", "TO", "BY", "END_IF", "END_CASE", "END_FOR",
-        "END_WHILE", "ELSE", "ELSIF", "END_ACTION",
-    } | POU_END | POU_START | set(SectionKind.__members__) | {"END_VAR", "ACTION"}
-
-    def capture_expression(self, stop_keywords: set[str] | None = None) -> TokenSeq:
-        """Capture tokens up to ';' or a structural keyword at bracket depth 0."""
-        stops = stop_keywords or self._EXPR_STOP_KEYWORDS
-        codes = self._codes
-        start = pos = self.pos
-        end = self.end
+    def capture_expression(self, roles: dict = _EXPR_ROLES) -> int:
+        """Move to where the expression at ``pos`` ends, by ``roles``, and
+        return that index: the first ';' or structural keyword at bracket
+        depth 0, a closer that closes no bracket opened in it, or the end of
+        input.  On the way, record each dotted path followed by '(' as a
+        call and the base of any other path as read."""
+        codes, texts, reads = self._codes, self.texts, self.reads
+        pos = self.pos
         depth = 0
-        while pos < end:
+        while True:
             code = codes[pos]
-            if code in ("(", "["):
+            if code == IDENT:
+                j = pos + 1  # past the dotted path; the end of input is no '.'
+                while codes[j] == "." and codes[j + 1] == IDENT:
+                    j += 2
+                if codes[j] == "(":
+                    self.calls.append((".".join(texts[pos:j:2]), *self.store.position(pos)))
+                else:
+                    reads[texts[pos]] = None
+                pos = j
+                continue
+            role = roles.get(code)
+            if role is None:
+                pass
+            elif role == _OPEN:
                 depth += 1
-            elif code in (")", "]"):
-                if depth == 0:
+            elif role == _CLOSE:
+                if not depth:
                     break
                 depth -= 1
-            elif depth == 0 and (code == ";" or code in stops):
+            elif role == _END or not depth:
                 break
             pos += 1
         self.pos = pos
-        return TokenSeq(self.store, start, pos)
+        return pos
 
-    def require_expression(self, stop_keywords: set[str] | None = None) -> TokenSeq:
-        tokens = self.capture_expression(stop_keywords)
-        if not tokens:
+    def require_expression(self) -> None:
+        start = self.pos
+        if self.capture_expression() == start:
             raise _ParseFailure("expected an expression", self.here())
-        return tokens
 
     def skip_empty_statements(self) -> None:
         # every caller of parse_statement skips these next, so a block or call
@@ -681,105 +749,125 @@ class Parser:
             pos += 1
         self.pos = pos
 
-    def parse_statement(self) -> Statement:
-        if self.pos >= self.end:
-            raise _ParseFailure("expected a statement", None)
-        parse_block = _BLOCK_PARSERS.get(self._codes[self.pos])
-        if parse_block is not None:
-            if self.depth >= MAX_NESTING:
-                raise _NestingTooDeep(
-                    f"{self.texts[self.pos]} nested more than {MAX_NESTING} blocks deep",
-                    self.pos,
-                )
-            self.depth += 1
-            try:
-                return parse_block(self)
-            finally:
-                self.depth -= 1
-        if self._codes[self.pos] == IDENT:
+    def parse_statement(self) -> None:
+        pos = self.pos
+        code = self._codes[pos]
+        if code == IDENT:
             return self.parse_simple_statement()
-        raise _ParseFailure(f"unexpected token {self.texts[self.pos]!r}", self.pos)
+        parse_block = _BLOCK_PARSERS.get(code)
+        if parse_block is None:
+            if pos >= self.end:
+                raise _ParseFailure("expected a statement", None)
+            raise _ParseFailure(f"unexpected token {self.texts[pos]!r}", pos)
+        if self.depth >= MAX_NESTING:
+            raise _NestingTooDeep(
+                f"{self.texts[pos]} nested more than {MAX_NESTING} blocks deep", pos
+            )
+        self.depth += 1
+        try:
+            parse_block(self)
+        finally:
+            self.depth -= 1
 
-    def parse_simple_statement(self) -> Statement:
-        first = self.expect_ident()
-        while self.at_op("."):
-            self.pos += 1
-            self.expect_ident()
-        if self.at_op("("):
+    def parse_simple_statement(self) -> None:
+        codes = self._codes
+        first = pos = self.pos
+        pos += 1
+        while codes[pos] == ".":
+            if codes[pos + 1] != IDENT:
+                self.pos = pos + 1
+                raise self.expected("identifier")
+            pos += 2
+        if codes[pos] == "(":
             # a plain call statement: name(...) ;
-            callee = "".join(self.texts[first : self.pos])
-            start = self.pos = self.pos + 1
-            if self.match_bracket(")]", "([") is None:
+            self.calls.append(("".join(self.texts[first:pos]), *self.store.position(first)))
+            self.pos = pos + 1
+            close = self.capture_expression(_ARGS_ROLES)
+            if codes[close] is None:
                 raise _ParseFailure("unterminated call argument list", first)
-            args = TokenSeq(self.store, start, self.pos)
-            self.pos += 1
-            return CallStatement(callee, args, *self.store.position(first))
+            self.pos = close + 1
+            self.complexity += 1
+            out = self.out
+            out += codes[first:close]
+            out += (")", ";")
+            return
         # otherwise an assignment; indexes may appear on the target path
-        while self.at_op("["):
-            self.pos += 1
-            if self.match_bracket("]", "[") is None:
+        while codes[pos] == "[":
+            self.pos = pos + 1
+            pos = self.capture_expression(_INDEX_ROLES)
+            if codes[pos] is None:
                 raise _ParseFailure("unterminated index expression", first)
-            self.pos += 1
-            while self.at_op("."):
-                self.pos += 1
-                self.expect_ident()
-        target = TokenSeq(self.store, first, self.pos)
+            pos += 1
+            if codes[pos] == "." and codes[pos + 1] == IDENT:
+                # the member after an index reads as a name, as in an expression
+                self.reads[self.texts[pos + 1]] = None
+            while codes[pos] == ".":
+                if codes[pos + 1] != IDENT:
+                    self.pos = pos + 1
+                    raise self.expected("identifier")
+                pos += 2
+        self.pos = pos
         self.expect_op(":=")
-        value = self.require_expression()
+        self.writes[self.texts[first]] = None
+        self.require_expression()
         self.expect_op(";")
-        return Assignment(target, value, *self.store.position(first))
+        self.complexity += 1
+        self.out += codes[first : self.pos]
 
-    def parse_if(self) -> IfStatement:
-        head = self.expect_keyword("IF")
-        branches: list[IfBranch] = []
-        condition = self.require_expression()
-        self.expect_keyword("THEN")
-        body = self.parse_statements_until("ELSIF", "ELSE", "END_IF")
-        branches.append(IfBranch(condition, tuple(body)))
-        else_body: list[Statement] = []
-        while self.at_keyword("ELSIF"):
-            self.take()
-            condition = self.require_expression()
+    def parse_if(self) -> None:
+        head = self.pos
+        while True:  # IF, then each ELSIF: condition THEN body
+            self.pos += 1
+            self.require_expression()
             self.expect_keyword("THEN")
-            body = self.parse_statements_until("ELSIF", "ELSE", "END_IF")
-            branches.append(IfBranch(condition, tuple(body)))
+            self.complexity += 1
+            self.out += self._codes[head : self.pos]
+            self.parse_statements_until("ELSIF", "ELSE", "END_IF")
+            if not self.at_keyword("ELSIF"):
+                break
+            head = self.pos
         if self.at_keyword("ELSE"):
             self.take()
-            else_body = self.parse_statements_until("END_IF")
+            self.parse_else("END_IF")
         self.expect_keyword("END_IF")
-        return IfStatement(tuple(branches), tuple(else_body), *self.store.position(head))
+        self.out += ("END_IF", ";")
 
-    def parse_case(self) -> CaseStatement:
-        head = self.expect_keyword("CASE")
-        selector = self.require_expression()
+    def parse_else(self, stop: str) -> None:
+        """The body after an ELSE, up to ``stop``; ELSE is recorded only
+        before a statement."""
+        out = self.out
+        out.append("ELSE")
+        before = len(out)
+        self.parse_statements_until(stop)
+        if len(out) == before:
+            out.pop()
+
+    def parse_case(self) -> None:
+        head = self.take()
+        self.require_expression()
         self.expect_keyword("OF")
-        branches: list[CaseBranch] = []
-        else_body: list[Statement] = []
+        self.out += self._codes[head : self.pos]
         while True:
             if self.at_keyword("END_CASE"):
                 self.take()
                 break
             if self.at_keyword("ELSE"):
                 self.take()
-                else_body = self.parse_statements_until("END_CASE")
+                self.parse_else("END_CASE")
                 self.expect_keyword("END_CASE")
                 break
             if self.at_end():
                 raise _ParseFailure("missing END_CASE", head)
-            labels = self.parse_case_labels()
-            body: list[Statement] = []
+            self.parse_case_labels()
             self.skip_empty_statements()
             while not (
                 self.at_keyword("END_CASE", "ELSE")
                 or self.at_case_label()
                 or self.at_end()
             ):
-                body.append(self.parse_statement())
+                self.parse_statement()
                 self.skip_empty_statements()
-            branches.append(CaseBranch(tuple(labels), tuple(body)))
-        return CaseStatement(
-            selector, tuple(branches), tuple(else_body), *self.store.position(head)
-        )
+        self.out += ("END_CASE", ";")
 
     def at_case_label(self) -> bool:
         """Lookahead: label (',' label)* ':', where a label is an atom or
@@ -804,7 +892,7 @@ class Parser:
             raise _ParseFailure(message, self.here())
         return self.texts[self.take()]
 
-    def parse_case_labels(self) -> list[str]:
+    def parse_case_labels(self) -> None:
         labels: list[str] = []
         while True:
             label = self.take_case_label("expected a case label")
@@ -816,43 +904,54 @@ class Parser:
                 self.take()
                 continue
             self.expect_op(":")
-            return labels
+            break
+        self.complexity += len(labels)
+        out = self.out
+        for k, label in enumerate(labels):
+            if k:
+                out.append(",")
+            for j, piece in enumerate(label.split("..")):
+                if j:
+                    out.append("..")
+                out.append(NUMBER if piece[:1].isdigit() else IDENT)
+        out.append(":")
 
-    def parse_for(self) -> ForStatement:
-        head = self.expect_keyword("FOR")
-        var = self.texts[self.expect_ident()]
+    def parse_for(self) -> None:
+        head = self.take()
+        var = self.expect_ident()
         self.expect_op(":=")
-        start = self.require_expression()
+        self.require_expression()
         self.expect_keyword("TO")
-        stop = self.require_expression()
+        self.require_expression()
         if self.at_keyword("BY"):
             self.take()
-            step = self.require_expression()
-        else:
-            step = TokenSeq(self.store, self.pos, self.pos)
+            self.require_expression()
         self.expect_keyword("DO")
-        body = self.parse_statements_until("END_FOR")
+        self.complexity += 1
+        self.writes[self.texts[var]] = None
+        self.out += self._codes[head : self.pos]
+        self.parse_statements_until("END_FOR")
         self.expect_keyword("END_FOR")
-        return ForStatement(var, start, stop, step, tuple(body), *self.store.position(head))
+        self.out += ("END_FOR", ";")
 
-    def parse_while(self) -> WhileStatement:
-        head = self.expect_keyword("WHILE")
-        condition = self.require_expression()
+    def parse_while(self) -> None:
+        head = self.take()
+        self.require_expression()
         self.expect_keyword("DO")
-        body = self.parse_statements_until("END_WHILE")
+        self.complexity += 1
+        self.out += self._codes[head : self.pos]
+        self.parse_statements_until("END_WHILE")
         self.expect_keyword("END_WHILE")
-        return WhileStatement(condition, tuple(body), *self.store.position(head))
+        self.out += ("END_WHILE", ";")
 
-    def parse_statements_until(self, *stop_keywords: str) -> list[Statement]:
-        body: list[Statement] = []
+    def parse_statements_until(self, *stop_keywords: str) -> None:
         codes = self._codes
         self.skip_empty_statements()
         while codes[self.pos] not in stop_keywords:
             if self.at_end():
                 raise _ParseFailure(f"expected {' or '.join(stop_keywords)}", None)
-            body.append(self.parse_statement())
+            self.parse_statement()
             self.skip_empty_statements()
-        return body
 
 
 _BLOCK_PARSERS = {
@@ -864,7 +963,8 @@ _BLOCK_PARSERS = {
 
 
 def parse_file(source: SourceFile) -> ParseResult:
-    """Parse one ST source file into POUs and global variable declarations."""
+    """Parse one ST source file into POUs, the facts of their bodies and
+    global variable declarations."""
     store, lex_diags = tokenize(source.text, source.path)
     parser = Parser(store, source.path)
     result = parser.parse_file()

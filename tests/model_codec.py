@@ -1,9 +1,7 @@
 """A tagged JSON codec for `swmat.model` values, used by the round-trip tests.
 
 Every dataclass and enum defined in `swmat.model` is registered by name, so
-`from_jsonable(to_jsonable(value)) == value` for any model value.  A
-`TokenSeq` is written as its tokens with their positions and read back as a
-span over a new store (see `token_view`).
+`from_jsonable(to_jsonable(value)) == value` for any model value.
 """
 
 from __future__ import annotations
@@ -14,8 +12,6 @@ from fractions import Fraction
 from typing import Any, Mapping
 
 import swmat.model
-from swmat.model import TokenKind, TokenSeq
-from token_view import Token, expand, seq_of
 
 _MODEL_CLASSES: dict[str, type] = {}
 _ENUM_CLASSES: dict[str, type] = {}
@@ -37,8 +33,6 @@ def to_jsonable(obj: Any) -> Any:
         return {"$frac": str(obj)}
     if isinstance(obj, Enum):
         return {"$enum": type(obj).__name__, "value": obj.value}
-    if isinstance(obj, TokenSeq):
-        return {"$seq": [[t.kind.value, t.text, t.line, t.col] for t in expand(obj)]}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
     if isinstance(obj, frozenset):
@@ -64,9 +58,6 @@ def from_jsonable(data: Any) -> Any:
             return Fraction(data["$frac"])
         if "$enum" in data:
             return _ENUM_CLASSES[data["$enum"]](data["value"])
-        if "$seq" in data:
-            return seq_of(*(Token(TokenKind(kind), text, line, col)
-                            for kind, text, line, col in data["$seq"]))
         if "$set" in data:
             return frozenset(from_jsonable(v) for v in data["$set"])
         if "$map" in data:

@@ -2,8 +2,8 @@
 
 Everything here is written naively on purpose: plain loops over the statement
 tree with local name resolution, no sharing of the resolution code under test.
-``parse_project`` keeps no statement trees, so the project oracles read the
-trees that ``with_trees`` takes from ``parse_file`` of the same sources.
+The runtime keeps no statement trees, so the project oracles read the trees
+that ``with_trees`` takes from ``tree_parser.parse_file`` of the same sources.
 """
 
 from __future__ import annotations
@@ -20,21 +20,26 @@ from swmat.model import (
     IDENT,
     NUMBER,
     AnswerMode,
-    Assignment,
-    CallStatement,
-    CaseStatement,
     Category,
-    ForStatement,
-    IfStatement,
     Pou,
     PouKind,
     Project,
     TokenKind,
     TokenStore,
-    WhileStatement,
 )
-from swmat.stparse import KEYWORDS, SourceFile, _line_starts, _scan_special, parse_file
+from swmat.stparse import KEYWORDS, SourceFile, _line_starts, _scan_special
 from token_view import expand
+from tree_parser import (
+    Assignment,
+    CallStatement,
+    CaseStatement,
+    ForStatement,
+    IfStatement,
+    TreePou,
+    WhileStatement,
+    parse_file,
+    tree_pou,
+)
 
 NormToken = tuple[TokenKind, str]
 
@@ -101,27 +106,30 @@ def _paths(tokens):
 
 
 def with_trees(project: Project) -> Project:
-    """``project`` with each parsed POU's statement trees put back, taken from
-    ``parse_file`` of the file its ``source_index`` names; stubs stay as they are."""
+    """``project`` with each POU a ``TreePou``: a parsed POU's statement trees
+    taken from ``tree_parser.parse_file`` of the file its ``source_index``
+    names, a stub's empty."""
     parsed: dict[str, dict] = {}
     pous = []
     for pou in project.pous:
-        if not pou.stub:
-            path = project.source_index[pou.name].path
-            if path not in parsed:
-                source = SourceFile(path, Path(path).read_text(encoding="utf-8"))
-                parsed[path] = {(p.name, p.span): p for p in parse_file(source).pous}
-            tree = parsed[path][pou.name, pou.span]
-            pou = dataclasses.replace(pou, statements=tree.statements, actions=tree.actions)
-        pous.append(pou)
+        if pou.stub:
+            pous.append(tree_pou(pou, (), ()))
+            continue
+        path = project.source_index[pou.name].path
+        if path not in parsed:
+            source = SourceFile(path, Path(path).read_text(encoding="utf-8"))
+            parsed[path] = {(p.name, p.span): p for p in parse_file(source).pous}
+        tree = parsed[path][pou.name, pou.span]
+        pous.append(tree_pou(pou, tree.statements, tree.actions))
     return dataclasses.replace(project, pous=tuple(pous))
 
 
 def _pou_bodies(pou: Pou):
-    bodies = [pou.statements, *(action.body for action in pou.actions)]
     # a POU from parse_project has a fingerprint but no trees
-    assert any(bodies) or not pou.fingerprint, f"{pou.name}: no trees; use with_trees"
-    yield from bodies
+    assert isinstance(pou, TreePou) or not pou.fingerprint, f"{pou.name}: no trees; use with_trees"
+    if isinstance(pou, TreePou):
+        yield pou.statements
+        yield from (action.body for action in pou.actions)
 
 
 def reference_call_occurrences(pou: Pou) -> list[str]:

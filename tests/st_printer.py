@@ -12,7 +12,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from oracles import reference_statement_stream
-from swmat.model import Pou, Statement, TokenKind
+from swmat.model import TokenKind
+from tree_parser import Statement, TreePou
 
 
 def statement_stream(statements: Sequence[Statement]) -> list[tuple[TokenKind, str]]:
@@ -40,7 +41,7 @@ def _render_stream(stream: list[tuple[TokenKind, str]]) -> str:
     return "\n".join(lines)
 
 
-def format_pou(pou: Pou) -> str:
+def format_pou(pou: TreePou) -> str:
     """Emit a POU back as Structured Text, without what the model does not keep.
 
     Dropped are comments and layout, ``AT`` addresses, RETAIN/PERSISTENT
@@ -67,7 +68,7 @@ def format_pou(pou: Pou) -> str:
     return "\n".join(p for p in parts if p) + "\n"
 
 
-def pou_signature(pou: Pou) -> tuple:
+def pou_signature(pou: TreePou) -> tuple:
     """Position-free structural projection of a POU, for equality checks.
 
     It sees what ``format_pou`` prints, so it ignores the same dropped parts.

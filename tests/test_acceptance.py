@@ -34,15 +34,14 @@ from swmat.model import (
     Grade,
     GovernanceLevel,
     StructureStyle,
-    body_facts,
     validate_project,
 )
 from swmat.modularity import assessment_score, classify_structure_style
 from swmat.project import parse_project
 from swmat.reporting import RadarSeries, RadarSpec, emit_radar_svg
-from swmat.stparse import parse_source
 from st_printer import statement_stream
 from synth import chain_project, random_project, star_project
+from tree_parser import body_facts, parse_source
 from test_configurator import (
     BASE_HELPER,
     BASE_MAIN,

@@ -797,6 +797,46 @@ def test_configure_parameter_mode(tmp_path):
     assert run(["analyze", str(out)]) == 0
 
 
+def test_configure_parameter_types_take_ascii_digits_only(tmp_path):
+    # digits of another script are no ST number: the value becomes a STRING,
+    # which the tokenizer reads, so the generated project analyzes clean
+    templates_dir = tmp_path / "templates"
+    templates_dir.mkdir()
+    (templates_dir / "part.st.tpl").write_text(
+        "FUNCTION_BLOCK @{name}\nVAR\n  label : STRING := '@{label}';\nEND_VAR\n"
+        "END_FUNCTION_BLOCK\n",
+        encoding="utf-8",
+    )
+    (templates_dir / "main.st").write_text(
+        "PROGRAM Main\nVAR\n  cycle : INT;\nEND_VAR\ncycle := cycle + 1;\nEND_PROGRAM\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "parts.csv").write_text(
+        "name,count,offset,ratio,on,label\nPart0,12,-3,1.5,TRUE,\u0661\u0662\n",
+        encoding="utf-8",
+    )
+    config_path = tmp_path / "config.json"
+    config_path.write_text(
+        json.dumps({"template": "part", "invariable": ["main.st"], "table": "parts.csv"}),
+        encoding="utf-8",
+    )
+    out = tmp_path / "generated"
+    code = run(
+        ["configure", "--mode", "parameter", "--templates", str(templates_dir),
+         "--config", str(config_path), "--out", str(out)]
+    )
+    assert code == 0
+    declarations = (out / "parameters_globals.st").read_text(encoding="utf-8").splitlines()
+    assert declarations[1:-1] == [
+        "  Part0_count : INT := 12;",
+        "  Part0_offset : INT := -3;",
+        "  Part0_ratio : REAL := 1.5;",
+        "  Part0_on : BOOL := TRUE;",
+        "  Part0_label : STRING := '\u0661\u0662';",
+    ]
+    assert run(["analyze", str(out)]) == 0
+
+
 def test_usage_error_exit_1(capsys):
     assert run(["score"]) == 1  # --answers missing
     assert run(["no-such-command"]) == 1

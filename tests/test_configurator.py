@@ -21,10 +21,10 @@ from swmat.configurator import (
     specificity_ratio,
 )
 from swmat.graphs import build_call_graph
-from swmat.model import CaseStatement, validate_project
+from swmat.model import validate_project
 from swmat.project import parse_project
-from swmat.stparse import parse_source
 from st_printer import statement_stream
+from tree_parser import CaseStatement, parse_source
 
 FILLER_TEMPLATE = """FUNCTION_BLOCK Filler
 VAR_INPUT

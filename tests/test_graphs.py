@@ -10,6 +10,7 @@ from oracles import (
     brute_force_call_edges,
     brute_force_global_edges,
     brute_force_instance_edges,
+    reference_complexity,
     reference_global_dot_lines,
     with_trees,
 )
@@ -26,8 +27,9 @@ from swmat.graphs import (
     node_width,
 )
 from swmat.project import parse_project
-from swmat.stparse import parse_source
+from swmat.stparse import SourceFile, parse_file, parse_source
 from synth import chain_project, random_project, star_project, write_project
+from test_golden import MIXED_ST
 
 
 def _pou(text: str):
@@ -62,6 +64,23 @@ def test_complexity_loops_count_as_decisions():
     )
     # two loop headers + two assignments + the FOR counter assignment is the header's
     assert complexity(pou) == 4
+
+
+def test_complexity_of_parsed_and_assembled_pous(plant_dir, tmp_path):
+    # parse_file and parse_project give each POU the complexity that the
+    # reference walk counts in its statement trees, actions included
+    mixed = write_project(tmp_path / "mixed", {"mixed.st": MIXED_ST})
+    for directory in (plant_dir, mixed):
+        project, _ = parse_project(directory)
+        parsed = {}
+        for path in sorted(directory.glob("*.st")):
+            source = SourceFile(str(path), path.read_text(encoding="utf-8"))
+            parsed.update((pou.name, pou) for pou in parse_file(source).pous)
+        assert any(pou.actions for pou in parsed.values()) or directory == plant_dir
+        for pou, tree in zip(project.pous, with_trees(project).pous):
+            assert complexity(pou) == complexity(parsed[pou.name]) == (
+                reference_complexity(tree)
+            ), pou.name
 
 
 def test_single_pou_graph(tmp_path):
@@ -309,7 +328,7 @@ def test_call_graph_reads_stored_complexity(tmp_path):
     project, _ = parse_project(tmp_path)
     nodes = build_call_graph(project).node_map()
     assert {p.name: nodes[p.name].complexity for p in project.pous} == {
-        p.name: complexity(p) for p in with_trees(project).pous
+        p.name: reference_complexity(p) for p in with_trees(project).pous
     } == {"a": 2, "Drive_lib": 0}
 
 

@@ -19,7 +19,7 @@ from swmat.model import (
     validate_project,
 )
 from swmat.project import parse_project
-from swmat.stparse import parse_source
+from swmat.stparse import parse_source, tokenize
 from model_codec import from_jsonable, to_jsonable
 from oracles import with_trees
 from synth import write_project
@@ -126,11 +126,12 @@ def test_default_schema_is_valid(schema):
     assert schema.scored_ids() == tuple(range(15, 40))
 
 
-# built once per statement or declaration, so they carry no ``__dict__``
+# built once per declaration, action or call site, so they carry no
+# ``__dict__``; the statement nodes of the reference trees neither
 SLOTTED = (
-    "Assignment", "CallStatement", "IfBranch", "IfStatement", "CaseBranch",
-    "CaseStatement", "ForStatement", "WhileStatement",
     "VarDecl", "VarSection", "ActionDef", "CallSite", "LineSpan",
+    "Assignment", "CallStatement", "IfBranch", "IfStatement", "CaseBranch",
+    "CaseStatement", "ForStatement", "WhileStatement", "TreeAction",
 )
 
 
@@ -150,13 +151,14 @@ def test_per_statement_nodes_have_no_dict(plant_dir, tmp_path):
     mixed = write_project(tmp_path / "mixed", {"mixed.st": MIXED_ST})
     found: dict[str, object] = {}
     for directory in (plant_dir, mixed):
-        _model_values(with_trees(parse_project(directory)[0]).pous, found)
+        project = parse_project(directory)[0]
+        _model_values(project.pous + with_trees(project).pous, found)
     for name in SLOTTED:
         assert name in found, name
         assert not hasattr(found[name], "__dict__"), name
 
 
 def test_line_starts_are_machine_integers():
-    store = parse_source("PROGRAM p\nx := 1;\nEND_PROGRAM\n").pous[0].statements[0].value.store
+    store, _ = tokenize("PROGRAM p\nx := 1;\nEND_PROGRAM\n")
     assert isinstance(store.line_starts, array)
     assert list(store.line_starts) == [0, 10, 18, 30]

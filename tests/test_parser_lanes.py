@@ -6,7 +6,8 @@ a store: it walks a list of ``token_view.Token``, each helper reads the
 token's kind and text per call, brackets are matched by one hand-written
 loop per construct, and keywords map to ``PouKind``/``SectionKind`` through
 tables.  Its expressions are tuples of tokens; ``token_view.expanded``
-turns the spans of ``stparse``'s result into the same.  Since then it has
+turns the spans of the tree parser's result (``tree_parser``, which also
+checks the facts ``stparse`` records) into the same.  Since then it has
 only learnt to report a POU's duplicate declaration at the second name.
 ``_reference_format_pou`` is the matching printer.  On every input both
 must give equal POUs, globals, diagnostics (line and col included), partial
@@ -21,31 +22,34 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from swmat.model import (
-    ActionDef,
-    Assignment,
-    CallStatement,
-    CaseBranch,
-    CaseStatement,
     Diagnostic,
-    ForStatement,
     GlobalVar,
-    IfBranch,
-    IfStatement,
     LineSpan,
-    Pou,
     PouKind,
     SectionKind,
-    Statement,
     TokenKind,
     VarDecl,
     VarSection,
-    WhileStatement,
 )
-from swmat.stparse import POU_END, POU_START, ParseResult, parse_source, tokenize
+from swmat.stparse import POU_END, POU_START, ParseResult, tokenize
 from st_printer import format_pou, pou_signature, statement_stream
 from synth import random_project
 from test_golden import MIXED_ST
 from token_view import Token, expanded, tokens_of
+from tree_parser import (
+    Assignment,
+    CallStatement,
+    CaseBranch,
+    CaseStatement,
+    ForStatement,
+    IfBranch,
+    IfStatement,
+    Statement,
+    TreeAction,
+    TreePou,
+    WhileStatement,
+    parse_source,
+)
 
 _PLANT = Path(__file__).parent / "fixtures" / "filling_plant"
 
@@ -210,7 +214,7 @@ class _ReferenceParser:
     # -- file level
 
     def parse_file(self) -> ParseResult:
-        pous: list[Pou] = []
+        pous: list[TreePou] = []
         globals_: list[GlobalVar] = []
         while self.peek() is not None:
             loop_start = self.pos
@@ -241,7 +245,7 @@ class _ReferenceParser:
         decls = self.parse_decl_list()
         return [GlobalVar(d.name, d.type_name, d.init, constant) for d in decls]
 
-    def parse_pou(self) -> Pou:
+    def parse_pou(self) -> TreePou:
         head = self.take()
         kind_word = head.text.upper()
         kind = {
@@ -258,7 +262,7 @@ class _ReferenceParser:
 
         sections: list[VarSection] = []
         statements: list[Statement] = []
-        actions: list[ActionDef] = []
+        actions: list[TreeAction] = []
         partial = False
         self.pou_name, self.declared = name_tok.text, set()
 
@@ -300,7 +304,7 @@ class _ReferenceParser:
         if partial:
             self.partial.append(name_tok.text)
         last = self.tokens[self.pos - 1] if self.pos else name_tok
-        return Pou(
+        return TreePou(
             name=name_tok.text,
             kind=kind,
             return_type=return_type,
@@ -310,14 +314,14 @@ class _ReferenceParser:
             span=LineSpan(head.line, last.line),
         )
 
-    def parse_action(self) -> ActionDef:
+    def parse_action(self) -> TreeAction:
         head = self.expect_keyword("ACTION")
         name_tok = self.expect_ident()
         if self.at_op(":"):
             self.take()
         body = self.parse_statements_until("END_ACTION")
         self.take()
-        return ActionDef(name_tok.text, tuple(body), head.line)
+        return TreeAction(name_tok.text, tuple(body), head.line)
 
     def parse_var_section(self) -> VarSection:
         kind = SECTION_KINDS[self.take().text.upper()]
@@ -644,7 +648,7 @@ def _render_stream(stream: list[tuple[TokenKind, str]]) -> str:
     return "\n".join(lines)
 
 
-def _reference_format_pou(pou: Pou) -> str:
+def _reference_format_pou(pou: TreePou) -> str:
     head = {
         PouKind.PROGRAM: "PROGRAM",
         PouKind.FUNCTION_BLOCK: "FUNCTION_BLOCK",

@@ -1,24 +1,18 @@
 from __future__ import annotations
 
 import shutil
-import sys
 
 import pytest
 
-from swmat import model
+from swmat import stparse
 from swmat.cli import run
 from swmat.graphs import build_call_graph, build_global_comm_graph, complexity
 from swmat.model import (
-    Assignment,
     CallResolution,
     CallSite,
-    IfBranch,
-    IfStatement,
     Pou,
     PouKind,
     Project,
-    TokenSeq,
-    body_facts,
     validate_project,
 )
 from swmat.modularity import assess_project, detect_clones
@@ -27,7 +21,9 @@ from swmat.project import (
     extract_global_accesses,
     parse_project,
 )
-from swmat.stparse import SourceFile, parse_file, tokenize
+from swmat.stparse import tokenize
+from oracles import with_trees
+from tree_parser import Assignment, IfBranch, IfStatement, TokenSeq, body_facts
 from synth import write_project
 
 
@@ -200,31 +196,25 @@ def test_parse_project_walks_each_body_once(plant_dir, tmp_path, monkeypatch):
     shutil.copytree(plant_dir, project_dir)
     (project_dir / "externals.txt").write_text("Drive_lib vendor\n", encoding="utf-8")
     (project_dir / "clones.st").write_text(_CLONES_ST, encoding="utf-8")
-    walked = []
-    original = model.body_facts
+    parsed = []
+    original = stparse.Parser.parse_pou
 
-    def counting_body_facts(statements):
-        walked.append(statements)
-        return original(statements)
+    def counting_parse_pou(parser):
+        pou = original(parser)
+        parsed.append(pou.name)
+        return pou
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "swmat" and getattr(module, "body_facts", None) is original:
-            monkeypatch.setattr(module, "body_facts", counting_body_facts)
+    monkeypatch.setattr(stparse.Parser, "parse_pou", counting_parse_pou)
     project, _ = parse_project(project_dir)
     assess_project(project, build_call_graph(project), build_global_comm_graph(project))
     assert any(pou.stub for pou in project.pous)
-    assert len(walked) == len(project.pous)
+    assert sorted(parsed) == sorted(pou.name for pou in project.pous if not pou.stub)
 
-    # the POUs keep their facts and action names, not their trees
-    trees = {}
-    for path in sorted(project_dir.glob("*.st")):
-        result = parse_file(SourceFile(str(path), path.read_text(encoding="utf-8")))
-        trees.update((pou.name, pou) for pou in result.pous)
-    for pou in project.pous:
-        assert pou.statements == ()
-        assert all(action.body == () for action in pou.actions)
-        if not pou.stub:
-            assert [a.name for a in pou.actions] == [a.name for a in trees[pou.name].actions]
+    # the POUs keep the facts of their trees and their action names
+    for pou, tree in zip(project.pous, with_trees(project).pous):
+        facts = body_facts(tree.all_statements())
+        assert (pou.complexity, pou.fingerprint) == (facts.complexity, facts.fingerprint)
+        assert [a.name for a in pou.actions] == [a.name for a in tree.actions]
     assert [a.name for a in project.pou("Copy_A").actions] == ["Reset"]
     assert project.pou("Copy_A").call_sites[0].callee_text == "Drive_lib"
 
@@ -299,7 +289,8 @@ def test_concurrent_file_parsing_matches_sequential(plant_dir):
 
 
 def test_walkers_handle_deep_nesting():
-    """5000 nested IFs: the analyses walk iteratively, not by recursion."""
+    """5000 nested IFs: the reference walk and the analyses run iteratively,
+    not by recursion."""
     depth = 5000
     store, _ = tokenize("gOut Check(gIn) Ready()")
     stmt = Assignment(TokenSeq(store, 0, 1), TokenSeq(store, 1, 5), 1, 1)
@@ -309,10 +300,11 @@ def test_walkers_handle_deep_nesting():
     sites = tuple(
         CallSite("p", name, CallResolution.EXTERNAL, None) for name in ("Ready", "Check")
     )
-    pou = Pou("p", PouKind.PROGRAM, statements=(stmt,), call_sites=sites)
+    facts = body_facts((stmt,))
+    pou = Pou("p", PouKind.PROGRAM, call_sites=sites, complexity=facts.complexity,
+              fingerprint=facts.fingerprint)
 
     assert complexity(pou) == depth + 1
-    facts = body_facts(pou.statements)
     assert [c[0] for c in facts.calls] == ["Ready"] * depth + ["Check"]
     codes = facts.fingerprint.split(" ")
     # IF i ( ) THEN per level, the assignment, then END_IF ; per level

@@ -3,31 +3,25 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swmat.model import (
-    Assignment,
-    CallResolution,
-    CallStatement,
-    CaseStatement,
-    IfStatement,
-    PouKind,
-    SectionKind,
-    TokenKind,
-    body_facts,
-)
+from swmat.model import CallResolution, PouKind, SectionKind, TokenKind
 from swmat.project import (
     build_symbol_table,
     extract_call_sites,
     extract_global_accesses,
 )
-from swmat.stparse import (
-    MAX_NESTING,
-    SourceFile,
-    parse_file,
-    parse_source,
-    tokenize,
-)
+from swmat.stparse import MAX_NESTING, SourceFile, tokenize
+from oracles import with_trees
 from st_printer import format_pou, pou_signature
 from token_view import Token, tokens_of
+from tree_parser import (
+    Assignment,
+    CallStatement,
+    CaseStatement,
+    IfStatement,
+    body_facts,
+    parse_file,
+    parse_source,
+)
 
 MAIN_INSTANCE_DECLS = """PROGRAM main
 VAR
@@ -408,7 +402,7 @@ def test_positions_are_one_based():
 
 
 def test_round_trip_fixture_pous(plant_project):
-    for pou in plant_project.pous:
+    for pou in with_trees(plant_project).pous:
         if pou.stub:
             continue
         text = format_pou(pou)

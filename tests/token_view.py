@@ -1,20 +1,20 @@
 """Tokens as (kind, text, line, col) views, for the tests.
 
-The runtime keeps a file's tokens as the columns of a ``TokenStore`` and
-each expression as a ``TokenSeq`` span of it.  The reference tokenizer and
+The runtime keeps a file's tokens as the columns of a ``TokenStore``, and
+the tree parser (``tree_parser``) each expression as a ``TokenSeq`` span
+of it.  The reference tokenizer and
 parser in the tests keep their own code over lists of ``Token``; this
 adapter expands a store or span into the same views, so the two compare
-directly, and builds stores back from views for hand-made statements.
+directly.
 """
 
 from __future__ import annotations
 
-from array import array
-from collections.abc import Iterable
 from dataclasses import fields, is_dataclass
 from typing import Any, NamedTuple
 
-from swmat.model import TokenKind, TokenSeq, TokenStore
+from swmat.model import TokenKind, TokenStore
+from tree_parser import TokenSeq
 
 
 class Token(NamedTuple):
@@ -46,23 +46,3 @@ def expanded(value: Any) -> Any:
     if is_dataclass(value) and not isinstance(value, type):
         return type(value)(**{f.name: expanded(getattr(value, f.name)) for f in fields(value)})
     return value
-
-
-def store_of(tokens: Iterable[Token]) -> TokenStore:
-    """A store holding ``tokens`` at their lines and cols.
-
-    There is no source text: line ``n`` is laid out to start at offset
-    ``(n - 1) * width``, wide enough for every token on it.
-    """
-    tokens = list(tokens)
-    width = 1 + max((t.col + len(t.text) for t in tokens), default=0)
-    lines = max((t.line for t in tokens), default=1)
-    store = TokenStore(array("q", (n * width for n in range(lines))))
-    for t in tokens:
-        store.add(t.kind, t.text, (t.line - 1) * width + t.col - 1)
-    return store
-
-
-def seq_of(*tokens: Token) -> TokenSeq:
-    """One span over a new store of ``tokens``."""
-    return TokenSeq(store_of(tokens), 0, len(tokens))
