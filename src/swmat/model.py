@@ -148,7 +148,7 @@ class LineSpan:
         return self.start <= line <= self.end
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pou:
     name: str
     kind: PouKind
@@ -175,7 +175,7 @@ class Pou:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GlobalVar:
     name: str
     type_name: str

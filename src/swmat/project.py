@@ -34,6 +34,8 @@ from .stparse import SourceFile, parse_file
 
 TASK_FILE = "tasks.txt"
 EXTERNALS_FILE = "externals.txt"
+# one shared empty set of globals: each ``frozenset()`` call makes a new object
+_NO_GLOBALS: frozenset[str] = frozenset()
 
 
 class ProjectError(ValueError):
@@ -296,8 +298,8 @@ def parse_project(directory: str | Path, name: str | None = None) -> tuple[Proje
             dataclasses.replace(
                 pou,
                 call_sites=tuple(sites),
-                global_reads=frozenset(reads),
-                global_writes=frozenset(writes),
+                global_reads=frozenset(reads) if reads else _NO_GLOBALS,
+                global_writes=frozenset(writes) if writes else _NO_GLOBALS,
             )
         )
 

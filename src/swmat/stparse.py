@@ -68,6 +68,7 @@ POU_START = {"FUNCTION_BLOCK", "PROGRAM", "FUNCTION", "VAR_GLOBAL"}
 POU_END = {"END_FUNCTION_BLOCK", "END_PROGRAM", "END_FUNCTION"}
 _POU_BOUNDARY = POU_START | POU_END
 _LABEL_CODES = (NUMBER, IDENT)  # what a CASE label is made of
+_SECTION_WORDS = frozenset(SectionKind.__members__)
 
 # what nests in an expression or ends it, for ``Parser.capture_expression``:
 # an index in an assignment target nests and ends only at square brackets or
@@ -81,7 +82,7 @@ _EXPR_ROLES = {
     **dict.fromkeys(
         {";", "THEN", "DO", "OF", "TO", "BY", "END_IF", "END_CASE", "END_FOR", "END_WHILE",
          "ELSE", "ELSIF", "ACTION", "END_ACTION", "END_VAR"}
-        | POU_END | POU_START | set(SectionKind.__members__),
+        | POU_END | POU_START | _SECTION_WORDS,
         _STOP,
     ),
 }
@@ -509,7 +510,7 @@ class Parser:
             try:
                 if word == ";":
                     self.skip_empty_statements()
-                elif word in SectionKind.__members__:  # VAR_GLOBAL ended the POU above
+                elif word in _SECTION_WORDS:  # VAR_GLOBAL ended the POU above
                     sections.append(self.parse_var_section(self.texts[name], declared))
                 elif word == "ACTION":
                     actions.append(self.parse_action(action_facts))

@@ -126,10 +126,10 @@ def test_default_schema_is_valid(schema):
     assert schema.scored_ids() == tuple(range(15, 40))
 
 
-# built once per declaration, action or call site, so they carry no
-# ``__dict__``; the statement nodes of the reference trees neither
+# built once per POU, global, declaration, action or call site, so they
+# carry no ``__dict__``; the statement nodes of the reference trees neither
 SLOTTED = (
-    "VarDecl", "VarSection", "ActionDef", "CallSite", "LineSpan",
+    "Pou", "GlobalVar", "VarDecl", "VarSection", "ActionDef", "CallSite", "LineSpan",
     "Assignment", "CallStatement", "IfBranch", "IfStatement", "CaseBranch",
     "CaseStatement", "ForStatement", "WhileStatement", "TreeAction",
 )
@@ -152,7 +152,7 @@ def test_per_statement_nodes_have_no_dict(plant_dir, tmp_path):
     found: dict[str, object] = {}
     for directory in (plant_dir, mixed):
         project = parse_project(directory)[0]
-        _model_values(project.pous + with_trees(project).pous, found)
+        _model_values(project.pous + project.globals + with_trees(project).pous, found)
     for name in SLOTTED:
         assert name in found, name
         assert not hasattr(found[name], "__dict__"), name

@@ -262,6 +262,14 @@ def test_global_reads_resolved(plant_project):
     assert main.global_writes == frozenset()
 
 
+def test_empty_global_accesses_share_one_set(plant_project):
+    """A POU that reads or writes no global holds no frozenset of its own."""
+    empty = [names for pou in plant_project.pous
+             for names in (pou.global_reads, pou.global_writes) if not names]
+    assert len(empty) > 1
+    assert len({id(names) for names in empty}) == 1
+
+
 def test_task_file_syntax_errors_reported(tmp_path):
     write_project(
         tmp_path,
