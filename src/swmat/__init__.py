@@ -27,7 +27,6 @@ _EXPORTS = {
         "ModularityAssessment", "Pou", "PouKind", "Project", "QuestionnaireSchema",
         "StructureStyle", "TaskDef", "validate_project",
     ),
-    "default_schema": ("default_schema",),
     "stparse": ("SourceFile", "parse_file", "parse_source"),
     "project": ("parse_project", "ProjectError"),
     "graphs": (
@@ -42,7 +41,8 @@ _EXPORTS = {
     "maturity": (
         "CorrelationResult", "DegenerateSampleError", "ScoringError", "Significance",
         "build_report", "category_maturity", "cohort_stats", "complexity_measure",
-        "interaction_variable", "overall_maturity", "pearson", "score_answer",
+        "default_schema", "interaction_variable", "overall_maturity", "pearson",
+        "score_answer",
     ),
     "configurator": (
         "ConfigError", "GeneratedProject", "InstanceSpec", "ModuleConfig",
@@ -69,12 +69,8 @@ def _register_lazy(name: str):
 
 
 for _name in _EXPORTS:
-    _module = _register_lazy(_name)
-    # an exported name wins over the submodule of the same name:
-    # ``swmat.default_schema`` is the function
-    if _name not in _MODULE_OF:
-        globals()[_name] = _module
-del _name, _module
+    globals()[_name] = _register_lazy(_name)
+del _name
 
 
 def __getattr__(name: str):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import gc
 import io
 import json
 import os
@@ -114,14 +113,8 @@ def _print_diagnostics(diags: list[model.Diagnostic]) -> None:
         print(diag.render(), file=sys.stderr)
 
 
-def _load_schema(path: str | None):
-    if path is None:
-        # on the package, ``default_schema`` names the function, not the
-        # module, so ``from . import`` above cannot hold it without running it
-        from .default_schema import default_schema
-
-        return default_schema()
-    return maturity.load_schema_file(path)
+def _load_schema(path: str | None) -> model.QuestionnaireSchema:
+    return maturity.default_schema() if path is None else maturity.load_schema_file(path)
 
 
 def _load_thresholds(path: str | None) -> modularity.Thresholds:
@@ -160,19 +153,6 @@ def _scored(path: str | Path, score, *args, **kwargs):
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    # the parsed project holds no reference cycle, so the cyclic collector
-    # would only rescan every statement node as the heap grows; a caller in
-    # the same process gets it back as it was
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _analyze(args)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _analyze(args: argparse.Namespace) -> int:
     outputs = [output for output in (args.dot, args.globals_dot, args.assessment) if output]
     for output in outputs:
         if Path(output).resolve().parent == Path(args.project_dir).resolve():

@@ -378,10 +378,7 @@ def generate_parameter_project(pp: ParameterProject) -> GeneratedProject:
                 f"row {index}: component name {name!r} collides with an invariable POU"
             )
         seen.add(key)
-        try:
-            lines = substitute(pp.component_template, row, f"row {index}")
-        except ConfigError as exc:
-            raise ConfigError(str(exc)) from None
+        lines = substitute(pp.component_template, row, f"row {index}")
         files.append(GeneratedFile(f"{name}.st", tuple(lines)))
         for column in pp.columns:
             if column == pp.name_column:

@@ -501,33 +501,6 @@ def _mean(values: Iterable[Fraction | None]) -> tuple[Fraction | None, int]:
 # --- schema / answers file formats ----------------------------------------------
 
 
-def _fraction_to_json(value: Fraction):
-    if value.denominator == 1:
-        return value.numerator
-    if 10**6 % value.denominator == 0:
-        return float(value)
-    return str(value)
-
-
-def schema_to_dict(schema: QuestionnaireSchema) -> dict:
-    return {
-        "questions": [
-            {
-                "id": q.id,
-                "text": q.text,
-                "category": q.category.value,
-                "weight": _fraction_to_json(q.weight),
-                "mode": q.mode.value,
-                "options": [
-                    {"key": o.key, "label": o.label, "score": _fraction_to_json(o.score)}
-                    for o in q.options
-                ],
-            }
-            for q in schema.questions
-        ]
-    }
-
-
 def _to_fraction(value) -> Fraction:
     # a float decoded without parse_float=Fraction reads as its shortest decimal
     return Fraction(str(value) if isinstance(value, float) else value)
@@ -572,6 +545,18 @@ def load_schema_file(path: str | Path) -> QuestionnaireSchema:
         raise ValueError(f"{path}: {exc}") from None
     except ScoringError as exc:
         raise ScoringError(f"{path}: {exc}") from None
+
+
+def default_schema() -> QuestionnaireSchema:
+    """The built-in questionnaire: 45 questions in four groups, read from the
+    package's ``default_schema.json`` through the same checks as a schema file.
+
+    Only the four start-up/operation/maintenance questions (36-39) come with
+    a published fixed scale; every other scored question carries evenly
+    spaced scores from 5 (best) down to 0 (worst) over invented but plausible
+    answer levels.  Each call reads the file again, so callers never share
+    a schema's memos."""
+    return load_schema_file(Path(__file__).with_name("default_schema.json"))
 
 
 ANSWERS_SHAPE = {"company": str, "category": str, "answers?": {"*": SCALAR}}

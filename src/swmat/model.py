@@ -16,7 +16,6 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from sys import intern
 from typing import NamedTuple, Union
 
 
@@ -42,22 +41,10 @@ class CallResolution(Enum):
     EXTERNAL = "external"
 
 
-class TokenKind(Enum):
-    """The kind of a token, as ``TokenStore.kind`` reads it off its code."""
-
-    IDENT = "ident"
-    NUMBER = "number"
-    STRING = "string"
-    KEYWORD = "keyword"
-    OP = "op"
-
-
 # The code of an identifier, a number and a string literal.  A keyword's code
 # is its upper-cased text and an operator's its text, so a code tells its
 # token's kind: keyword codes are upper-case words, operators hold no letters.
 IDENT, NUMBER, STRING = "i", "n", "s"
-_LITERAL_CODES = {TokenKind.IDENT: IDENT, TokenKind.NUMBER: NUMBER, TokenKind.STRING: STRING}
-_LITERAL_KINDS = {code: kind for kind, code in _LITERAL_CODES.items()}
 
 
 class TokenStore:
@@ -81,20 +68,6 @@ class TokenStore:
 
     def __len__(self) -> int:
         return len(self.texts)
-
-    def add(self, kind: TokenKind, text: str, start: int) -> None:
-        """Append one token of kind ``kind`` starting at offset ``start``."""
-        code = _LITERAL_CODES.get(kind)
-        self.codes.append(code or (intern(text.upper()) if kind is TokenKind.KEYWORD else text))
-        self.starts.append(start)
-        self.texts.append(text)
-
-    def kind(self, i: int) -> TokenKind:
-        """The kind of token ``i``, read off its code."""
-        code = self.codes[i]
-        return _LITERAL_KINDS.get(code) or (
-            TokenKind.KEYWORD if code[0].isalpha() else TokenKind.OP
-        )
 
     def locate(self, offset: int) -> tuple[int, int]:
         """The 1-based line and col of a text offset."""

@@ -42,7 +42,6 @@ from .model import (
     PouKind,
     SectionKind,
     STRING,
-    TokenKind,
     TokenStore,
     VarDecl,
     VarSection,
@@ -113,12 +112,14 @@ class ParseResult:
 # ASCII, as IEC 61131-3 identifiers are (``re.ASCII`` makes ``\w``
 # ``[A-Za-z0-9_]``).  A typed literal's tail (``T#5s``, ``TOD#12:30:00``)
 # takes a ``:`` only before a digit, so the colon after a typed CASE label
-# such as ``INT#1:`` stays an operator.  ``(*`` is a piece of its own, so its
-# ``(`` is never the operator.  The last alternative takes any other
-# non-blank character, so ``split`` leaves only blanks between pieces.
+# such as ``INT#1:`` stays an operator, and a ``.`` only before no second
+# ``.``, so ``INT#2..INT#3`` is a range of two literals.  ``(*`` is a piece
+# of its own, so its ``(`` is never the operator.  The last alternative
+# takes any other non-blank character, so ``split`` leaves only blanks
+# between pieces.
 _PIECES = r"""
     (
-        {word}(?:\#(?:[\w.+\-]|:(?=[0-9]))*)?
+        {word}(?:\#(?:[\w+\-]|\.(?!\.)|:(?=[0-9]))*)?
       | [0-9][\w\#]*(?:\.[0-9]\w*)?
       {whole}
       | // | \(\*
@@ -277,12 +278,14 @@ def _scan_special(
             if text[j] == "\n":
                 break
             j += 2 if text[j] == "$" else 1
-        if j >= n or text[j] != ch:
+        if j < n and text[j] == ch:
+            j += 1  # the closing quote
+        else:
             diags.append(_positioned("error", "unterminated string literal", path, store, i))
-            store.add(TokenKind.STRING, text[i:j], i)
-            return j
-        store.add(TokenKind.STRING, text[i : j + 1], i)
-        return j + 1
+        store.codes.append(STRING)
+        store.starts.append(i)
+        store.texts.append(text[i:j])
+        return j
     diags.append(_positioned("error", f"unexpected character {ch!r}", path, store, i))
     return i + 1
 

@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from swmat.default_schema import default_schema
+from swmat.maturity import default_schema
 from swmat.project import parse_project
 
 FIXTURES = Path(__file__).parent / "fixtures"

@@ -2,6 +2,9 @@
 
 Every dataclass and enum defined in `swmat.model` is registered by name, so
 `from_jsonable(to_jsonable(value)) == value` for any model value.
+
+`schema_to_dict` writes a questionnaire in the schema-file format that
+`swmat.maturity.load_schema_file` reads.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from fractions import Fraction
 from typing import Any, Mapping
 
 import swmat.model
+from swmat.model import QuestionnaireSchema
 
 _MODEL_CLASSES: dict[str, type] = {}
 _ENUM_CLASSES: dict[str, type] = {}
@@ -67,6 +71,35 @@ def from_jsonable(data: Any) -> Any:
             kwargs = {k: from_jsonable(v) for k, v in data.items() if k != "$type"}
             return cls(**kwargs)
     raise TypeError(f"cannot deserialize {data!r}")
+
+
+def _fraction_to_json(value: Fraction):
+    if value.denominator == 1:
+        return value.numerator
+    if 10**6 % value.denominator == 0:
+        return float(value)
+    return str(value)
+
+
+def schema_to_dict(schema: QuestionnaireSchema) -> dict:
+    """A schema as the decoded JSON of a schema file; scores that are no
+    short decimal are written as strings such as ``"5/3"``."""
+    return {
+        "questions": [
+            {
+                "id": q.id,
+                "text": q.text,
+                "category": q.category.value,
+                "weight": _fraction_to_json(q.weight),
+                "mode": q.mode.value,
+                "options": [
+                    {"key": o.key, "label": o.label, "score": _fraction_to_json(o.score)}
+                    for o in q.options
+                ],
+            }
+            for q in schema.questions
+        ]
+    }
 
 
 _register()

@@ -24,11 +24,10 @@ from swmat.model import (
     Pou,
     PouKind,
     Project,
-    TokenKind,
     TokenStore,
 )
 from swmat.stparse import KEYWORDS, SourceFile, _line_starts, _scan_special
-from token_view import expand
+from token_view import TokenKind, expand
 from tree_parser import (
     Assignment,
     CallStatement,
@@ -530,7 +529,7 @@ _TOKEN_RE = re.compile(
     r"""
     (?:[ \t\r\n]+ | //[^\n]*)*
     (?:
-        (?P<word>[A-Za-z_]\w*)(?P<typed>\#(?:[\w.+\-]|:(?=[0-9]))*)?
+        (?P<word>[A-Za-z_]\w*)(?P<typed>\#(?:[\w+\-]|\.(?!\.)|:(?=[0-9]))*)?
       | (?P<op>:=|<=|>=|<>|\.\.|=>|\*\*|\((?!\*)|[-+*/)\[\]<>=.,;:&\#%])
       | (?P<number>[0-9][\w\#]*(?:\.[0-9]\w*)?)
     )?

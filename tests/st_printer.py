@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from oracles import reference_statement_stream
-from swmat.model import TokenKind
+from token_view import TokenKind
 from tree_parser import Statement, TreePou
 
 

@@ -46,7 +46,7 @@ def test_score_table_example(tmp_path, capsys):
 
 
 def test_score_with_schema_file(tmp_path, schema):
-    from swmat.maturity import schema_to_dict
+    from model_codec import schema_to_dict
 
     schema_path = tmp_path / "schema.json"
     schema_path.write_text(json.dumps(schema_to_dict(schema)), encoding="utf-8")
@@ -64,7 +64,7 @@ def test_score_unknown_option_exit_3(tmp_path, capsys):
 
 
 def test_score_free_text_question_is_not_read_as_a_number(tmp_path, schema):
-    from swmat.maturity import schema_to_dict
+    from model_codec import schema_to_dict
 
     payload = schema_to_dict(schema)
     (question,) = [q for q in payload["questions"] if q["id"] == 14]
@@ -133,7 +133,9 @@ def test_analyze_plant_outputs(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
-def test_analyze_runs_without_the_collector_and_restores_it(monkeypatch, enabled):
+def test_run_leaves_the_callers_collector_as_it_found_it(monkeypatch, enabled):
+    """``analyze`` neither switches the cyclic collector off nor on: it
+    parses with the caller's setting and returns with it."""
     seen = []
     parse = project.parse_project
 
@@ -149,7 +151,7 @@ def test_analyze_runs_without_the_collector_and_restores_it(monkeypatch, enabled
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
-    assert seen == [False]
+    assert seen == [enabled]
 
 
 def test_analyze_dot_names_the_directory(tmp_path, monkeypatch, capsys):
@@ -294,7 +296,7 @@ def test_cohort_outputs(tmp_path):
 
 
 def test_cohort_schema_of_two_scored_questions_exit_2(tmp_path, capsys, schema):
-    from swmat.maturity import schema_to_dict
+    from model_codec import schema_to_dict
 
     payload = schema_to_dict(schema)
     payload["questions"] = [q for q in payload["questions"] if q["id"] in (36, 37)]
@@ -729,6 +731,9 @@ _STORAGE_ROW = {"name": "PlaceA", "width": 2, "depth": 4}
          "No such file or directory"),
         ("parameter", {"template": "storage", "invariable": ["no\x00file.st"], "rows": []}, 2,
          "embedded null byte"),
+        ("parameter",
+         {"template": "storage", "rows": [_STORAGE_ROW, {"name": "PlaceB", "width": 3}]},
+         3, "error: row 1: missing parameter 'depth'"),
     ],
     ids=["list", "instances-object", "null-name", "int-template", "list-params",
          "null-supervisory", "spaced-supervisory", "keyword-supervisory",
@@ -737,7 +742,7 @@ _STORAGE_ROW = {"name": "PlaceA", "width": 2, "depth": 4}
          "object-rows", "list-row", "spaced-component", "spaced-global", "keyword-global",
          "no-name", "list-param-value", "object-param-value", "list-row-value",
          "object-row-value", "bool-row-value", "no-rows-or-table", "missing-table",
-         "null-byte-invariable"],
+         "null-byte-invariable", "row-missing-parameter"],
 )
 def test_configure_wrongly_shaped_config(tmp_path, capsys, mode, config, code, needle):
     from test_configurator import FILLER_TEMPLATE, STORAGE_TEMPLATE
@@ -1139,8 +1144,7 @@ def _command_inputs(command: str, tmp_path: Path) -> list[str]:
     "command, not_run",
     [
         ("--help", None),
-        ("analyze", {"swmat.maturity", "swmat.reporting", "swmat.configurator",
-                     "swmat.default_schema"}),
+        ("analyze", {"swmat.maturity", "swmat.reporting", "swmat.configurator"}),
         ("score", ANALYZER | {"swmat.configurator"}),
         ("cohort", ANALYZER | {"swmat.configurator"}),
         ("correlate", ANALYZER | {"swmat.configurator"}),

@@ -24,8 +24,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from swmat.cli import run
-from swmat.default_schema import default_schema
-from swmat.maturity import schema_to_dict
+from swmat.maturity import default_schema
+from model_codec import schema_to_dict
 from test_cli import _FILLER_INSTANCE, _STORAGE_ROW, FIXTURES, OP_EXAMPLE
 from test_configurator import BASE_MAIN, FILLER_TEMPLATE, STORAGE_TEMPLATE
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from swmat.cli import run
-from swmat.default_schema import default_schema
+from swmat.maturity import default_schema
 from swmat.model import AnswerMode
 from synth import random_project
 

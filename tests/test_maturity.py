@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import decimal
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
+from model_codec import schema_to_dict
 from oracles import pearson_reference, reference_cohort, reference_report
 from swmat.maturity import (
     CategoryScore,
@@ -20,6 +22,7 @@ from swmat.maturity import (
     category_maturity,
     cohort_stats,
     complexity_measure,
+    default_schema,
     interaction_variable,
     load_answers_file,
     load_schema_file,
@@ -28,7 +31,6 @@ from swmat.maturity import (
     parse_numeric_answer,
     pearson,
     schema_from_dict,
-    schema_to_dict,
     score_answer,
     format_ratio,
     RATIO_PLACES,
@@ -540,6 +542,26 @@ def test_schema_json_round_trip(schema, tmp_path):
     assert loaded == schema
 
 
+def test_built_in_schema_is_pinned():
+    """``default_schema.json`` holds the questionnaire the package has always
+    built in: 45 questions, 25 of them scored, scores in twelfths."""
+    schema = default_schema()
+    text = json.dumps(schema_to_dict(schema), sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "292c1c5deb9a5f7a7c3575930d136b7e98d4a6db89319111dbd007042f586149"
+    )
+    assert (len(schema.questions), len(schema.scored_ids()), schema.denominator) == (45, 25, 12)
+
+
+def test_built_in_schema_is_read_afresh_on_each_call():
+    """No two callers share a schema, so neither shares its memos."""
+    first, second = default_schema(), default_schema()
+    assert first == second
+    assert first is not second
+    score_answer(first, 36, "rarely")
+    assert first.answer_scores and not second.answer_scores
+
+
 def test_answers_file_round_trip(tmp_path):
     path = tmp_path / "answers.json"
     payload = {
@@ -616,7 +638,6 @@ def test_numeric_notes_logged(schema):
 
 
 def test_schema_validate_enforces_groupings():
-    from swmat.default_schema import default_schema
     from swmat.model import Category, Question, QuestionnaireSchema
     import dataclasses
 

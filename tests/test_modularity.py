@@ -25,7 +25,6 @@ from swmat.model import (
     GovernanceLevel,
     PouKind,
     StructureStyle,
-    TokenKind,
 )
 from swmat.modularity import (
     CloneReport,
@@ -55,6 +54,7 @@ from oracles import (
 )
 from synth import chain_project, random_project, star_project, write_project
 from test_golden import MIXED_ST
+from token_view import TokenKind
 
 
 def _node(name, kind=PouKind.FUNCTION_BLOCK, external=False):

@@ -25,7 +25,6 @@ PUBLIC = {
         "ModularityAssessment", "Pou", "PouKind", "Project", "QuestionnaireSchema",
         "StructureStyle", "TaskDef", "validate_project",
     ),
-    "default_schema": ("default_schema",),
     "stparse": ("SourceFile", "parse_file", "parse_source"),
     "project": ("parse_project", "ProjectError"),
     "graphs": (
@@ -40,7 +39,8 @@ PUBLIC = {
     "maturity": (
         "CorrelationResult", "DegenerateSampleError", "ScoringError", "Significance",
         "build_report", "category_maturity", "cohort_stats", "complexity_measure",
-        "interaction_variable", "overall_maturity", "pearson", "score_answer",
+        "default_schema", "interaction_variable", "overall_maturity", "pearson",
+        "score_answer",
     ),
     "configurator": (
         "ConfigError", "GeneratedProject", "InstanceSpec", "ModuleConfig",
@@ -71,14 +71,14 @@ def test_star_import_gives_every_public_name():
 
 
 def test_default_schema_is_the_function():
-    import swmat.default_schema  # noqa: F401 - binds nothing new on the package
-
-    assert callable(swmat.default_schema)
+    assert swmat.default_schema is swmat.maturity.default_schema
     assert isinstance(swmat.default_schema(), swmat.QuestionnaireSchema)
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("swmat.default_schema")
 
 
 def test_submodules_stay_package_attributes():
-    for module in set(PUBLIC) - {"default_schema"}:
+    for module in PUBLIC:
         assert getattr(swmat, module) is sys.modules[f"swmat.{module}"]
 
 

@@ -36,11 +36,13 @@ CASES = {
         "CASE a OF 1: x := 2; ELSE END_CASE\n"
         "CASE a OF 1: ELSE ; END_CASE\nEND_PROGRAM\n"
     ),
-    # ``INT#6..7`` is one token, whose label splits at its '..'
+    # ``INT#6..7`` is three tokens, a range as ``4..5`` is: a typed
+    # literal's tail stops before '..'
     "typed labels": (
         "PROGRAM p\nCASE a OF INT#1: x := 1;\nINT#2, 4..5: x := 2;\n"
         "INT#6..7, 16#FF: x := 3;\nk, 8..9: ;\nEND_CASE\nEND_PROGRAM\n"
     ),
+    "typed range": "PROGRAM p\nCASE a OF INT#2..INT#3: x := 1;\nEND_CASE\nEND_PROGRAM\n",
     "calls in a target": (
         "PROGRAM p\na[f(x)] := 1;\nb[i].m[g(j).n].k := h(k);\nc.d[1] := e;\nEND_PROGRAM\n"
     ),
@@ -84,6 +86,13 @@ def test_typed_labels_are_identifiers():
         "i , n .. n : END_CASE ;"
     )
     assert pou.complexity == 10  # seven labels, three assignments
+
+
+def test_typed_range_is_a_label_of_two_literals():
+    pou, _, result = _facts(CASES["typed range"])
+    assert result.ok
+    assert pou.fingerprint == "CASE i OF i .. i : i := n ; END_CASE ;"
+    assert pou.complexity == 2  # one label, one assignment
 
 
 def test_calls_in_a_target_come_first():

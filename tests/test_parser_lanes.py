@@ -27,7 +27,6 @@ from swmat.model import (
     LineSpan,
     PouKind,
     SectionKind,
-    TokenKind,
     VarDecl,
     VarSection,
 )
@@ -35,7 +34,7 @@ from swmat.stparse import POU_END, POU_START, ParseResult, tokenize
 from st_printer import format_pou, pou_signature, statement_stream
 from synth import random_project
 from test_golden import MIXED_ST
-from token_view import Token, expanded, tokens_of
+from token_view import Token, TokenKind, expanded, tokens_of
 from tree_parser import (
     Assignment,
     CallStatement,

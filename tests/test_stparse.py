@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swmat.model import CallResolution, PouKind, SectionKind, TokenKind
+from swmat.model import CallResolution, PouKind, SectionKind
 from swmat.project import (
     build_symbol_table,
     extract_call_sites,
@@ -12,7 +12,7 @@ from swmat.project import (
 from swmat.stparse import MAX_NESTING, SourceFile, tokenize
 from oracles import with_trees
 from st_printer import format_pou, pou_signature
-from token_view import Token, tokens_of
+from token_view import Token, TokenKind, tokens_of
 from tree_parser import (
     Assignment,
     CallStatement,
@@ -323,9 +323,24 @@ def test_typed_literal_case_label_keeps_its_colon():
     assert result.pous[0].statements[0].branches[0].labels == ("INT#1",)
 
 
+def test_typed_literal_case_range_parses():
+    result = parse_source(
+        "PROGRAM p\nCASE x OF INT#2..INT#3: y := 1; END_CASE\nEND_PROGRAM", "t.st"
+    )
+    assert result.diagnostics == []
+    assert result.pous[0].statements[0].branches[0].labels == ("INT#2..INT#3",)
+
+
 @pytest.mark.parametrize("literal", ["TOD#12:30:00", "DT#2024-01-01-12:30:00",
                                      "TIME_OF_DAY#12:30:15.5"])
 def test_typed_literal_keeps_colons_before_digits(literal):
+    assert [(t.kind, t.text) for t in tokens_of(tokenize(literal)[0])] == [
+        (TokenKind.NUMBER, literal)
+    ]
+
+
+@pytest.mark.parametrize("literal", ["REAL#1.5", "T#1.5s", "LREAL#1.5E3"])
+def test_typed_literal_keeps_a_dot_before_no_dot(literal):
     assert [(t.kind, t.text) for t in tokens_of(tokenize(literal)[0])] == [
         (TokenKind.NUMBER, literal)
     ]

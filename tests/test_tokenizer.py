@@ -22,12 +22,13 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from swmat.model import IDENT, Diagnostic, TokenKind, TokenStore
+from swmat.model import IDENT, Diagnostic, TokenStore
 from swmat import stparse
 from swmat.stparse import KEYWORDS, is_identifier, tokenize
 from oracles import reference_tokenize
 from synth import random_project
-from token_view import Token, tokens_of
+import token_view
+from token_view import Token, TokenKind, tokens_of
 
 _TWO_CHAR_OPS = (":=", "<=", ">=", "<>", "..", "=>", "**")
 _ONE_CHAR_OPS = "+-*/()[]<>=.,;:&#%"
@@ -136,10 +137,12 @@ def _reference_tokenize(text: str, path: str = "<string>") -> tuple[list[Token],
             word = text[i:j]
             # typed literals such as T#5s, 16#FF written with a type prefix;
             # a ':' belongs to one only before a digit (TOD#12:30, INT#1: ...)
+            # and a '.' only before no second '.' (REAL#1.5, INT#2..INT#3)
             if j < n and text[j] == "#":
                 j += 1
                 while j < n and (
-                    text[j] in _ALNUM or text[j] in "_.+-"
+                    text[j] in _ALNUM or text[j] in "_+-"
+                    or text[j] == "." and text[j + 1 : j + 2] != "."
                     or text[j] == ":" and j + 1 < n and text[j + 1] in "0123456789"
                 ):
                     j += 1
@@ -218,6 +221,7 @@ def test_tokenize_matches_reference(text):
         "DT#2024-01-01-12:30:00 TIME#-5s",
         "INT#+5 x#",
         "INT#1: INT#1:x é#1: é#1:2 T#: TOD#12:30:00: DT#1:²",
+        "INT#2..INT#3: INT#6..7 REAL#1.5 T#1.5s INT#6... x#. y#.a",
         "²3 3² 1.² é1 Ⅻ aⅫ",
         "a\tb\r\nc\rd",
         "@ ! ? ~ ` \\",
@@ -263,7 +267,7 @@ def test_token_codes():
 
 
 def test_codes_and_kinds_are_in_bijection(plant_dir, tmp_path):
-    """``TokenStore.add`` maps a token's kind and text to its code, and
+    """``token_view.add`` maps a token's kind and text to its code, and
     ``kind`` maps the code back: adding every token again by its kind gives
     the same codes."""
     dirs = [plant_dir] + [random_project(tmp_path / f"random{seed}", seed) for seed in range(20)]
@@ -273,8 +277,9 @@ def test_codes_and_kinds_are_in_bijection(plant_dir, tmp_path):
         store, _ = tokenize(text)
         again = TokenStore(store.line_starts)
         for i, (token, start) in enumerate(zip(store.texts, store.starts)):
-            kinds.add(store.kind(i))
-            again.add(store.kind(i), token, start)
+            kind = token_view.kind(store, i)
+            kinds.add(kind)
+            token_view.add(again, kind, token, start)
         assert again.codes == store.codes, text
     assert kinds == set(TokenKind)
 
