@@ -410,7 +410,7 @@ def _cmd_configure(args: argparse.Namespace) -> int:
     manual = configurator.count_manual_markers(generated)
     print(
         f"wrote {len(generated.files)} files to {args.out} "
-        f"(specificity {maturity.format_ratio(ratio)}, manual stubs {manual})"
+        f"(specificity {model.format_ratio(ratio)}, manual stubs {manual})"
     )
     return EXIT_OK
 

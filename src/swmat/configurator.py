@@ -20,10 +20,10 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .model import IDENT, SCALAR, load_json, read_text
 from .stparse import is_identifier, tokenize
@@ -69,8 +69,7 @@ class Provenance(Enum):
     CONFIG = "config"
 
 
-@dataclass(frozen=True)
-class GeneratedFile:
+class GeneratedFile(NamedTuple):
     name: str
     lines: tuple[tuple[str, Provenance], ...]
 
@@ -79,8 +78,7 @@ class GeneratedFile:
         return "\n".join(text for text, _ in self.lines) + "\n"
 
 
-@dataclass(frozen=True)
-class GeneratedProject:
+class GeneratedProject(NamedTuple):
     files: tuple[GeneratedFile, ...]
 
     def file(self, name: str) -> GeneratedFile:
@@ -123,9 +121,16 @@ def count_manual_markers(project: GeneratedProject) -> int:
 # --- templates -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TemplateSet:
-    templates: dict[str, str] = field(default_factory=dict)
+class _TemplateSetFields(NamedTuple):
+    templates: dict[str, str] | None = None
+
+
+class TemplateSet(_TemplateSetFields):
+    __slots__ = ()
+
+    def __new__(cls, templates=None):
+        # a new dict for each set that is given none
+        return super().__new__(cls, {} if templates is None else templates)
 
     def required_params(self, name: str) -> tuple[str, ...]:
         text = self.templates[name]
@@ -179,15 +184,21 @@ def substitute(
 # --- template-based configuration --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InstanceSpec:
+class _InstanceSpecFields(NamedTuple):
     name: str
     template: str
-    params: dict[str, str] = field(default_factory=dict)
+    params: dict[str, str] | None = None
 
 
-@dataclass(frozen=True)
-class ModuleConfig:
+class InstanceSpec(_InstanceSpecFields):
+    __slots__ = ()
+
+    def __new__(cls, name, template, params=None):
+        # a new dict for each instance that is given none
+        return super().__new__(cls, name, template, {} if params is None else params)
+
+
+class ModuleConfig(NamedTuple):
     supervisory: str = "main"
     mode_constants: tuple[str, ...] = MODE_CONSTANTS
     instances: tuple[InstanceSpec, ...] = ()
@@ -302,8 +313,7 @@ def generate_template_project(
 # --- parameter-based configuration --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParameterProject:
+class ParameterProject(NamedTuple):
     invariable: tuple[tuple[str, str], ...]  # (file name, ST text)
     component_template: str
     columns: tuple[str, ...]

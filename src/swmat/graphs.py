@@ -6,11 +6,11 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, groupby
+from typing import NamedTuple
 
-from .model import CallResolution, CallSite, Pou, PouKind, Project
+from .model import CallResolution, CallSite, Memos, Pou, PouKind, Project
 
 
 def complexity(pou: Pou) -> int:
@@ -19,8 +19,7 @@ def complexity(pou: Pou) -> int:
     return pou.complexity
 
 
-@dataclass(frozen=True)
-class CallGraphNode:
+class CallGraphNode(NamedTuple):
     name: str
     kind: PouKind | None
     complexity: int
@@ -29,19 +28,19 @@ class CallGraphNode:
     group: str | None = None
 
 
-@dataclass(frozen=True)
-class CallEdge:
+class CallEdge(NamedTuple):
     caller: str
     callee: str
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class CallGraph:
+class _CallGraphFields(NamedTuple):
     nodes: tuple[CallGraphNode, ...]
     edges: tuple[CallEdge, ...]
     entries: tuple[str, ...]
 
+
+class CallGraph(_CallGraphFields, Memos):
     def node_map(self) -> dict[str, CallGraphNode]:
         return {n.name: n for n in self.nodes}
 
@@ -63,15 +62,13 @@ class CallGraph:
         return callers, callees
 
 
-@dataclass(frozen=True)
-class GlobalEdge:
+class GlobalEdge(NamedTuple):
     writer: str
     reader: str
     via: str
 
 
-@dataclass(frozen=True)
-class GlobalUsers:
+class GlobalUsers(NamedTuple):
     """The POUs that write and read one global, each in ``str.lower`` order."""
 
     name: str
@@ -86,17 +83,18 @@ class GlobalUsers:
         return len(self.writers) * len(self.readers) - self_pairs
 
 
-@dataclass(frozen=True)
-class GlobalCommGraph:
+class _GlobalCommGraphFields(NamedTuple):
+    nodes: tuple[str, ...]
+    globals: tuple[GlobalUsers, ...]
+
+
+class GlobalCommGraph(_GlobalCommGraphFields, Memos):
     """Writer-to-reader edges through globals, kept as a POU–global incidence.
 
     Every writer of a global has an edge to every other reader of it, so the
     graph stores only who writes and reads each global (``globals``, in
     ``str.lower`` order) and counts its edges from that.
     """
-
-    nodes: tuple[str, ...]
-    globals: tuple[GlobalUsers, ...]
 
     @cached_property
     def edge_count(self) -> int:

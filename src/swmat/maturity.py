@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .model import (
     AnswerMode,
@@ -32,8 +31,10 @@ from .model import (
     Option,
     Question,
     QuestionnaireSchema,
+    RATIO_PLACES,
     SCALAR,
     SCORED_CATEGORIES,
+    format_ratio,
     load_json,
 )
 
@@ -144,8 +145,7 @@ def parse_numeric_answer(value: AnswerValue) -> tuple[Fraction, str | None]:
 # --- one scoring pass per answer set ------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class _Scored:
+class _Scored(NamedTuple):
     """What one pass over an answer set finds (see ``_score_pass``)."""
 
     problems: list[str]  # invariant violations, by question id
@@ -238,8 +238,7 @@ def _strict_reachable(schema: QuestionnaireSchema) -> list[int]:
 # --- category / overall maturity ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class CategoryScore:
+class CategoryScore(NamedTuple):
     category: Category
     maturity: Fraction | None
     gained: Fraction
@@ -377,8 +376,7 @@ class Significance(Enum):
     P01 = "p<0.01"
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
+class CorrelationResult(NamedTuple):
     r: float
     n: int
     significance: Significance
@@ -448,8 +446,7 @@ def pearson(
 # --- cohort --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CohortStats:
+class CohortStats(NamedTuple):
     question_means: dict[int, Fraction | None]
     question_counts: dict[int, int]
     category_means: dict[Category, Fraction | None]
@@ -579,24 +576,6 @@ def load_answers_file(path: str | Path) -> AnswerSet:
         return answers_from_dict(data)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-# the digits after the point of every ratio written out
-RATIO_PLACES = 4
-
-
-def format_ratio(value: Fraction | None) -> str:
-    """Fixed-point rendering to ``RATIO_PLACES`` digits with exact half-up
-    rounding; '' for missing."""
-    if value is None:
-        return ""
-    scale = 10**RATIO_PLACES
-    numerator, denominator = value.numerator, value.denominator
-    # floor(|value| * scale + 1/2) in integers: halves round away from zero
-    quotient = (2 * abs(numerator) * scale + denominator) // (2 * denominator)
-    sign = "-" if numerator < 0 and quotient else ""
-    whole, frac = divmod(quotient, scale)
-    return f"{sign}{whole}.{frac:0{RATIO_PLACES}d}"
 
 
 def report_to_dict(

@@ -1,8 +1,9 @@
 """Shared domain model: parsed PLC code, questionnaire data, assessment results.
 
-All types are immutable value objects with structural equality.  Scores and
-maturity ratios are `fractions.Fraction` throughout so that sums of
-quarter-point scores (3.25, 3.75, 1.25) stay exact under addition.
+All records are ``typing.NamedTuple``s: immutable values, and two records
+of one type are equal when their fields are.  Scores and maturity ratios
+are `fractions.Fraction` throughout so that sums of quarter-point scores
+(3.25, 3.75, 1.25) stay exact under addition.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import json
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -80,28 +80,39 @@ class TokenStore:
         return self.locate(self.starts[i])
 
 
-@dataclass(frozen=True, slots=True)
-class VarDecl:
+class Memos:
+    """The ``cached_property`` memos of a record.
+
+    A record that keeps memos is a class derived from its ``NamedTuple`` of
+    fields and from this one, with no ``__slots__`` of its own, so each
+    instance has a ``__dict__``.  ``cached_property`` writes a memo straight
+    into it; any attribute assignment raises, as on a record without memos.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a {type(self).__name__} is immutable")
+
+
+class VarDecl(NamedTuple):
     name: str
     type_name: str
     init: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class VarSection:
+class VarSection(NamedTuple):
     kind: SectionKind
     decls: tuple[VarDecl, ...]
     constant: bool = False
 
 
-@dataclass(frozen=True, slots=True)
-class ActionDef:
+class ActionDef(NamedTuple):
     name: str
     line: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class CallSite:
+class CallSite(NamedTuple):
     caller: str
     callee_text: str
     resolution: CallResolution
@@ -112,8 +123,7 @@ class CallSite:
     col: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class LineSpan:
+class LineSpan(NamedTuple):
     start: int
     end: int
 
@@ -121,8 +131,7 @@ class LineSpan:
         return self.start <= line <= self.end
 
 
-@dataclass(frozen=True, slots=True)
-class Pou:
+class Pou(NamedTuple):
     name: str
     kind: PouKind
     return_type: str | None = None
@@ -148,39 +157,65 @@ class Pou:
         return out
 
 
-@dataclass(frozen=True, slots=True)
-class GlobalVar:
+class GlobalVar(NamedTuple):
     name: str
     type_name: str
     init: str | None = None
     constant: bool = False
-    # the line of its name; a hand-built global has none
-    line: int | None = field(default=None, compare=False)
+    # the line of its name; a hand-built global has none.  Equality and the
+    # hash leave it out
+    line: int | None = None
+
+    def __eq__(self, other):
+        return type(other) is GlobalVar and self[:4] == other[:4]
+
+    def __ne__(self, other):  # tuple's own would compare ``line`` too
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:4])
 
 
-@dataclass(frozen=True)
-class TaskDef:
+class TaskDef(NamedTuple):
     name: str
     cycle_ms: int
     entry: str
-    # where the task was declared; a hand-built task has none
-    path: str | None = field(default=None, compare=False)
-    line: int | None = field(default=None, compare=False)
+    # where the task was declared; a hand-built task has none.  Equality and
+    # the hash leave both out
+    path: str | None = None
+    line: int | None = None
+
+    def __eq__(self, other):
+        return type(other) is TaskDef and self[:3] == other[:3]
+
+    def __ne__(self, other):  # tuple's own would compare ``path`` and ``line`` too
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:3])
 
 
-@dataclass(frozen=True)
-class SourceRef:
+class SourceRef(NamedTuple):
     path: str
     span: LineSpan
 
 
-@dataclass(frozen=True)
-class Project:
+class _ProjectFields(NamedTuple):
     name: str
     pous: tuple[Pou, ...] = ()
     globals: tuple[GlobalVar, ...] = ()
     tasks: tuple[TaskDef, ...] = ()
-    source_index: dict[str, SourceRef] = field(default_factory=dict)
+    source_index: dict[str, SourceRef] | None = None
+
+
+class Project(_ProjectFields):
+    __slots__ = ()
+
+    def __new__(cls, name, pous=(), globals=(), tasks=(), source_index=None):
+        # a new dict for each project that is given none
+        return super().__new__(
+            cls, name, pous, globals, tasks, {} if source_index is None else source_index
+        )
 
     def pou(self, name: str) -> Pou | None:
         wanted = name.lower()
@@ -231,15 +266,13 @@ def _canonical_category(qid: int) -> "Category | None":
     return None
 
 
-@dataclass(frozen=True)
-class Option:
+class Option(NamedTuple):
     key: str
     label: str
     score: Fraction
 
 
-@dataclass(frozen=True)
-class Question:
+class Question(NamedTuple):
     id: int
     text: str
     category: Category
@@ -248,10 +281,11 @@ class Question:
     mode: AnswerMode = AnswerMode.SINGLE_CHOICE
 
 
-@dataclass(frozen=True)
-class QuestionnaireSchema:
+class _QuestionnaireSchemaFields(NamedTuple):
     questions: tuple[Question, ...]
 
+
+class QuestionnaireSchema(_QuestionnaireSchemaFields, Memos):
     def question(self, qid: int) -> Question:
         try:
             return self._by_id[qid]
@@ -365,18 +399,24 @@ class QuestionnaireSchema:
 AnswerValue = Union[str, int, Fraction]
 
 
-@dataclass(frozen=True)
-class AnswerSet:
+class _AnswerSetFields(NamedTuple):
     company: str
     category: CompanyCategory
-    answers: dict[int, AnswerValue] = field(default_factory=dict)
+    answers: dict[int, AnswerValue] | None = None
+
+
+class AnswerSet(_AnswerSetFields):
+    __slots__ = ()
+
+    def __new__(cls, company, category, answers=None):
+        # a new dict for each answer set that is given none
+        return super().__new__(cls, company, category, {} if answers is None else answers)
 
     def unanswered_ids(self, schema: QuestionnaireSchema) -> tuple[int, ...]:
         return tuple(qid for qid in schema.ids() if qid not in self.answers)
 
 
-@dataclass(frozen=True)
-class MaturityReport:
+class MaturityReport(NamedTuple):
     company: str
     company_category: CompanyCategory
     per_question_normalized: dict[int, Fraction | None]
@@ -387,6 +427,24 @@ class MaturityReport:
     category_points: dict[Category, tuple[Fraction, Fraction]]
     complexity_measure: Fraction | None = None
     unanswered: tuple[int, ...] = ()
+
+
+# the digits after the point of every ratio written out
+RATIO_PLACES = 4
+
+
+def format_ratio(value: Fraction | None) -> str:
+    """Fixed-point rendering to ``RATIO_PLACES`` digits with exact half-up
+    rounding; '' for missing."""
+    if value is None:
+        return ""
+    scale = 10**RATIO_PLACES
+    numerator, denominator = value.numerator, value.denominator
+    # floor(|value| * scale + 1/2) in integers: halves round away from zero
+    quotient = (2 * abs(numerator) * scale + denominator) // (2 * denominator)
+    sign = "-" if numerator < 0 and quotient else ""
+    whole, frac = divmod(quotient, scale)
+    return f"{sign}{whole}.{frac:0{RATIO_PLACES}d}"
 
 
 # --- modularity assessment --------------------------------------------------
@@ -430,8 +488,7 @@ class ArchLevel(Enum):
 MEYER_CRITERIA = ("decomposability", "composability", "understandability", "protection")
 
 
-@dataclass(frozen=True)
-class ModularityAssessment:
+class ModularityAssessment(NamedTuple):
     grades: dict[str, Grade]
     governance: GovernanceLevel
     structure_style: StructureStyle
@@ -444,8 +501,7 @@ class ModularityAssessment:
 # --- diagnostics -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str  # "error" | "warning"
     message: str
     pou: str | None = None

@@ -10,9 +10,9 @@ point rather than dogma.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .graphs import CallGraph, GlobalCommGraph
 from .model import (
@@ -28,8 +28,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class Thresholds(NamedTuple):
     flat_global_min_f: Fraction = Fraction(1, 2)
     hierarchical_max_f: Fraction = Fraction(1, 4)
     flat_max_depth: int = 2
@@ -50,8 +49,8 @@ def load_thresholds(path: str | Path) -> Thresholds:
     """Read ``key = value`` overrides; comments allowed.  An unknown key or a
     value that does not read as the knob's type raises a ValueError naming
     the file and line."""
-    values = Thresholds()
-    valid = {f.name: f.type for f in fields(Thresholds)}
+    # each knob's type is its default's: int or Fraction
+    valid = {name: type(value) for name, value in Thresholds._field_defaults.items()}
     overrides = {}
     for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -65,19 +64,18 @@ def load_thresholds(path: str | Path) -> Thresholds:
         if key not in valid:
             raise ValueError(f"{path}:{lineno}: unknown threshold {key!r}")
         try:
-            overrides[key] = int(value) if valid[key] == "int" else Fraction(value)
+            overrides[key] = valid[key](value)
         except (ValueError, ZeroDivisionError):
-            expected = "an integer" if valid[key] == "int" else "a number"
+            expected = "an integer" if valid[key] is int else "a number"
             message = f"{path}:{lineno}: {key}: expected {expected}, got {value!r}"
             raise ValueError(message) from None
-    return replace(values, **overrides)
+    return Thresholds(**overrides)
 
 
 # --- architectural levels -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LevelAssignment:
+class LevelAssignment(NamedTuple):
     strata: dict[str, int | None]  # None = unreachable from every entry
     named: dict[str, ArchLevel]
     levels_below_entry: int
@@ -130,8 +128,7 @@ def assign_levels(graph: CallGraph, plant: bool = False) -> LevelAssignment:
 # --- structure style ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StyleResult:
+class StyleResult(NamedTuple):
     style: StructureStyle
     coupling_fraction: Fraction
     warning: str | None = None
@@ -168,8 +165,7 @@ def classify_structure_style(
 # --- clone detection ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CloneReport:
+class CloneReport(NamedTuple):
     groups: tuple[tuple[str, ...], ...]
     clone_ratio: Fraction
     total_pous: int
@@ -331,8 +327,7 @@ def grade_meyer(
     }
 
 
-@dataclass(frozen=True)
-class GovernanceEvidence:
+class GovernanceEvidence(NamedTuple):
     """Process facts supplied by a human; they cannot be read from code."""
 
     templates_present: bool = False
@@ -379,8 +374,7 @@ def assessment_score(grades: dict[str, Grade], governance: GovernanceLevel) -> i
     return total
 
 
-@dataclass(frozen=True)
-class ProjectAnalysis:
+class ProjectAnalysis(NamedTuple):
     call_graph: CallGraph
     global_graph: GlobalCommGraph
     levels: LevelAssignment

@@ -12,7 +12,6 @@ symbol table.  A project directory may also carry:
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Iterable
 from pathlib import Path
 
@@ -42,14 +41,22 @@ class ProjectError(ValueError):
     """The project directory is missing or holds no source files."""
 
 
-@dataclasses.dataclass
 class SymbolTable:
     """Project-wide name resolution context, keys lower-cased."""
 
-    pou_names: dict[str, str]  # lower -> as declared
-    fb_types: set[str]
-    globals: dict[str, str]  # lower -> as declared
-    global_types: dict[str, str]  # lower -> declared type
+    __slots__ = ("pou_names", "fb_types", "globals", "global_types")
+
+    def __init__(
+        self,
+        pou_names: dict[str, str],  # lower -> as declared
+        fb_types: set[str],
+        globals: dict[str, str],  # lower -> as declared
+        global_types: dict[str, str],  # lower -> declared type
+    ) -> None:
+        self.pou_names = pou_names
+        self.fb_types = fb_types
+        self.globals = globals
+        self.global_types = global_types
 
 
 def build_symbol_table(pous: list[Pou], globals_: list[GlobalVar]) -> SymbolTable:
@@ -295,8 +302,7 @@ def parse_project(directory: str | Path, name: str | None = None) -> tuple[Proje
         sites = extract_call_sites(pou, table, body.calls)
         reads, writes = extract_global_accesses(pou, table.globals, body.reads, body.writes)
         resolved.append(
-            dataclasses.replace(
-                pou,
+            pou._replace(
                 call_sites=tuple(sites),
                 global_reads=frozenset(reads) if reads else _NO_GLOBALS,
                 global_writes=frozenset(writes) if writes else _NO_GLOBALS,

@@ -10,12 +10,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
-from .maturity import format_ratio
-from .model import MaturityReport
+from .model import MaturityReport, Memos, format_ratio
 
 RADAR_MAX = Fraction(5)
 
@@ -26,12 +25,13 @@ def escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-@dataclass(frozen=True)
-class RadarSeries:
+class _RadarSeriesFields(NamedTuple):
     name: str
     values: tuple[Fraction | None, ...]
     dashed: bool = False
 
+
+class RadarSeries(_RadarSeriesFields, Memos):
     @cached_property
     def polylines(self) -> tuple[str, ...]:
         """The ``points`` text of each unbroken run of the profile on
@@ -49,8 +49,7 @@ class RadarSeries:
         return tuple(polylines)
 
 
-@dataclass(frozen=True)
-class RadarSpec:
+class RadarSpec(NamedTuple):
     spokes: tuple[tuple[int, str], ...]
     series: tuple[RadarSeries, ...]
 
@@ -185,8 +184,7 @@ def emit_overview_csv(reports: list[MaturityReport]) -> str:
     return buffer.getvalue()
 
 
-@dataclass(frozen=True)
-class ScatterPoint:
+class ScatterPoint(NamedTuple):
     x_label: str
     y_label: str
     x: Fraction

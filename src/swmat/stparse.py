@@ -25,10 +25,10 @@ from __future__ import annotations
 import re
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from operator import add
 from sys import intern
+from typing import NamedTuple
 
 from .model import (
     ActionDef,
@@ -87,20 +87,30 @@ _EXPR_ROLES = {
 }
 
 
-@dataclass(frozen=True)
-class SourceFile:
+class SourceFile(NamedTuple):
     path: str
     text: str
 
 
-@dataclass
 class ParseResult:
-    pous: list[Pou]
-    globals: list[GlobalVar]
-    diagnostics: list[Diagnostic]
-    partial: list[str]  # names of POUs whose body was only partly recovered
-    # each POU's calls, reads and writes as written, parallel to ``pous``
-    facts: list[BodyFacts] = field(default_factory=list)
+    """What parsing one file finds."""
+
+    __slots__ = ("pous", "globals", "diagnostics", "partial", "facts")
+
+    def __init__(
+        self,
+        pous: list[Pou],
+        globals: list[GlobalVar],
+        diagnostics: list[Diagnostic],
+        partial: list[str],
+        facts: list[BodyFacts] | None = None,
+    ) -> None:
+        self.pous = pous
+        self.globals = globals
+        self.diagnostics = diagnostics
+        self.partial = partial  # names of POUs whose body was only partly recovered
+        # each POU's calls, reads and writes as written, parallel to ``pous``
+        self.facts = [] if facts is None else facts
 
     @property
     def ok(self) -> bool:
@@ -218,9 +228,9 @@ def _tokenize_span(
     codes = list(map(_Codes(_FIXED_CODES).__getitem__, pieces))
     end = len(codes)
     codes.append(_SPECIAL)  # ends the last run
-    # texts and keyword codes are interned: the spans of a parsed project
-    # keep every file's store alive, and the files repeat the same names,
-    # keywords, operators and literals
+    # texts and keyword codes are interned: the files repeat the same names,
+    # keywords, operators and literals, so a name that a file's facts keep
+    # (a POU, a call, a read or written global) is one object across files
     add_codes, add_starts, add_texts = store.codes.extend, store.starts.extend, store.texts.extend
     i = 0
     resume = stop

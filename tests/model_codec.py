@@ -1,7 +1,8 @@
 """A tagged JSON codec for `swmat.model` values, used by the round-trip tests.
 
-Every dataclass and enum defined in `swmat.model` is registered by name, so
-`from_jsonable(to_jsonable(value)) == value` for any model value.
+Every record (a `NamedTuple`) and enum defined in `swmat.model` is
+registered by name, so `from_jsonable(to_jsonable(value)) == value` for any
+model value.
 
 `schema_to_dict` writes a questionnaire in the schema-file format that
 `swmat.maturity.load_schema_file` reads.
@@ -9,7 +10,6 @@ Every dataclass and enum defined in `swmat.model` is registered by name, so
 
 from __future__ import annotations
 
-from dataclasses import fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Any, Mapping
@@ -23,7 +23,7 @@ _ENUM_CLASSES: dict[str, type] = {}
 
 def _register() -> None:
     for obj in vars(swmat.model).values():
-        if isinstance(obj, type) and is_dataclass(obj):
+        if isinstance(obj, type) and hasattr(obj, "_fields"):
             _MODEL_CLASSES[obj.__name__] = obj
         elif isinstance(obj, type) and issubclass(obj, Enum) and obj is not Enum:
             _ENUM_CLASSES[obj.__name__] = obj
@@ -37,17 +37,17 @@ def to_jsonable(obj: Any) -> Any:
         return {"$frac": str(obj)}
     if isinstance(obj, Enum):
         return {"$enum": type(obj).__name__, "value": obj.value}
+    if hasattr(obj, "_fields"):  # a record; before tuples, which it also is
+        data: dict[str, Any] = {"$type": type(obj).__name__}
+        for name in obj._fields:
+            data[name] = to_jsonable(getattr(obj, name))
+        return data
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
     if isinstance(obj, frozenset):
         return {"$set": sorted(to_jsonable(v) for v in obj)}
     if isinstance(obj, Mapping):
         return {"$map": [[to_jsonable(k), to_jsonable(v)] for k, v in obj.items()]}
-    if is_dataclass(obj):
-        data: dict[str, Any] = {"$type": type(obj).__name__}
-        for f in fields(obj):
-            data[f.name] = to_jsonable(getattr(obj, f.name))
-        return data
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -8,7 +8,6 @@ that ``with_trees`` takes from ``tree_parser.parse_file`` of the same sources.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import re
 from array import array
@@ -120,7 +119,7 @@ def with_trees(project: Project) -> Project:
             parsed[path] = {(p.name, p.span): p for p in parse_file(source).pous}
         tree = parsed[path][pou.name, pou.span]
         pous.append(tree_pou(pou, tree.statements, tree.actions))
-    return dataclasses.replace(project, pous=tuple(pous))
+    return project._replace(pous=tuple(pous))
 
 
 def _pou_bodies(pou: Pou):

@@ -639,11 +639,10 @@ def test_numeric_notes_logged(schema):
 
 def test_schema_validate_enforces_groupings():
     from swmat.model import Category, Question, QuestionnaireSchema
-    import dataclasses
 
     schema = default_schema()
     shifted = tuple(
-        dataclasses.replace(q, category=Category.TEST) if q.id == 36 else q
+        q._replace(category=Category.TEST) if q.id == 36 else q
         for q in schema.questions
     )
     problems = QuestionnaireSchema(shifted).validate()

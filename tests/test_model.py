@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 from array import array
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
@@ -19,7 +20,8 @@ from swmat.model import (
     validate_project,
 )
 from swmat.project import parse_project
-from swmat.stparse import parse_source, tokenize
+from swmat.maturity import default_schema
+from swmat.stparse import ParseResult, parse_source, tokenize
 from model_codec import from_jsonable, to_jsonable
 from oracles import with_trees
 from synth import write_project
@@ -136,14 +138,16 @@ SLOTTED = (
 
 
 def _model_values(value, found):
-    """Every model dataclass reachable from ``value``, by class name."""
-    if isinstance(value, (tuple, list, frozenset)):
+    """Every record reachable from ``value``, and every statement node of the
+    reference trees, by class name."""
+    if hasattr(value, "_fields") or is_dataclass(value):
+        found.setdefault(type(value).__name__, value)
+        names = value._fields if hasattr(value, "_fields") else [f.name for f in fields(value)]
+        for name in names:
+            _model_values(getattr(value, name), found)
+    elif isinstance(value, (tuple, list, frozenset)):
         for item in value:
             _model_values(item, found)
-    elif is_dataclass(value):
-        found.setdefault(type(value).__name__, value)
-        for f in fields(value):
-            _model_values(getattr(value, f.name), found)
 
 
 def test_per_statement_nodes_have_no_dict(plant_dir, tmp_path):
@@ -162,3 +166,88 @@ def test_line_starts_are_machine_integers():
     store, _ = tokenize("PROGRAM p\nx := 1;\nEND_PROGRAM\n")
     assert isinstance(store.line_starts, array)
     assert list(store.line_starts) == [0, 10, 18, 30]
+
+
+# --- record semantics ------------------------------------------------------------
+
+_RECORD_MODULES = (
+    "model", "stparse", "project", "graphs", "modularity", "maturity", "configurator",
+    "reporting",
+)
+# fields that say where a record was declared: equality and the hash leave them out
+POSITION_FIELDS = {("GlobalVar", "line"), ("TaskDef", "path"), ("TaskDef", "line")}
+
+
+def _record_classes() -> list[type]:
+    """Every record class of the package: a NamedTuple, or a class derived
+    from the NamedTuple of its fields (``_...Fields``), which is not listed."""
+    found = []
+    for name in _RECORD_MODULES:
+        module = importlib.import_module(f"swmat.{name}")
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and hasattr(obj, "_fields")
+                    and obj.__module__ == module.__name__
+                    and not obj.__name__.endswith("Fields")):
+                found.append(obj)
+    return found
+
+
+RECORDS = _record_classes()
+
+
+def _sample(cls: type):
+    """An instance of ``cls`` whose every field holds its own name; records
+    do not check their field types."""
+    return cls(*cls._fields)
+
+
+def test_every_record_is_found():
+    names = {cls.__name__ for cls in RECORDS}
+    assert {"Pou", "GlobalVar", "TaskDef", "Project", "QuestionnaireSchema", "CallGraph",
+            "GlobalCommGraph", "Thresholds", "RadarSeries", "GeneratedProject",
+            "SourceFile", "_Scored"} <= names
+    assert not {"ParseResult", "SymbolTable"} & names  # the two mutable classes
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_semantics(cls):
+    record, twin = _sample(cls), _sample(cls)
+    assert record == twin and not record != twin
+    assert hash(record) == hash(twin)
+    fields = ", ".join(f"{name}={getattr(record, name)!r}" for name in cls._fields)
+    assert repr(record) == f"{cls.__name__}({fields})"
+
+    for name in cls._fields:
+        changed = record._replace(**{name: "other"})
+        assert type(changed) is cls and changed._replace(**{name: name}) == record
+        if (cls.__name__, name) in POSITION_FIELDS:
+            assert changed == record and not changed != record
+            assert hash(changed) == hash(record)
+        else:
+            assert changed != record and not changed == record
+        with pytest.raises(AttributeError):
+            setattr(record, name, "other")
+    with pytest.raises(AttributeError):
+        record.no_such_field = 1
+    assert record == twin
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_default_instances_share_no_container(cls):
+    required = len(cls._fields) - len(cls._field_defaults)
+    first, second = (cls(*[f"v{i}" for i in range(required)]) for _ in range(2))
+    for name in cls._fields[required:]:
+        value = getattr(first, name)
+        assert not isinstance(value, (list, dict, set)) or value is not getattr(second, name)
+
+
+def test_memos_are_kept_per_record():
+    schema = default_schema()
+    assert schema._by_id is schema._by_id
+    assert schema._replace(questions=schema.questions[:3])._by_id.keys() == {1, 2, 3}
+    with pytest.raises(AttributeError):
+        schema.answer_scores = {}
+
+
+def test_parse_result_default_facts_are_fresh():
+    assert ParseResult([], [], [], []).facts is not ParseResult([], [], [], []).facts

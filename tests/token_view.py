@@ -77,6 +77,8 @@ def expanded(value: Any) -> Any:
     """A parsed value with every span in it replaced by its tokens."""
     if isinstance(value, TokenSeq):
         return expand(value)
+    if hasattr(value, "_fields") and not isinstance(value, type):  # a record
+        return value._replace(**{name: expanded(getattr(value, name)) for name in value._fields})
     if isinstance(value, (list, tuple)):
         return type(value)(expanded(v) for v in value)
     if is_dataclass(value) and not isinstance(value, type):

@@ -17,7 +17,8 @@ also checks the runtime parser.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from collections import namedtuple
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
 from swmat import stparse
@@ -154,11 +155,17 @@ class TreeAction:
     line: int = 0
 
 
-@dataclass(frozen=True)
-class TreePou(Pou):
+# a record cannot add fields to another, so TreePou repeats Pou's
+_TreePouFields = namedtuple(
+    "TreePou", (*Pou._fields, "statements"), defaults=(*Pou._field_defaults.values(), ())
+)
+
+
+class TreePou(_TreePouFields):
     """A POU with its statement trees; its actions are ``TreeAction``s."""
 
-    statements: tuple[Statement, ...] = ()
+    __slots__ = ()
+    declared_names = Pou.declared_names
 
     def all_statements(self) -> tuple[Statement, ...]:
         """Top-level statements of the body, then of each action in order."""
@@ -167,21 +174,18 @@ class TreePou(Pou):
 
 def tree_pou(pou: Pou, statements: Sequence[Statement], actions: Sequence[TreeAction]) -> TreePou:
     """``pou`` with statement trees and action bodies."""
-    values = {f.name: getattr(pou, f.name) for f in fields(Pou)}
-    return TreePou(**{**values, "actions": tuple(actions)}, statements=tuple(statements))
+    return TreePou(*pou._replace(actions=tuple(actions)), statements=tuple(statements))
 
 
 def runtime_pou(pou: TreePou) -> Pou:
     """The POU that ``swmat.stparse`` returns for ``pou``: no trees, its
     actions by name and line, its complexity and fingerprint filled."""
-    values = {f.name: getattr(pou, f.name) for f in fields(Pou)}
     facts = body_facts(pou.all_statements())
-    return Pou(**{
-        **values,
-        "actions": tuple(ActionDef(a.name, a.line) for a in pou.actions),
-        "complexity": facts.complexity,
-        "fingerprint": facts.fingerprint,
-    })
+    return Pou._make(pou[:len(Pou._fields)])._replace(
+        actions=tuple(ActionDef(a.name, a.line) for a in pou.actions),
+        complexity=facts.complexity,
+        fingerprint=facts.fingerprint,
+    )
 
 
 class TreeParser(stparse.Parser):
