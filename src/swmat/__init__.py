@@ -40,7 +40,7 @@ _EXPORTS = {
     ),
     "maturity": (
         "CorrelationResult", "DegenerateSampleError", "ScoringError", "Significance",
-        "build_report", "category_maturity", "cohort_stats", "complexity_measure",
+        "build_report", "cohort_stats", "complexity_measure",
         "default_schema", "interaction_variable", "overall_maturity", "pearson",
         "score_answer",
     ),

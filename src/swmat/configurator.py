@@ -121,16 +121,8 @@ def count_manual_markers(project: GeneratedProject) -> int:
 # --- templates -------------------------------------------------------------------
 
 
-class _TemplateSetFields(NamedTuple):
-    templates: dict[str, str] | None = None
-
-
-class TemplateSet(_TemplateSetFields):
-    __slots__ = ()
-
-    def __new__(cls, templates=None):
-        # a new dict for each set that is given none
-        return super().__new__(cls, {} if templates is None else templates)
+class TemplateSet(NamedTuple):
+    templates: dict[str, str]
 
     def required_params(self, name: str) -> tuple[str, ...]:
         text = self.templates[name]
@@ -184,18 +176,10 @@ def substitute(
 # --- template-based configuration --------------------------------------------------
 
 
-class _InstanceSpecFields(NamedTuple):
+class InstanceSpec(NamedTuple):
     name: str
     template: str
-    params: dict[str, str] | None = None
-
-
-class InstanceSpec(_InstanceSpecFields):
-    __slots__ = ()
-
-    def __new__(cls, name, template, params=None):
-        # a new dict for each instance that is given none
-        return super().__new__(cls, name, template, {} if params is None else params)
+    params: dict[str, str]
 
 
 class ModuleConfig(NamedTuple):

@@ -135,7 +135,7 @@ def build_call_graph(project: Project, per_instance: bool = False) -> CallGraph:
     ``per_instance`` every declared instance becomes its own node, named
     ``<caller>.<instance>`` as the instance is declared, that inherits the
     type's complexity and outgoing calls.  Node complexity is the
-    ``Pou.complexity`` that ``parse_project`` stored.
+    ``Pou.complexity`` that the parser recorded (``stparse``).
     """
     nodes = {
         pou.name: CallGraphNode(pou.name, pou.kind, pou.complexity, stub=pou.stub, group=pou.group)

@@ -70,12 +70,6 @@ def find_option(question: Question, answer: str) -> Option:
     )
 
 
-def validate_answers(schema: QuestionnaireSchema, answers: AnswerSet) -> list[str]:
-    """Check the answer-set invariants: known ids, known option keys, numeric
-    answers that read as numbers."""
-    return _score_pass(schema, answers).problems
-
-
 def numeric_notes(schema: QuestionnaireSchema, answers: AnswerSet) -> list[str]:
     """Ingestion log: how descriptive values like '2-6' were read as numbers."""
     return _score_pass(schema, answers).notes
@@ -227,53 +221,7 @@ def _ratio(schema: QuestionnaireSchema, numerator: int, denominator: int) -> Fra
     return found
 
 
-def _strict_reachable(schema: QuestionnaireSchema) -> list[int]:
-    """Each scored category's weights in steps, answered or not."""
-    totals = [0, 0, 0]
-    for slot, steps in schema.weight_steps.values():
-        totals[slot] += steps
-    return totals
-
-
 # --- category / overall maturity ----------------------------------------------
-
-
-class CategoryScore(NamedTuple):
-    category: Category
-    maturity: Fraction | None
-    gained: Fraction
-    reachable: Fraction
-    answered: tuple[int, ...]
-    unanswered: tuple[int, ...]
-
-
-def category_maturity(
-    schema: QuestionnaireSchema,
-    answers: AnswerSet,
-    category: Category,
-    strict: bool = False,
-) -> CategoryScore:
-    """Gained over reachable points for one maturity category.
-
-    Lenient mode (default) counts only answered questions in the denominator;
-    strict mode counts every question of the category.
-    """
-    if category not in SCORED_CATEGORIES:
-        raise ValueError(f"{category} is not a scored category")
-    scored = _checked_pass(schema, answers)
-    slot = SCORED_CATEGORIES.index(category)
-    gained = scored.gained[slot]
-    reachable = (_strict_reachable(schema) if strict else scored.reachable)[slot]
-    ids = schema.scored_ids(category)
-    denominator = schema.denominator
-    return CategoryScore(
-        category,
-        _ratio(schema, gained, reachable) if reachable else None,
-        _ratio(schema, gained, denominator),
-        _ratio(schema, reachable, denominator),
-        tuple(qid for qid in ids if scored.normalized[qid] is not None),
-        tuple(qid for qid in ids if scored.normalized[qid] is None),
-    )
 
 
 def overall_maturity(
@@ -326,6 +274,10 @@ def build_report(
 ) -> MaturityReport:
     """Score one answer set into a full maturity report.
 
+    A category's maturity is its gained over its reachable points.  Lenient
+    mode (default) counts only answered questions as reachable; strict mode
+    counts every scored question of the category.
+
     Raises ScoringError when the answers violate the schema (unknown ids or
     option keys, numeric answers that are no numbers) or when the complexity
     comes from a negative CPU or programmer count; reports are only built
@@ -333,7 +285,11 @@ def build_report(
     """
     scored = _checked_pass(schema, answers)
     gained = scored.gained
-    reachable = _strict_reachable(schema) if strict else scored.reachable
+    reachable = scored.reachable
+    if strict:
+        reachable = [0, 0, 0]
+        for slot, steps in schema.weight_steps.values():
+            reachable[slot] += steps
     denominator = schema.denominator
     maturities = [_ratio(schema, g, r) if r else None for g, r in zip(gained, reachable)]
     total = sum(reachable)

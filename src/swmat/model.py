@@ -162,37 +162,16 @@ class GlobalVar(NamedTuple):
     type_name: str
     init: str | None = None
     constant: bool = False
-    # the line of its name; a hand-built global has none.  Equality and the
-    # hash leave it out
-    line: int | None = None
-
-    def __eq__(self, other):
-        return type(other) is GlobalVar and self[:4] == other[:4]
-
-    def __ne__(self, other):  # tuple's own would compare ``line`` too
-        return not self == other
-
-    def __hash__(self):
-        return hash(self[:4])
+    line: int | None = None  # the line of its name; a hand-built global has none
 
 
 class TaskDef(NamedTuple):
     name: str
     cycle_ms: int
     entry: str
-    # where the task was declared; a hand-built task has none.  Equality and
-    # the hash leave both out
+    # where the task was declared; a hand-built task has neither
     path: str | None = None
     line: int | None = None
-
-    def __eq__(self, other):
-        return type(other) is TaskDef and self[:3] == other[:3]
-
-    def __ne__(self, other):  # tuple's own would compare ``path`` and ``line`` too
-        return not self == other
-
-    def __hash__(self):
-        return hash(self[:3])
 
 
 class SourceRef(NamedTuple):
@@ -200,22 +179,14 @@ class SourceRef(NamedTuple):
     span: LineSpan
 
 
-class _ProjectFields(NamedTuple):
+class Project(NamedTuple):
     name: str
     pous: tuple[Pou, ...] = ()
     globals: tuple[GlobalVar, ...] = ()
     tasks: tuple[TaskDef, ...] = ()
+    # where each POU was read; ``parse_project`` fills it, a hand-built
+    # project has none
     source_index: dict[str, SourceRef] | None = None
-
-
-class Project(_ProjectFields):
-    __slots__ = ()
-
-    def __new__(cls, name, pous=(), globals=(), tasks=(), source_index=None):
-        # a new dict for each project that is given none
-        return super().__new__(
-            cls, name, pous, globals, tasks, {} if source_index is None else source_index
-        )
 
     def pou(self, name: str) -> Pou | None:
         wanted = name.lower()
@@ -299,10 +270,8 @@ class QuestionnaireSchema(_QuestionnaireSchemaFields, Memos):
             by_id.setdefault(q.id, q)  # a duplicate id resolves to its first question
         return by_id
 
-    def ids(self, category: Category | None = None) -> tuple[int, ...]:
-        if category is None:
-            return self._ids
-        return tuple(q.id for q in self.questions if q.category == category)
+    def ids(self) -> tuple[int, ...]:
+        return self._ids
 
     @cached_property
     def _ids(self) -> tuple[int, ...]:
@@ -399,18 +368,10 @@ class QuestionnaireSchema(_QuestionnaireSchemaFields, Memos):
 AnswerValue = Union[str, int, Fraction]
 
 
-class _AnswerSetFields(NamedTuple):
+class AnswerSet(NamedTuple):
     company: str
     category: CompanyCategory
-    answers: dict[int, AnswerValue] | None = None
-
-
-class AnswerSet(_AnswerSetFields):
-    __slots__ = ()
-
-    def __new__(cls, company, category, answers=None):
-        # a new dict for each answer set that is given none
-        return super().__new__(cls, company, category, {} if answers is None else answers)
+    answers: dict[int, AnswerValue]
 
     def unanswered_ids(self, schema: QuestionnaireSchema) -> tuple[int, ...]:
         return tuple(qid for qid in schema.ids() if qid not in self.answers)
@@ -531,8 +492,9 @@ class BodyFacts(NamedTuple):
       expression.
     * ``writes``: the base identifier of each assignment target, and each
       FOR loop counter.
-    * ``reads``: the base of every other dotted path that is not called; the
-      index expressions inside an assignment target are reads.
+    * ``reads``: the base of every other dotted path that is not called,
+      unless it is a member, a name right after '.' (``a[1].b``, ``f().b``);
+      the index expressions inside an assignment target are reads.
 
     Names keep their spelling, as keys in the order first seen; resolving
     them against declarations is the caller's job.

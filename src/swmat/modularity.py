@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -171,7 +172,9 @@ class CloneReport(NamedTuple):
     total_pous: int
 
 
-def detect_clones(project: Project, min_tokens: int = 20) -> CloneReport:
+def detect_clones(
+    project: Project, min_tokens: int = Thresholds().clone_min_tokens
+) -> CloneReport:
     """Group POUs whose normalized body token streams are identical."""
     # a fingerprint joins the codes with a space, which no code holds, so
     # two are equal exactly when the streams are, and it holds one code more
@@ -201,8 +204,8 @@ def detect_clones(project: Project, min_tokens: int = 20) -> CloneReport:
 def detect_cross_cutting(
     graph: CallGraph,
     levels: LevelAssignment | None = None,
-    k: int = 4,
-    min_strata: int = 3,
+    k: int = Thresholds().cross_cutting_k,
+    min_strata: int = Thresholds().cross_cutting_strata,
 ) -> list[str]:
     """POUs called from at least k callers spread over >= min_strata strata.
 
@@ -240,20 +243,25 @@ def _is_call_tree(graph: CallGraph) -> bool:
     return True
 
 
+def _instance_type(type_name: str) -> str:
+    """The lower-cased type of a declared instance: an array of instances,
+    at any depth, counts as its element type."""
+    key = type_name.lower()
+    while key.startswith("array of "):
+        key = key[len("array of "):]
+    return key
+
+
 def reuse_ratio(project: Project) -> Fraction:
-    """Share of FB types that are library stubs or instantiated at least twice."""
+    """Share of FB types that are library stubs or instantiated at least twice,
+    by locals and globals alike."""
     fb_types = {p.name.lower(): p for p in project.pous if p.kind is PouKind.FUNCTION_BLOCK}
     if not fb_types:
         return Fraction(0)
     instance_counts: dict[str, int] = {name: 0 for name in fb_types}
-    for pou in project.pous:
-        for section in pou.var_sections:
-            for decl in section.decls:
-                key = decl.type_name.lower().removeprefix("array of ").strip()
-                if key in instance_counts:
-                    instance_counts[key] += 1
-    for g in project.globals:
-        key = g.type_name.lower()
+    decls = (d for p in project.pous for section in p.var_sections for d in section.decls)
+    for decl in chain(decls, project.globals):
+        key = _instance_type(decl.type_name)
         if key in instance_counts:
             instance_counts[key] += 1
     reused = sum(

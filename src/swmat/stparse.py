@@ -719,7 +719,8 @@ class Parser:
         return that index: the first ';' or structural keyword at bracket
         depth 0, a closer that closes no bracket opened in it, or the end of
         input.  On the way, record each dotted path followed by '(' as a
-        call and the base of any other path as read."""
+        call and the base of any other path as read, unless that base is a
+        member: a name right after '.', as in ``a[1].b`` or ``f().b``."""
         codes, texts, reads = self._codes, self.texts, self.reads
         pos = self.pos
         depth = 0
@@ -731,7 +732,7 @@ class Parser:
                     j += 2
                 if codes[j] == "(":
                     self.calls.append((".".join(texts[pos:j:2]), *self.store.position(pos)))
-                else:
+                elif codes[pos - 1] != ".":
                     reads[texts[pos]] = None
                 pos = j
                 continue
@@ -812,9 +813,6 @@ class Parser:
             if codes[pos] is None:
                 raise _ParseFailure("unterminated index expression", first)
             pos += 1
-            if codes[pos] == "." and codes[pos + 1] == IDENT:
-                # the member after an index reads as a name, as in an expression
-                self.reads[self.texts[pos + 1]] = None
             while codes[pos] == ".":
                 if codes[pos + 1] != IDENT:
                     self.pos = pos + 1

@@ -76,7 +76,8 @@ def _token_streams(stmt):
 
 
 def _paths(tokens):
-    """(path, followed_by_paren) for every dotted identifier path in a stream."""
+    """(path, followed_by_paren) for every dotted identifier path in a stream,
+    leaving out a member (a path right after '.') that is not called."""
     results = []
     i = 0
     while i < len(tokens):
@@ -98,7 +99,9 @@ def _paths(tokens):
             and tokens[j].kind is TokenKind.OP
             and tokens[j].text == "("
         )
-        results.append((parts, called))
+        member = i > 0 and tokens[i - 1].kind is TokenKind.OP and tokens[i - 1].text == "."
+        if called or not member:
+            results.append((parts, called))
         i = j if j > i else i + 1
     return results
 

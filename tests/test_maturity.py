@@ -13,13 +13,11 @@ from scipy import stats as scipy_stats
 from model_codec import schema_to_dict
 from oracles import pearson_reference, reference_cohort, reference_report
 from swmat.maturity import (
-    CategoryScore,
     DegenerateSampleError,
     ScoringError,
     Significance,
     T_CRITICAL,
     build_report,
-    category_maturity,
     cohort_stats,
     complexity_measure,
     default_schema,
@@ -95,36 +93,32 @@ def test_op_category_example(schema):
     answers = _answers(
         {36: "never", 37: "whole-source", 38: "remote-and-on-demand", 39: "very-often"}
     )
-    score = category_maturity(schema, answers, Category.OP)
-    assert score.gained == 15
-    assert score.reachable == 20
-    assert score.maturity == F(3, 4)
+    report = build_report(schema, answers)
+    assert report.category_points[Category.OP] == (15, 20)
+    assert report.m_op == F(3, 4)
 
 
 def test_all_best_options_give_one(schema):
     answers = _answers(OP_BEST)
-    assert category_maturity(schema, answers, Category.OP).maturity == 1
+    assert build_report(schema, answers).m_op == 1
 
 
 def test_strict_mode_counts_unanswered(schema):
     answers = _answers({36: "never", 37: "no-source", 38: "remote-and-on-demand"})
-    lenient = category_maturity(schema, answers, Category.OP)
-    strict = category_maturity(schema, answers, Category.OP, strict=True)
-    assert lenient.maturity == 1
-    assert strict.maturity == F(15, 20)
-    assert strict.unanswered == (39,)
+    lenient = build_report(schema, answers)
+    strict = build_report(schema, answers, strict=True)
+    assert lenient.m_op == 1
+    assert strict.m_op == F(15, 20)
+    assert strict.category_points[Category.OP] == (15, 20)
+    op_ids = schema.scored_ids(Category.OP)
+    assert [qid for qid in strict.unanswered if qid in op_ids] == [39]
 
 
 def test_unanswered_category_is_missing(schema):
     answers = _answers({})
-    score = category_maturity(schema, answers, Category.OP)
-    assert score.maturity is None
-    assert score.reachable == 0
-
-
-def test_category_must_be_scored(schema):
-    with pytest.raises(ValueError):
-        category_maturity(schema, _answers({}), Category.GEN)
+    report = build_report(schema, answers)
+    assert report.m_op is None
+    assert report.category_points[Category.OP] == (0, 0)
 
 
 # --- overall -------------------------------------------------------------------
@@ -616,11 +610,9 @@ def test_normalized_answers_checks_the_answers(schema):
         normalized_answers(schema, _answers({36: "never", 9: "lots"}))
 
 
-def test_validate_answers_rejects_unknown_question(schema):
-    from swmat.maturity import validate_answers
-
-    problems = validate_answers(schema, _answers({99: "never"}))
-    assert problems and "unknown question 99" in problems[0]
+def test_build_report_names_an_unknown_question(schema):
+    with pytest.raises(ScoringError, match="answer for unknown question 99"):
+        build_report(schema, _answers({99: "never"}))
 
 
 def test_build_report_rejects_invalid_answers(schema):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib
+import sys
 from array import array
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
@@ -174,8 +175,6 @@ _RECORD_MODULES = (
     "model", "stparse", "project", "graphs", "modularity", "maturity", "configurator",
     "reporting",
 )
-# fields that say where a record was declared: equality and the hash leave them out
-POSITION_FIELDS = {("GlobalVar", "line"), ("TaskDef", "path"), ("TaskDef", "line")}
 
 
 def _record_classes() -> list[type]:
@@ -220,16 +219,31 @@ def test_record_semantics(cls):
     for name in cls._fields:
         changed = record._replace(**{name: "other"})
         assert type(changed) is cls and changed._replace(**{name: name}) == record
-        if (cls.__name__, name) in POSITION_FIELDS:
-            assert changed == record and not changed != record
-            assert hash(changed) == hash(record)
-        else:
-            assert changed != record and not changed == record
+        assert changed != record and not changed == record
+        assert hash(changed) != hash(record)
         with pytest.raises(AttributeError):
             setattr(record, name, "other")
     with pytest.raises(AttributeError):
         record.no_such_field = 1
     assert record == twin
+
+
+# the records whose ``cached_property`` memos pay; each derives from the
+# NamedTuple of its fields and from ``model.Memos``
+MEMO_RECORDS = {"QuestionnaireSchema", "CallGraph", "GlobalCommGraph", "RadarSeries"}
+
+
+@pytest.mark.parametrize(
+    "cls", [cls for cls in RECORDS if cls.__name__ not in MEMO_RECORDS],
+    ids=lambda cls: cls.__name__,
+)
+def test_records_are_plain(cls):
+    # a plain NamedTuple: no factory and no equality of its own
+    assert cls.__bases__ == (tuple,)
+    for name in ("__eq__", "__ne__", "__hash__"):
+        assert name not in vars(cls), name
+    # NamedTuple makes a ``__new__`` of its own, outside any source file
+    assert cls.__new__.__code__.co_filename != sys.modules[cls.__module__].__file__
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)

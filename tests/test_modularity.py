@@ -24,6 +24,7 @@ from swmat.model import (
     Grade,
     GovernanceLevel,
     PouKind,
+    Project,
     StructureStyle,
 )
 from swmat.modularity import (
@@ -39,8 +40,10 @@ from swmat.modularity import (
     estimate_governance,
     grade_meyer,
     load_thresholds,
+    reuse_ratio,
 )
 from swmat.project import parse_project
+from swmat.stparse import parse_source
 from oracles import (
     _resolved_calls,
     clone_body_reference,
@@ -580,6 +583,62 @@ def test_meyer_tree_with_reuse(tmp_path):
     assert grades["protection"] is Grade.PLUS_PLUS
     # one of three FB types is instantiated twice and no library stubs exist
     assert grades["composability"] is Grade.PLUS
+
+
+@pytest.mark.parametrize("global_decl, local_decl", [
+    ("", "a, b : Motor;"),
+    ("", "a, b : ARRAY[0..1, 0..2] OF Motor;"),
+    ("", "a, b : ARRAY[0..1] OF ARRAY[0..2] OF Motor;"),
+    ("a, b : ARRAY[0..1] OF Motor;", ""),
+], ids=["plain", "two-dimensional", "nested", "global"])
+def test_reuse_counts_arrays_of_instances(global_decl, local_decl):
+    # two instances of Motor, however declared, make it reused
+    result = parse_source(
+        f"VAR_GLOBAL\n{global_decl}\nEND_VAR\nFUNCTION_BLOCK Motor\nEND_FUNCTION_BLOCK\n"
+        f"PROGRAM Main\nVAR\n{local_decl}\nEND_VAR\nEND_PROGRAM\n"
+    )
+    assert result.ok, result.diagnostics
+    assert reuse_ratio(Project("p", tuple(result.pous), tuple(result.globals))) == 1
+
+
+# a member written and read through an array of FB instances, beside a
+# global of the member's name that another POU writes
+MEMBER_ST = """VAR_GLOBAL
+  speed : INT;
+END_VAR
+FUNCTION_BLOCK Motor
+VAR
+  speed : INT;
+END_VAR
+speed := speed + 1;
+END_FUNCTION_BLOCK
+FUNCTION_BLOCK Writer
+speed := 1;
+END_FUNCTION_BLOCK
+PROGRAM Main
+VAR
+  arr : ARRAY[1..2] OF Motor;
+  w : Writer;
+  y : INT;
+END_VAR
+arr[1].speed := 3;
+y := arr[2].speed;
+w();
+END_PROGRAM
+"""
+
+
+def test_member_after_an_index_reads_no_global(tmp_path):
+    project, _ = parse_project(write_project(tmp_path, {"member.st": MEMBER_ST}))
+    assert project.pou("Main").global_reads == frozenset()
+    analysis = _analyze(project)
+    assert analysis.global_graph.edge_count == 0
+    assessment = analysis.assessment
+    assert assessment.coupling_fraction == 0
+    assert assessment.structure_style is StructureStyle.MIXED
+    assert assessment.grades["decomposability"] is Grade.PLUS_PLUS
+    assert assessment.grades["protection"] is Grade.PLUS_PLUS
+    assert assessment.score_sum == 5
 
 
 def _case_c_project(tmp_path):

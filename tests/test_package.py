@@ -17,7 +17,7 @@ import swmat
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# every name ``import swmat`` has exported since 0.1.0, by defining module
+# every name ``import swmat`` exports, by defining module
 PUBLIC = {
     "model": (
         "AnswerSet", "CallResolution", "CallSite", "Category", "CompanyCategory",
@@ -38,7 +38,7 @@ PUBLIC = {
     ),
     "maturity": (
         "CorrelationResult", "DegenerateSampleError", "ScoringError", "Significance",
-        "build_report", "category_maturity", "cohort_stats", "complexity_measure",
+        "build_report", "cohort_stats", "complexity_measure",
         "default_schema", "interaction_variable", "overall_maturity", "pearson",
         "score_answer",
     ),
@@ -67,7 +67,9 @@ def test_public_names_resolve_to_their_module_objects(module):
 def test_star_import_gives_every_public_name():
     namespace: dict = {}
     exec("from swmat import *", namespace)
-    assert {n for names in PUBLIC.values() for n in names} <= set(namespace)
+    public = {n for names in PUBLIC.values() for n in names}
+    assert public <= set(namespace)
+    assert set(swmat.__all__) == public
 
 
 def test_default_schema_is_the_function():

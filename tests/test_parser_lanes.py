@@ -241,8 +241,12 @@ class _ReferenceParser:
         while self.at_keyword("CONSTANT", "RETAIN", "PERSISTENT"):
             if self.take().text.upper() == "CONSTANT":
                 constant = True
-        decls = self.parse_decl_list()
-        return [GlobalVar(d.name, d.type_name, d.init, constant) for d in decls]
+        lines: list[int] = []
+        decls = self.parse_decl_list(lines)
+        return [
+            GlobalVar(d.name, d.type_name, d.init, constant, line)
+            for d, line in zip(decls, lines)
+        ]
 
     def parse_pou(self) -> TreePou:
         head = self.take()
@@ -331,7 +335,9 @@ class _ReferenceParser:
         decls = self.parse_decl_list()
         return VarSection(kind, tuple(decls), constant)
 
-    def parse_decl_list(self) -> list[VarDecl]:
+    def parse_decl_list(self, lines: list[int] | None = None) -> list[VarDecl]:
+        """The declarations up to END_VAR; a ``lines`` list gets the line of
+        each declared name."""
         decls: list[VarDecl] = []
         while True:
             if self.at_keyword("END_VAR"):
@@ -362,10 +368,12 @@ class _ReferenceParser:
                 self.take()
                 init = self.capture_until_semicolon_text()
             self.expect_op(";")
-            for name in names:
-                decls.append(VarDecl(name, type_name, init))
+            for tok in names:
+                decls.append(VarDecl(tok.text, type_name, init))
+                if lines is not None:
+                    lines.append(tok.line)
 
-    def declared_name(self) -> str:
+    def declared_name(self) -> Token:
         tok = self.expect_ident()
         if self.declared is not None:
             if tok.text.lower() in self.declared:
@@ -374,7 +382,7 @@ class _ReferenceParser:
                     path=self.path, line=tok.line, col=tok.col,
                 ))
             self.declared.add(tok.text.lower())
-        return tok.text
+        return tok
 
     def parse_type_text(self) -> str:
         """Type as written; ARRAY [..] OF T collapses to its element type prefix."""

@@ -481,7 +481,8 @@ def body_facts(statements: Sequence[Statement]) -> TreeFacts:
 
     def scan(seq: TokenSeq, target: bool = False) -> None:
         """Append the codes of ``seq`` and note its calls and reads; the base
-        of a ``target`` is the write, its index expressions are reads."""
+        of a ``target`` is the write, its index expressions are reads, and a
+        member (a name after '.') is no read."""
         store = seq.store
         codes, texts = store.codes, store.texts
         start = i = seq.start
@@ -496,7 +497,7 @@ def body_facts(statements: Sequence[Statement]) -> TreeFacts:
                 j += 2
             if j < end and codes[j] == "(":
                 calls.append((".".join(texts[i:j:2]), *store.position(i)))
-            elif not (target and i == start):
+            elif not (target and i == start) and not (i > start and codes[i - 1] == "."):
                 reads.add(texts[i])
             i = j
 
