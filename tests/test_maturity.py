@@ -610,7 +610,7 @@ def test_normalized_answers_checks_the_answers(schema):
         normalized_answers(schema, _answers({36: "never", 9: "lots"}))
 
 
-def test_build_report_names_an_unknown_question(schema):
+def test_validate_answers_rejects_unknown_question(schema):
     with pytest.raises(ScoringError, match="answer for unknown question 99"):
         build_report(schema, _answers({99: "never"}))
 
